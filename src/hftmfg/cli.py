@@ -24,8 +24,18 @@ from .errors import ConfigError, ResidualWarning, SimulationError, SolverError
 from .meanfield import jump_conditions_report, solve_partial
 from .reporting import (plot_columns_from_csv, write_csv, write_equilibrium_csv,
                         write_keyvalue_csv)
-from .simulate import deviation_gain, lt_deviation_gain, simulate_population
+from . import simulate as _simulate
+from .simulate import deviation_gain, lt_deviation_gain
 from .strategy import lt_profit, solve_overall
+
+
+def simulate_population(*args, **kwargs):
+    """``hftmfg.simulate.simulate_population``, looked up when called.
+
+    A wrapper installed on either name, ``hftmfg.cli.simulate_population`` or
+    ``hftmfg.simulate.simulate_population``, sees every simulation the CLI runs.
+    """
+    return _simulate.simulate_population(*args, **kwargs)
 
 
 def _add_common(p: argparse.ArgumentParser, config_required: bool = True) -> None:
@@ -134,10 +144,10 @@ def cmd_simulate(args) -> int:
                                         record_paths=args.dump_trajectories)
         row = {"metrics": [M, seed, met.theta_dev, met.Z_dev, met.vbar_l2]}
         if not args.skip_deviation:
-            dev = deviation_gain(cfg, eq, M, seed)
+            dev = deviation_gain(cfg, eq, traj)
             row["hft"] = [M, seed, dev.j_mfg, dev.j_best, dev.gain]
             if overall is not None:
-                lt = lt_deviation_gain(cfg, overall, M, seed)
+                lt = lt_deviation_gain(cfg, overall, traj)
                 row["lt"] = [M, seed, lt.psi_mfg, lt.psi_best, lt.gain]
         if args.dump_trajectories:
             row["traj"] = (M, seed, traj)
@@ -265,6 +275,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.workers < 1:
+            parser.error(f"--workers must be at least 1, got {args.workers}")
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -19,6 +19,7 @@ and worker counts.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,12 +36,25 @@ _PURPOSE_PRICE = 1
 _MAX_EVENTS_PER_AGENT = 100_000
 
 
-def _stream(seed: int, purpose: int, rep: int, agent: int) -> np.random.Generator:
+def _new_stream() -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(0))
+
+
+_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
+
+
+def _rekey(g: np.random.Generator, seed: int, purpose: int, rep: int, agent: int) -> None:
+    """Point g's Philox at the stream keyed by (seed, purpose, rep, agent).
+
+    A zero counter and an empty buffer make the draws identical to those of a
+    fresh ``Philox(key=...)``, for a tenth of the cost of building one.
+    """
     key0 = (int(seed) ^ 0x9E3779B97F4A7C15) & _MASK64
     key1 = ((purpose & 0xFF) << 56) | ((rep & 0xFFFFFFF) << 28) | (agent & 0xFFFFFFF)
-    # exact uint64 key; large Python ints in a plain list round through float64
-    key = np.array([key0, key1], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    g.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO_COUNTER, "key": (key0, key1)},
+        "buffer": _ZERO_COUNTER, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 def _draw_agents(cfg: ModelConfig, M: int, seed: int, rep: int, spread: float):
@@ -49,28 +63,34 @@ def _draw_agents(cfg: ModelConfig, M: int, seed: int, rep: int, spread: float):
     E0 = np.asarray(cfg.population.E0, dtype=float)
     Q = np.asarray(cfg.aversion.Q, dtype=float)
     T = cfg.schedule.T
-    p0cum = np.cumsum(cfg.aversion.p0)
+    p0cum = np.cumsum(cfg.aversion.p0).tolist()
+    rates = [float(-Q[y, y]) for y in range(N)]
+    jump_cdfs = []       # per state: CDF of the state it switches to
+    for y in range(N):
+        row = Q[y].copy()
+        row[y] = 0.0
+        jump_cdfs.append((np.cumsum(row) / rates[y]).tolist() if rates[y] > 0.0 else None)
     X0 = np.empty(M)
     Y0 = np.empty(M, dtype=np.int64)
     ev_t: list[float] = []
     ev_agent: list[int] = []
     ev_state: list[int] = []
+    g = _new_stream()
     for j in range(M):
-        g = _stream(seed, _PURPOSE_AGENT, rep, j)
-        y = min(int(np.searchsorted(p0cum, g.random(), side="right")), N - 1)
-        X0[j] = E0[y] + spread * (2.0 * g.random() - 1.0)
+        _rekey(g, seed, _PURPOSE_AGENT, rep, j)
+        u_state, u_spread = g.random(2).tolist()
+        y = min(bisect_right(p0cum, u_state), N - 1)
+        X0[j] = E0[y] + spread * (2.0 * u_spread - 1.0)
         Y0[j] = y
         t = 0.0
         for _ in range(_MAX_EVENTS_PER_AGENT):
-            rate = -Q[y, y]
+            rate = rates[y]
             if rate <= 0.0:
                 break
             t += g.exponential(1.0 / rate)
             if t >= T:
                 break
-            row = Q[y].copy()
-            row[y] = 0.0
-            y = min(int(np.searchsorted(np.cumsum(row) / rate, g.random(), side="right")), N - 1)
+            y = min(bisect_right(jump_cdfs[y], g.random()), N - 1)
             ev_t.append(t)
             ev_agent.append(j)
             ev_state.append(y)
@@ -144,28 +164,80 @@ def _segment_coeffs(cfg: ModelConfig, eq: MeanFieldSolution):
     return a_segs, b_segs
 
 
-def _local_step(D: float, ta: float, tb: float, state: int, ft: np.ndarray,
-                a_seg: np.ndarray, b_seg: np.ndarray, method: str) -> float:
-    """One integrator step of the scalar deviation ODE on [ta, tb]."""
-    if tb <= ta:
-        return D
+@dataclass(frozen=True)
+class _StateColumns:
+    """One segment's coefficients as contiguous (N, 2m+1) rows, one per state."""
+    ft: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    E: np.ndarray
+
+    @classmethod
+    def build(cls, ft, a_seg, b_seg, E_seg) -> "_StateColumns":
+        return cls(ft, *(np.ascontiguousarray(x.T) for x in (a_seg, b_seg, E_seg)))
+
+
+def _interp_by_state(t: np.ndarray, y: np.ndarray, ft: np.ndarray,
+                     *tables: np.ndarray) -> list[np.ndarray]:
+    """For each (N, len(ft)) table, table[y_j] interpolated at t_j for every j."""
+    outs = [np.empty(len(t)) for _ in tables]
+    for k in range(len(tables[0])):
+        sel = y == k
+        tk = t[sel]
+        for out, table in zip(outs, tables):
+            out[sel] = np.interp(tk, ft, table[k])
+    return outs
+
+
+def _sub_step(D: np.ndarray, ta: np.ndarray, tb: np.ndarray, y: np.ndarray,
+              cols: _StateColumns, method: str) -> np.ndarray:
+    """One integrator step of each agent's deviation ODE on [ta_j, tb_j] in state y_j.
+
+    Coefficients are interpolated off the fine mesh, so the step may start and
+    end anywhere; where tb <= ta it is a no-op.
+    """
+    rk4 = method == "rk4"
     h = tb - ta
-    acol = a_seg[:, state]
-    bcol = b_seg[:, state]
+    nodes = (ta, 0.5 * (ta + tb), tb) if rk4 else (ta,)
+    a, b = (x.reshape(len(nodes), -1) for x in _interp_by_state(
+        np.concatenate(nodes), np.tile(y, len(nodes)), cols.ft, cols.a, cols.b))
+    if rk4:
+        k1 = a[0] * D + b[0]
+        k2 = a[1] * (D + 0.5 * h * k1) + b[1]
+        k3 = a[1] * (D + 0.5 * h * k2) + b[1]
+        k4 = a[2] * (D + h * k3) + b[2]
+        out = D + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    else:
+        out = D + h * (a[0] * D + b[0])
+    return np.where(tb <= ta, D, out)
 
-    def ab(t):
-        return float(np.interp(t, ft, acol)), float(np.interp(t, ft, bcol))
 
-    a0, b0 = ab(ta)
-    if method != "rk4":
-        return D + h * (a0 * D + b0)
-    am, bm = ab(0.5 * (ta + tb))
-    a1, b1 = ab(tb)
-    k1 = a0 * D + b0
-    k2 = am * (D + 0.5 * h * k1) + bm
-    k3 = am * (D + 0.5 * h * k2) + bm
-    k4 = a1 * (D + h * k3) + b1
-    return D + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+def _through_switches(D: np.ndarray, Y: np.ndarray, t0: float, t2: float,
+                      grp: np.ndarray, rank: np.ndarray, te: np.ndarray,
+                      ynew: np.ndarray, cols: _StateColumns, method: str):
+    """Carry switching agents across one level-0 step [t0, t2] through their events.
+
+    D, Y hold the agents' deviations and states at t0.  Event e moves agent
+    grp[e] to state ynew[e] at time te[e] and is that agent's rank[e]-th event
+    in the step.  All events of one rank are integrated together, so every
+    agent takes the same sub-steps and jumps as it would alone.  Returns the
+    deviations and states at t2.
+    """
+    D = D.copy()
+    Y = Y.copy()
+    ta = np.full(len(D), t0)
+    for r in range(int(rank.max(initial=-1)) + 1):
+        sel = rank == r
+        g = grp[sel]
+        t, yn, y = te[sel], ynew[sel], Y[g]
+        d = _sub_step(D[g], ta[g], t, y, cols, method)
+        # inventory is continuous, so the deviation moves by E_old - E_new
+        (E_old,) = _interp_by_state(t, y, cols.ft, cols.E)
+        (E_new,) = _interp_by_state(t, yn, cols.ft, cols.E)
+        D[g] = d + (E_old - E_new)
+        Y[g] = yn
+        ta[g] = t
+    return _sub_step(D, ta, np.full(len(D), t2), Y, cols, method), Y
 
 
 def simulate_population(cfg: ModelConfig, eq: MeanFieldSolution, M: int, seed: int,
@@ -192,7 +264,6 @@ def simulate_population(cfg: ModelConfig, eq: MeanFieldSolution, M: int, seed: i
     paths_X: list[np.ndarray] = []
     paths_Y: list[np.ndarray] = []
     ptr = 0
-    n_ev = len(ev_t)
     for s in range(grid.n_segments):
         ft = grid.fine_times[s]
         m = grid.steps[s]
@@ -200,6 +271,7 @@ def simulate_population(cfg: ModelConfig, eq: MeanFieldSolution, M: int, seed: i
         a_seg, b_seg = a_segs[s], b_segs[s]
         mu_seg = eq.mu_by_state.segments[s]
         E_seg = eq.E_by_state.segments[s]
+        cols = _StateColumns.build(ft, a_seg, b_seg, E_seg)
         vbar = np.empty(m + 1)
         Xbar = np.empty(m + 1)
         theta = np.empty((m + 1, N))
@@ -234,13 +306,18 @@ def simulate_population(cfg: ModelConfig, eq: MeanFieldSolution, M: int, seed: i
         for i in range(m):
             t0 = ft[2 * i]
             t2 = ft[2 * i + 2]
-            jumpers: dict[int, list[tuple[float, int]]] = {}
-            while ptr < n_ev and ev_t[ptr] <= t2:
-                jumpers.setdefault(int(ev_agent[ptr]), []).append(
-                    (float(ev_t[ptr]), int(ev_state[ptr])))
-                ptr += 1
-            if jumpers:
-                saved = {j: (float(D[j]), int(Y[j])) for j in jumpers}
+            end = int(ev_t.searchsorted(t2, side="right"))
+            if end > ptr:
+                # the step's events by agent, numbered within each agent
+                order = np.argsort(ev_agent[ptr:end], kind="stable")
+                agents = ev_agent[ptr:end][order]
+                first = np.concatenate(([True], agents[1:] != agents[:-1]))
+                grp = np.cumsum(first) - 1
+                rank = np.arange(len(agents)) - np.flatnonzero(first)[grp]
+                J = agents[first]
+                D_J, Y_J = _through_switches(
+                    D[J], Y[J], t0, t2, grp, rank, ev_t[ptr:end][order],
+                    ev_state[ptr:end][order], cols, method)
 
             a0 = a_seg[2 * i][Y]
             b0 = b_seg[2 * i][Y]
@@ -257,17 +334,10 @@ def simulate_population(cfg: ModelConfig, eq: MeanFieldSolution, M: int, seed: i
             else:
                 D = D + h * (a0 * D + b0)
 
-            for j, events in jumpers.items():
-                d, y = saved[j]
-                ta = t0
-                for te, ynew in events:
-                    d = _local_step(d, ta, te, y, ft, a_seg, b_seg, method)
-                    d += float(np.interp(te, ft, E_seg[:, y]) - np.interp(te, ft, E_seg[:, ynew]))
-                    y = ynew
-                    ta = te
-                d = _local_step(d, ta, t2, y, ft, a_seg, b_seg, method)
-                D[j] = d
-                Y[j] = y
+            if end > ptr:
+                D[J] = D_J
+                Y[J] = Y_J
+                ptr = end
             record(i + 1, 2 * i + 2)
 
         records.append(SegmentRecord(grid.level0_times(s).copy(), vbar, Xbar,
@@ -486,10 +556,9 @@ def _cell_projected_controls(traj_X_segments, grid, cells_per_segment: int) -> n
     return np.diff(x) / np.diff(edges)
 
 
-def deviation_gain(cfg: ModelConfig, eq: MeanFieldSolution, M: int, seed: int,
-                   control_cells_per_segment: int = 20, *, rep: int = 0,
-                   init_spread: float | None = None) -> DeviationResult:
-    """Exact best response of one agent against the frozen remaining M-1.
+def deviation_gain(cfg: ModelConfig, eq: MeanFieldSolution, traj: PopulationTrajectory,
+                   control_cells_per_segment: int = 20) -> DeviationResult:
+    """Exact best response of agent 0 of ``traj`` against the frozen remaining M-1.
 
     The whole realization (initial inventories and every agent's state path,
     including the deviator's) is frozen; the agent's payoff is then a strictly
@@ -497,10 +566,11 @@ def deviation_gain(cfg: ModelConfig, eq: MeanFieldSolution, M: int, seed: int,
     the grid-exact optimum.  Against it, j_mfg evaluates the same functional
     at the cell projection of her realized feedback play, so gain >= 0 up to
     solve rounding.  Martingale price-noise terms are omitted (mean zero).
+    ``traj`` must come from ``simulate_population(cfg, eq, ...)``.
     """
+    M = traj.M
     if M < 2:
         raise SimulationError("deviation test needs at least two agents")
-    traj, _ = simulate_population(cfg, eq, M, seed, rep=rep, init_spread=init_spread)
     vbar_minus = [(M * rec.vbar - rec.v_agent0) / (M - 1) for rec in traj.segments]
     quad = _deviator_quadratic(
         cfg, eq, 1.0 / M, vbar_minus, traj.agent0_initial_inventory,
@@ -510,7 +580,7 @@ def deviation_gain(cfg: ModelConfig, eq: MeanFieldSolution, M: int, seed: int,
     w_best = quad.maximizer()
     j_mfg = quad.value(w_mfg)
     j_best = quad.value(w_best)
-    return DeviationResult(j_mfg, j_best, j_best - j_mfg, M, seed)
+    return DeviationResult(j_mfg, j_best, j_best - j_mfg, M, traj.seed)
 
 
 def _single_agent_inventory(cfg: ModelConfig, eq: MeanFieldSolution, x_init: float,
@@ -519,29 +589,28 @@ def _single_agent_inventory(cfg: ModelConfig, eq: MeanFieldSolution, x_init: flo
     grid = eq.grid
     method = cfg.solver.integrator
     a_segs, b_segs = _segment_coeffs(cfg, eq)
-    d = x_init - float(eq.E_by_state.initial()[y_init])
-    y = y_init
-    evs = list(events)
-    ei = 0
+    ev_t = np.array([t for t, _ in events], dtype=float)
+    ev_state = np.array([y for _, y in events], dtype=np.int64)
+    D = np.array([x_init - float(eq.E_by_state.initial()[y_init])])
+    Y = np.array([y_init], dtype=np.int64)
+    ptr = 0
     out = []
     for s in range(grid.n_segments):
         ft = grid.fine_times[s]
         mseg = grid.steps[s]
         E_seg = eq.E_by_state.segments[s]
+        cols = _StateColumns.build(ft, a_segs[s], b_segs[s], E_seg)
         xs = np.empty(mseg + 1)
-        xs[0] = E_seg[0, y] + d
+        xs[0] = E_seg[0, Y[0]] + D[0]
         for i in range(mseg):
-            t0, t2 = ft[2 * i], ft[2 * i + 2]
-            ta = t0
-            while ei < len(evs) and evs[ei][0] <= t2:
-                te, ynew = evs[ei]
-                d = _local_step(d, ta, te, y, ft, a_segs[s], b_segs[s], method)
-                d += float(np.interp(te, ft, E_seg[:, y]) - np.interp(te, ft, E_seg[:, ynew]))
-                y = ynew
-                ta = te
-                ei += 1
-            d = _local_step(d, ta, t2, y, ft, a_segs[s], b_segs[s], method)
-            xs[i + 1] = E_seg[2 * i + 2, y] + d
+            t2 = ft[2 * i + 2]
+            end = int(ev_t.searchsorted(t2, side="right"))
+            n = end - ptr
+            D, Y = _through_switches(D, Y, ft[2 * i], t2, np.zeros(n, dtype=np.int64),
+                                     np.arange(n), ev_t[ptr:end], ev_state[ptr:end],
+                                     cols, method)
+            ptr = end
+            xs[i + 1] = E_seg[2 * i + 2, Y[0]] + D[0]
         out.append(xs)
     return out
 
@@ -583,17 +652,16 @@ def _psi_value(cfg: ModelConfig, xi: np.ndarray, xbar_k: np.ndarray,
     return float(np.sum(-xi * inner))
 
 
-def lt_deviation_gain(cfg: ModelConfig, overall_eq, M: int, seed: int, *,
-                      rep: int = 0, init_spread: float | None = None) -> LTDeviationResult:
-    """Exact best response of the trader against a simulated crowd realization.
+def lt_deviation_gain(cfg: ModelConfig, overall_eq,
+                      traj: PopulationTrajectory) -> LTDeviationResult:
+    """Exact best response of the trader against the simulated crowd ``traj``.
 
     The agents' feedback play does not react to the trader's realized trades
     (only to the anticipated equilibrium schedule), so the empirical payoff is
     a strictly concave quadratic in the schedule under the completion
     constraint and the first-order formula gives the exact maximizer.
+    ``traj`` must come from ``simulate_population(cfg, overall_eq.mean_field, ...)``.
     """
-    mf = overall_eq.mean_field
-    traj, _ = simulate_population(cfg, mf, M, seed, rep=rep, init_spread=init_spread)
     K = cfg.schedule.K
     xbar0 = float(traj.segments[0].Xbar[0])
     xbar_k = np.array([traj.segments[k].Xbar[0] for k in range(1, K + 1)])
@@ -605,7 +673,8 @@ def lt_deviation_gain(cfg: ModelConfig, overall_eq, M: int, seed: int, *,
     xi_best = best_response_values(xbar_k, vbar_k, xi0, cfg)
     psi_star = _psi_value(cfg, np.asarray(overall_eq.xi_star, dtype=float), xbar_k, xbar0, vbar_k)
     psi_best = _psi_value(cfg, xi_best, xbar_k, xbar0, vbar_k)
-    return LTDeviationResult(psi_star, psi_best, psi_best - psi_star, xi_best, M, seed)
+    return LTDeviationResult(psi_star, psi_best, psi_best - psi_star, xi_best,
+                             traj.M, traj.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -647,8 +716,9 @@ def sample_price_paths(cfg: ModelConfig, xi, solution: MeanFieldSolution,
     else:
         dt = np.diff(np.concatenate(([0.0], tk)))
         sq = np.sqrt(dt)
+        g = _new_stream()
         for r in range(replications):
-            g = _stream(seed, _PURPOSE_PRICE, r, 0)
+            _rekey(g, seed, _PURPOSE_PRICE, r, 0)
             W = np.cumsum(sq * g.standard_normal(K))
             revenues[r] = det_revenue + m.sigma * float(np.sum(-xi * W))
     mean = float(revenues.mean())

@@ -150,9 +150,8 @@ def solve_overall(cfg: ModelConfig, grid=None) -> OverallEquilibrium:
     eye_K = np.eye(K)
     basis_trades = tuple(engine.solve(np.zeros(N), eye_K[k]) for k in range(K))
 
-    if N:
-        C_E = lincomb([b.E_agg for b in basis_initial], E0)
-        C_mu = lincomb([b.mu_agg for b in basis_initial], E0)
+    C_E = lincomb([b.E_agg for b in basis_initial], E0)
+    C_mu = lincomb([b.mu_agg for b in basis_initial], E0)
 
     if K == 0:
         xi_star = np.zeros(0)

@@ -256,7 +256,8 @@ def test_c09_epsilon_nash_convergence():
         eq1 = solve_partial(cfg1)
         med_g, med_j = [], []
         for M in Ms:
-            res = [deviation_gain(cfg1, eq1, M, s) for s in seeds]
+            res = [deviation_gain(cfg1, eq1, simulate_population(cfg1, eq1, M, s)[0])
+                   for s in seeds]
             assert all(r.gain >= -1e-10 for r in res)
             med_g.append(float(np.median([r.gain for r in res])))
             med_j.append(float(np.median([abs(r.j_mfg) for r in res])))
@@ -270,7 +271,9 @@ def test_c09_epsilon_nash_convergence():
         pi0 = abs(lt_profit(cfgo, eqo.xi_star, eqo.mean_field).profit_no_hft)
         med_lt = []
         for M in Ms:
-            vals = [lt_deviation_gain(cfgo, eqo, M, s).gain for s in seeds]
+            vals = [lt_deviation_gain(cfgo, eqo,
+                                      simulate_population(cfgo, eqo.mean_field, M, s)[0]).gain
+                    for s in seeds]
             assert all(v >= -1e-10 for v in vals)
             med_lt.append(float(np.median(vals)))
         assert med_lt[0] > med_lt[1] > med_lt[2], f"gains {med_lt}"

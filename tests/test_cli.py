@@ -4,8 +4,12 @@ import os
 import numpy as np
 import pytest
 
+import hftmfg.cli as cli
 from hftmfg.cli import main
-from hftmfg.reporting import read_csv
+from hftmfg.config import load_config
+from hftmfg.reporting import read_csv, write_csv
+from hftmfg.simulate import deviation_gain, lt_deviation_gain
+from hftmfg.strategy import solve_overall
 from conftest import base_raw
 
 
@@ -82,6 +86,61 @@ def test_simulate_overall_includes_lt_deviation(config_file, tmp_path):
               "--M", "50", "--seeds", "2"])
     assert rc == 0
     assert os.path.exists(os.path.join(out, "deviations_lt.csv"))
+
+
+def test_simulate_runs_one_population_per_task(config_file, tmp_path, monkeypatch):
+    raw = base_raw("overall")
+    raw["aversion"] = {"Gamma": [2.0, 0.0], "phi": [0.0, 10.0],
+                       "Q": [[-0.5, 0.5], [0.5, -0.5]], "p0": [0.5, 0.5]}
+    raw["population"]["E0"] = [0.0, 0.0]
+    raw["solver"]["grid_steps_per_unit_time"] = 200
+    raw["solver"]["shooting_tolerance"] = 1e-3
+    path = config_file(raw)
+    trajs = {}
+    simulate_population = cli.simulate_population
+
+    def counted(cfg, eq, M, seed, **kwargs):
+        traj, met = simulate_population(cfg, eq, M, seed, **kwargs)
+        trajs.setdefault((M, seed), []).append(traj)
+        return traj, met
+
+    monkeypatch.setattr(cli, "simulate_population", counted)
+    out = tmp_path / "o"
+    rc = run(["simulate", "--config", path, "--out", str(out),
+              "--M", "30", "60", "--seeds", "2", "--seed", "4"])
+    assert rc == 0
+    assert sorted(trajs) == [(30, 4), (30, 5), (60, 4), (60, 5)]
+    assert all(len(v) == 1 for v in trajs.values())
+
+    # the deviation files are exactly the deviation functions on those populations
+    cfg = load_config(path)
+    overall = solve_overall(cfg)
+    hft, lt = [], []
+    for (M, seed), (traj,) in trajs.items():
+        d = deviation_gain(cfg, overall.mean_field, traj)
+        hft.append([M, seed, d.j_mfg, d.j_best, d.gain])
+        t = lt_deviation_gain(cfg, overall, traj)
+        lt.append([M, seed, t.psi_mfg, t.psi_best, t.gain])
+    write_csv(tmp_path / "hft.csv", ["M", "seed", "j_mfg", "j_best", "gain"], hft, cfg)
+    write_csv(tmp_path / "lt.csv", ["M", "seed", "psi_mfg", "psi_best", "gain"], lt, cfg)
+    assert (out / "deviations_hft.csv").read_bytes() == (tmp_path / "hft.csv").read_bytes()
+    assert (out / "deviations_lt.csv").read_bytes() == (tmp_path / "lt.csv").read_bytes()
+
+
+def test_simulate_single_agent_deviation_exit_1(config_file, raw_config, tmp_path):
+    # the deviation test needs agent 0 plus at least one other agent
+    rc = run(["simulate", "--config", config_file(raw_config), "--out", str(tmp_path / "o"),
+              "--M", "1"])
+    assert rc == 1
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_usage_error(config_file, raw_config, tmp_path, workers):
+    out = tmp_path / "o"
+    rc = run(["simulate", "--config", config_file(raw_config), "--out", str(out),
+              "--M", "10", "--workers", workers])
+    assert rc == 2
+    assert not out.exists()
 
 
 def test_simulate_byte_identical_across_worker_counts(config_file, tmp_path):

@@ -9,7 +9,8 @@ from hftmfg.meanfield import solve_partial
 from hftmfg.simulate import (default_init_spread, deviation_gain,
                              deviation_gain_vs_mean_field, inventory_growth_bound,
                              lt_deviation_gain, sample_price_paths,
-                             simulate_population, _draw_agents)
+                             simulate_population, _draw_agents, _new_stream, _rekey,
+                             _segment_coeffs, _single_agent_inventory)
 from hftmfg.strategy import lt_profit, solve_overall
 
 
@@ -89,6 +90,21 @@ def test_vbar_error_decreases_like_one_over_M(stiff_eq):
     assert 3.0 <= ratio <= 33.0
 
 
+def test_rekeyed_stream_matches_fresh_philox():
+    # one re-keyed generator must draw exactly what a new Philox per key draws
+    g = _new_stream()
+    g.random(3)     # leave the counter and buffer mid-way
+    for seed, purpose, rep, agent in [(0, 0, 0, 0), (2**64 - 1, 1, 5, 9),
+                                      (123456789, 0, 2**28 - 1, 2**28 - 1)]:
+        key0 = (seed ^ 0x9E3779B97F4A7C15) & (2**64 - 1)
+        key1 = (purpose << 56) | (rep << 28) | agent
+        fresh = np.random.Generator(np.random.Philox(key=np.array([key0, key1], dtype=np.uint64)))
+        _rekey(g, seed, purpose, rep, agent)
+        for draw in (lambda r: r.random(2), lambda r: r.exponential(0.7),
+                     lambda r: r.standard_normal(5), lambda r: r.random()):
+            assert np.array_equal(draw(g), draw(fresh))
+
+
 def test_exact_switch_times_respected(twostate_eq):
     cfg, eq = twostate_eq
     _, _, ev_t, ev_agent, ev_state = _draw_agents(cfg, 400, 8, 0, 0.5)
@@ -98,11 +114,77 @@ def test_exact_switch_times_respected(twostate_eq):
     assert 100 <= len(ev_t) <= 320
 
 
+def _scalar_inventory(cfg, eq, x_init, y_init, events):
+    """Reference: one agent, one event at a time, scalar RK4 between events."""
+    a_segs, b_segs = _segment_coeffs(cfg, eq)
+    d, y, ei, out = x_init - float(eq.E_by_state.initial()[y_init]), y_init, 0, []
+    for s in range(eq.grid.n_segments):
+        ft, E = eq.grid.fine_times[s], eq.E_by_state.segments[s]
+
+        def step(d, ta, tb, y):
+            if tb <= ta:
+                return d
+
+            def a(t):
+                return float(np.interp(t, ft, a_segs[s][:, y]))
+
+            def b(t):
+                return float(np.interp(t, ft, b_segs[s][:, y]))
+
+            h, tm = tb - ta, 0.5 * (ta + tb)
+            k1 = a(ta) * d + b(ta)
+            k2 = a(tm) * (d + 0.5 * h * k1) + b(tm)
+            k3 = a(tm) * (d + 0.5 * h * k2) + b(tm)
+            k4 = a(tb) * (d + h * k3) + b(tb)
+            return d + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+
+        xs = [E[0, y] + d]
+        for i in range(eq.grid.steps[s]):
+            ta, t2 = ft[2 * i], ft[2 * i + 2]
+            while ei < len(events) and events[ei][0] <= t2:
+                te, ynew = events[ei]
+                d = step(d, ta, te, y)
+                d += float(np.interp(te, ft, E[:, y]) - np.interp(te, ft, E[:, ynew]))
+                y, ta, ei = ynew, te, ei + 1
+            d = step(d, ta, t2, y)
+            xs.append(E[2 * i + 2, y] + d)
+        out.append(np.array(xs))
+    return out
+
+
+def test_multi_switch_steps_match_single_agent_integration():
+    # switch rates of 10 on a 0.01 level-0 step: some agents switch two or
+    # more times inside one step, where the population batches the events
+    # of all agents by their rank within the step
+    cfg = presets.partial_two_type(x=10.0, y=10.0, grid=100).with_solver(
+        shooting_tolerance=1e-2)
+    eq = solve_partial(cfg)
+    M, seed = 200, 1
+    traj, _ = simulate_population(cfg, eq, M, seed, record_paths=True)
+    X0, Y0, ev_t, ev_agent, ev_state = _draw_agents(cfg, M, seed, 0, default_init_spread(cfg))
+
+    step_ends = np.concatenate([eq.grid.level0_times(s)[1:]
+                                for s in range(eq.grid.n_segments)])
+    step = np.searchsorted(step_ends, ev_t, side="left")
+    _, per_agent_step = np.unique(ev_agent * len(step_ends) + step, return_counts=True)
+    assert per_agent_step.max() >= 2
+
+    for j in range(M):
+        mine = ev_agent == j
+        events = list(zip(ev_t[mine].tolist(), ev_state[mine].tolist()))
+        xs = _single_agent_inventory(cfg, eq, float(X0[j]), int(Y0[j]), events)
+        ref = _scalar_inventory(cfg, eq, float(X0[j]), int(Y0[j]), events)
+        for s, x in enumerate(xs):
+            assert np.array_equal(x, ref[s])
+            assert np.max(np.abs(traj.paths_X[s][:, j] - x)) <= 1e-12
+
+
 def test_deviation_gain_nonnegative_and_shrinks(stiff_eq):
     cfg, eq = stiff_eq
     gains = {}
     for M in (100, 1000):
-        res = [deviation_gain(cfg, eq, M, seed) for seed in range(6)]
+        res = [deviation_gain(cfg, eq, simulate_population(cfg, eq, M, seed)[0])
+               for seed in range(6)]
         for r in res:
             assert r.gain >= -1e-12
         gains[M] = float(np.median([r.gain for r in res]))
@@ -145,14 +227,14 @@ def test_deviation_quadratic_concavity_guard(stiff_eq):
         warnings.simplefilter("ignore", ResidualWarning)
         eq_bad = solve_partial(bad)
     with pytest.raises(SimulationError, match="concave"):
-        deviation_gain(bad, eq_bad, M=2, seed=0)
+        deviation_gain(bad, eq_bad, simulate_population(bad, eq_bad, M=2, seed=0)[0])
 
 
 def test_lt_deviation_zero_when_decoupled():
     cfg = presets.overall_two_type(grid=400,
                                    market_overrides={"gammaH": 0.0, "lambdaH": 0.0})
     eq = solve_overall(cfg)
-    r = lt_deviation_gain(cfg, eq, M=50, seed=1)
+    r = lt_deviation_gain(cfg, eq, simulate_population(cfg, eq.mean_field, M=50, seed=1)[0])
     assert abs(r.gain) < 1e-12
     assert np.max(np.abs(r.xi_best - eq.xi_star)) < 1e-12
 
@@ -163,7 +245,8 @@ def test_lt_deviation_zero_for_exact_mean_population():
     cfg = presets.overall_single_type(2.0, 0.0, grid=400)
     eq = solve_overall(cfg)
     # all agents start exactly at the mean inventory
-    r = lt_deviation_gain(cfg, eq, M=30, seed=0, init_spread=0.0)
+    traj, _ = simulate_population(cfg, eq.mean_field, M=30, seed=0, init_spread=0.0)
+    r = lt_deviation_gain(cfg, eq, traj)
     assert abs(r.gain) < 1e-10
 
 
@@ -171,7 +254,8 @@ def test_lt_deviation_shrinks_with_population(overall_two):
     cfg, eq = overall_two
     meds = []
     for M in (100, 1000):
-        vals = [lt_deviation_gain(cfg, eq, M, seed).gain for seed in range(6)]
+        vals = [lt_deviation_gain(cfg, eq, simulate_population(cfg, eq.mean_field, M, seed)[0]).gain
+                for seed in range(6)]
         assert all(v >= -1e-12 for v in vals)
         meds.append(np.median(vals))
     assert meds[1] < meds[0]
