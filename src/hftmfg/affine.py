@@ -1,0 +1,69 @@
+"""Affine step maps and their prefix composition.
+
+Explicit Euler and classic RK4 applied to an affine system y' = A(t) y + b(t)
+are exactly affine maps y_{n+1} = Phi_n y_n + psi_n.  ``step_maps`` builds
+every map of a segment at once from stage samples, and ``trajectory``
+composes them with an inclusive Hillis-Steele scan: ceil(log2 m) batched
+matrix products instead of m sequential small ones.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def step_maps(A: np.ndarray, h: float, method: str, b: np.ndarray | None = None):
+    """Step maps (Phi, psi) of y' = A y + b for the chosen integrator.
+
+    ``A`` (2m+1, n, n) and ``b`` (2m+1, n) are stage samples on the fine
+    mesh: step i starts at index 2i, has its midpoint at 2i+1 and ends at
+    2i+2.  Returns Phi (m, n, n) and psi (m, n), or None when b is None.
+    The stages act on the augmented map [Phi | psi], whose last column
+    carries the inhomogeneous part, so one set of stage products builds both.
+    """
+    n = A.shape[-1]
+    X = np.eye(n, n if b is None else n + 1)
+
+    def f(k, Y):
+        F = A[k] @ Y
+        if b is not None:
+            F[..., n] += b[k]
+        return F
+
+    start, mid, end = slice(0, -1, 2), slice(1, None, 2), slice(2, None, 2)
+    if method == "rk4":
+        k1 = f(start, X)
+        k2 = f(mid, X + (h / 2.0) * k1)
+        k3 = f(mid, X + (h / 2.0) * k2)
+        k4 = f(end, X + h * k3)
+        M = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    elif method == "euler":
+        M = X + h * f(start, X)
+    else:
+        raise ValueError(f"unknown integrator {method!r}")
+    return M[..., :n], None if b is None else M[..., n]
+
+
+def compose_prefix(Phi: np.ndarray, psi: np.ndarray | None = None):
+    """Inclusive prefix compositions (P_n, q_n) with y_{n+1} = P_n y_0 + q_n."""
+    P = np.array(Phi, dtype=float)
+    q = None if psi is None else np.array(psi, dtype=float)
+    d = 1
+    while d < len(P):
+        if q is not None:
+            q[d:] += (P[d:] @ q[:-d, :, None])[..., 0]
+        P[d:] = P[d:] @ P[:-d]
+        d *= 2
+    return P, q
+
+
+def trajectory(y0, Phi: np.ndarray, psi: np.ndarray | None = None) -> np.ndarray:
+    """States y_0 .. y_m of y_{n+1} = Phi_n y_n + psi_n; y0 may be a vector or a matrix."""
+    y0 = np.asarray(y0, dtype=float)
+    P, q = compose_prefix(Phi, psi)
+    out = np.empty((len(P) + 1,) + y0.shape)
+    out[0] = y0
+    out[1:] = P @ y0
+    if q is not None:
+        out[1:] += q if y0.ndim == 1 else q[..., None]
+    return out

@@ -1,9 +1,11 @@
 """Type-distribution dynamics of the switching crowd.
 
-Solves the forward equation dp/dt = Q^T p for the state probabilities and
-exposes the reweighted generator p_Q(t) whose (i, j) entry for j != i is
-(p_j / p_i) Q^{ji}, with the diagonal chosen so rows sum to zero.  p_Q drives
-the per-state mean-inventory dynamics dE_i/dt = mu_i + (p_Q E)_i.
+Solves the forward equation dp/dt = Q^T p for the state probabilities with
+one integrator step per fine-mesh sample; the steps' linear maps are composed
+by the prefix scan in ``affine``.  Also exposes the reweighted generator
+p_Q(t) whose (i, j) entry for j != i is (p_j / p_i) Q^{ji}, with the diagonal
+chosen so rows sum to zero.  p_Q drives the per-state mean-inventory dynamics
+dE_i/dt = mu_i + (p_Q E)_i.
 """
 
 from __future__ import annotations
@@ -12,29 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .affine import step_maps, trajectory
 from .config import AversionSpec
 from .errors import SolverError
 from .grid import PiecewiseCurve, TimeGrid
 
 POSITIVITY_FLOOR = 1e-10
 CONSERVATION_TOL = 1e-10
-
-
-def onestep_matrix(A: np.ndarray, h: float, method: str) -> np.ndarray:
-    """One-step map of dy/dt = A y for the chosen integrator.
-
-    For a linear autonomous system the classic Euler/RK4 update is exactly
-    multiplication by the truncated exponential, so we apply that matrix
-    directly instead of looping over stages.
-    """
-    hA = h * A
-    M = np.eye(A.shape[0]) + hA
-    if method == "rk4":
-        hA2 = hA @ hA
-        M = M + hA2 / 2.0 + (hA2 @ hA) / 6.0 + (hA2 @ hA2) / 24.0
-    elif method != "euler":
-        raise ValueError(f"unknown integrator {method!r}")
-    return M
 
 
 @dataclass(frozen=True)
@@ -55,15 +41,12 @@ def solve_chain(aversion: AversionSpec, grid: TimeGrid, method: str = "rk4") -> 
     static = not np.any(Q)
     for s in range(grid.n_segments):
         m2 = 2 * grid.steps[s]
-        out = np.empty((m2 + 1, N))
-        out[0] = cur
         if static:
-            out[1:] = cur
+            out = np.tile(cur, (m2 + 1, 1))
         else:
-            M = onestep_matrix(Q.T, grid.step_width(s) / 2.0, method)
-            for i in range(m2):
-                cur = M @ cur
-                out[i + 1] = cur
+            # each fine sample is a step node, so the stage samples are twice as fine
+            A = np.broadcast_to(Q.T, (2 * m2 + 1, N, N))
+            out = trajectory(cur, step_maps(A, grid.step_width(s) / 2.0, method)[0])
         cur = out[-1]
         segs.append(out)
     curve = PiecewiseCurve(grid, tuple(segs))

@@ -7,15 +7,19 @@ stay 0), 1 validation or solver failure, 2 usage error.
 Configuration values can be overridden per run through environment variables
 prefixed with ``HFTMFG_`` (path segments joined by double underscores, e.g.
 ``HFTMFG_MARKET__GAMMA=2``), and through ``--grid`` / ``--integrator``.
+``-v/--verbose`` sends the solver's INFO log (terminal- and trade-system
+condition numbers) to stderr; it never writes into ``--out``.
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -47,6 +51,26 @@ def _add_common(p: argparse.ArgumentParser, config_required: bool = True) -> Non
     p.add_argument("--integrator", choices=("euler", "rk4"), default=None,
                    help="override solver.integrator")
     p.add_argument("--workers", type=int, default=1, help="task-parallel worker threads")
+    p.add_argument("-v", "--verbose", action="store_true",
+                   help="log solver diagnostics such as condition numbers to stderr")
+
+
+@contextmanager
+def _log_to_stderr(enabled: bool):
+    """Send the package's INFO log to stderr while one command runs."""
+    if not enabled:
+        yield
+        return
+    log = logging.getLogger("hftmfg")
+    handler = logging.StreamHandler(sys.stderr)
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 def _load(args, mode: str | None = None) -> ModelConfig:
@@ -280,7 +304,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.fn(args)
+        with _log_to_stderr(args.verbose):
+            return args.fn(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

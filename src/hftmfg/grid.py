@@ -12,7 +12,6 @@ and the first sample of segment k is the right-continuous value.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,15 +102,15 @@ class PiecewiseCurve:
         return min(max(pos, 0), self.grid.n_segments - 1)
 
     def eval(self, t: float, side: str = "right") -> np.ndarray:
+        """Linear interpolation on the fine mesh; ``t`` must lie in [0, T]."""
+        if not self.grid.bounds[0] <= t <= self.grid.bounds[-1]:
+            raise ValueError(f"t={t!r} lies outside [0, {self.grid.horizon:g}]")
         s = self.segment_of(t, side)
         ft = self.grid.fine_times[s]
         vals = self.segments[s]
-        if len(ft) == 1:
-            return vals[0]
-        h = ft[1] - ft[0]
-        u = (float(t) - ft[0]) / h
-        i = min(max(int(math.floor(u)), 0), len(ft) - 2)
-        w = u - i
+        # bracket by search, so t on a mesh node returns the stored sample exactly
+        i = min(int(np.searchsorted(ft, t, side="right")) - 1, len(ft) - 2)
+        w = (float(t) - ft[i]) / (ft[i + 1] - ft[i])
         return (1.0 - w) * vals[i] + w * vals[i + 1]
 
     def map(self, fn) -> "PiecewiseCurve":

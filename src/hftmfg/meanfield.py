@@ -13,10 +13,12 @@ rank-one update formula.  At each trade time the speeds jump down by
 gamma*xi_k/(lambdaH + 2 eta) while E stays continuous, the terminal condition
 is B mu(T) + 2 diag(Gamma) E(T) = 0, and E(0) = E0.
 
-The solver integrates fundamental matrices of dU = A U dt and determines the
-unknown initial speeds from the terminal condition in a single linear solve:
-the problem is linear, so the shooting needs no iteration.  Residuals are
-still reported because finite grids leave discretization error.
+The solver builds the fundamental matrices of dU = A U dt on each segment
+from the integrator's step maps, composed by a prefix scan (see ``affine``),
+and determines the unknown initial speeds from the terminal condition in a
+single linear solve: the problem is linear, so the shooting needs no
+iteration.  Residuals are still reported because finite grids leave
+discretization error.
 
 One numerical refinement over the textbook bookkeeping: the fundamental
 matrix is re-anchored to the identity at every trade time and the speed jumps
@@ -36,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .affine import step_maps, trajectory
 from .chain import ChainSolution, pq_batch, solve_chain
 from .config import AversionSpec, MarketParams, ModelConfig
 from .errors import ResidualWarning, SolverError
@@ -163,70 +166,36 @@ class MeanFieldEngine:
         self.h2 = solve_h2(cfg.aversion, cfg.market, self.grid, method)
         N = cfg.n_states
         self._N = N
-        self._A = [assemble_A_batch(self.chain.p.segments[s], self.h2.segments[s],
-                                    cfg.aversion, cfg.market)
-                   for s in range(self.grid.n_segments)]
-        self._U_nodes, self._U_mid = self._integrate_fundamental(method)
+        self._U_nodes, self._U_mid = [], []
+        for s in range(self.grid.n_segments):
+            A = assemble_A_batch(self.chain.p.segments[s], self.h2.segments[s],
+                                 cfg.aversion, cfg.market)
+            h = self.grid.step_width(s)
+            Un = trajectory(np.eye(2 * N), step_maps(A, h, method)[0])
+            self._U_nodes.append(Un)
+            self._U_mid.append(self._midpoint_states(Un, A, h, method))
         self._V_end = [Un[-1] for Un in self._U_nodes]
 
-        # propagate the affine structure of the state at segment starts:
-        #   z_s = Z_s mu0 + W_s E0 - sum_{k <= s} jump_k * u_{k,s}
+        # the state at segment starts is affine in (mu0, E0, jumps):
+        #   z_0 = [mu0; E0],  z_k = V_{k-1} z_{k-1} - jump_k [1; 0].
+        # One backward adjoint sweep r_{S-1} = C V_{S-1}, r_k = r_{k+1} V_k
+        # gives the terminal row C V_{S-1} z_{S-1} = r_0 z_0 - sum_k jump_k r_k [1; 0].
         S = self.grid.n_segments
-        top = np.vstack([np.eye(N), np.zeros((N, N))])
-        bot = np.vstack([np.zeros((N, N)), np.eye(N)])
-        jump_vec = np.concatenate([np.ones(N), np.zeros(N)])
-        self._Z = [top]
-        self._W = [bot]
-        for s in range(S - 1):
-            self._Z.append(self._V_end[s] @ self._Z[s])
-            self._W.append(self._V_end[s] @ self._W[s])
-        self._ujump = {}
-        for k in range(1, S):
-            u = jump_vec.copy()
-            self._ujump[(k, k)] = u
-            for s in range(k, S - 1):
-                u = self._V_end[s] @ u
-                self._ujump[(k, s + 1)] = u
-
         pT = self.chain.p.terminal()
         self._B_T = 2.0 * cfg.market.eta * np.eye(N) + cfg.market.lam_h * np.outer(np.ones(N), pT)
-        C = np.hstack([self._B_T, 2.0 * np.diag(cfg.aversion.Gamma)])
-        self._CZ = C @ (self._V_end[-1] @ self._Z[-1])
-        self._CW = C @ (self._V_end[-1] @ self._W[-1])
-        self._Cu = {k: C @ (self._V_end[-1] @ self._ujump[(k, S - 1)]) for k in range(1, S)}
+        r = np.hstack([self._B_T, 2.0 * np.diag(cfg.aversion.Gamma)]) @ self._V_end[-1]
+        self._Cu = np.empty((S - 1, N))      # row k-1: C V_{S-1} ... V_k [1; 0]
+        for k in range(S - 1, 0, -1):
+            self._Cu[k - 1] = r[:, :N].sum(axis=1)
+            r = r @ self._V_end[k - 1]
+        self._CZ = r[:, :N]
+        self._CW = r[:, N:]
         self.terminal_condition_number = float(np.linalg.cond(self._CZ))
         logger.info("terminal system condition number: %.3e", self.terminal_condition_number)
         if not np.isfinite(self.terminal_condition_number) or self.terminal_condition_number > COND_ABORT:
             raise SolverError(
                 f"terminal system is numerically singular "
                 f"(condition number {self.terminal_condition_number:.3e})")
-
-    def _integrate_fundamental(self, method: str):
-        n2 = 2 * self._N
-        nodes, mids = [], []
-        for s in range(self.grid.n_segments):
-            A = self._A[s]
-            m = self.grid.steps[s]
-            h = self.grid.step_width(s)
-            U = np.eye(n2)
-            Un = np.empty((m + 1, n2, n2))
-            Un[0] = U
-            if method == "rk4":
-                for i in range(m):
-                    A0, Am, A1 = A[2 * i], A[2 * i + 1], A[2 * i + 2]
-                    k1 = A0 @ U
-                    k2 = Am @ (U + (h / 2.0) * k1)
-                    k3 = Am @ (U + (h / 2.0) * k2)
-                    k4 = A1 @ (U + h * k3)
-                    U = U + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                    Un[i + 1] = U
-            else:
-                for i in range(m):
-                    U = U + h * (A[2 * i] @ U)
-                    Un[i + 1] = U
-            nodes.append(Un)
-            mids.append(self._midpoint_states(Un, A, h, method))
-        return nodes, mids
 
     @staticmethod
     def _midpoint_states(Un, A, h, method):
@@ -259,9 +228,7 @@ class MeanFieldEngine:
 
         scale = cfg.market.gamma / (cfg.market.lam_h + 2.0 * cfg.market.eta)
         jumps = scale * xi
-        rhs = -(self._CW @ E0)
-        for k in range(1, S):
-            rhs += jumps[k - 1] * self._Cu[k]
+        rhs = jumps @ self._Cu - self._CW @ E0
         mu0 = np.linalg.solve(self._CZ, rhs)
         c = np.concatenate([mu0, E0])
         c_segments = np.empty((S, 2 * N))

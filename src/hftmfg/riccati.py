@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .affine import step_maps, trajectory
 from .config import AversionSpec, MarketParams
 from .errors import ResidualWarning, SolverError
 from .grid import PiecewiseCurve, TimeGrid
@@ -144,71 +145,66 @@ def recover_h1(sol, h2: PiecewiseCurve, market: MarketParams) -> tuple[Piecewise
     return curve, diag
 
 
-def _backward_sweep(grid: TimeGrid, terminal: np.ndarray, rhs_tau, jump_at, method: str) -> PiecewiseCurve:
-    """Backward level-0 integration with stage data sampled on the fine mesh.
+def _backward_affine(grid: TimeGrid, A_segs, b_segs, jumps, method: str) -> PiecewiseCurve:
+    """Backward level-0 solve of dy/dtau = A y + b, tau = T - t, from y(T) = 0.
 
-    ``rhs_tau(s, fine_idx, y)`` is the derivative in tau = T - t.  ``jump_at(k)``
-    is added when stepping left across interior boundary k.  Midpoint storage
-    slots are filled by linear averaging (diagnostic curves only).
+    ``A_segs[s]`` (2m+1, N, N) and ``b_segs[s]`` (2m+1, N) are stage samples on
+    segment s's fine mesh in forward time; ``jumps[k-1]`` is added when
+    stepping left across interior boundary k.  Midpoint storage slots are
+    filled by linear averaging (diagnostic curves only).
     """
-    N = len(terminal)
     segs: list[np.ndarray | None] = [None] * grid.n_segments
-    cur = np.array(terminal, dtype=float)
+    cur = np.zeros(b_segs[0].shape[1])
     for s in reversed(range(grid.n_segments)):
-        m = grid.steps[s]
-        dt = grid.step_width(s)
-        out = np.empty((2 * m + 1, N))
-        out[-1] = cur
-        for i in range(m, 0, -1):
-            if method == "rk4":
-                k1 = rhs_tau(s, 2 * i, cur)
-                k2 = rhs_tau(s, 2 * i - 1, cur + 0.5 * dt * k1)
-                k3 = rhs_tau(s, 2 * i - 1, cur + 0.5 * dt * k2)
-                k4 = rhs_tau(s, 2 * i - 2, cur + dt * k3)
-                cur = cur + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-            else:
-                cur = cur + dt * rhs_tau(s, 2 * i, cur)
-            out[2 * i - 2] = cur
-        out[1::2] = 0.5 * (out[0:-1:2] + out[2::2])
+        Phi, psi = step_maps(A_segs[s][::-1], grid.step_width(s), method, b_segs[s][::-1])
+        nodes = trajectory(cur, Phi, psi)[::-1]
+        out = np.empty((2 * len(nodes) - 1, len(cur)))
+        out[0::2] = nodes
+        out[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
         segs[s] = out
         if s > 0:
-            cur = cur + jump_at(s)
+            cur = nodes[0] + jumps[s - 1]
     return PiecewiseCurve(grid, tuple(segs))
 
 
 def integrate_h1_backward(h2: PiecewiseCurve, mu_agg: PiecewiseCurve,
                           aversion: AversionSpec, market: MarketParams,
                           xi, method: str = "rk4") -> PiecewiseCurve:
-    """Direct backward solve of the linear coefficient (cross-check route)."""
+    """Direct backward solve of the linear coefficient (cross-check route).
+
+    In tau = T - t it is affine: dh1/dtau = (diag(h2/eta) + Q) h1
+    + (gammaH - lambdaH h2/eta) mu, jumping by gamma*xi_k at trade times.
+    """
     Q = np.asarray(aversion.Q, dtype=float)
     eta, lam_h, gamma_h = market.eta, market.lam_h, market.gamma_h
     xi = np.asarray(xi, dtype=float)
     N = aversion.n_states
-
-    def rhs(s, idx, y):
-        mu = mu_agg.segments[s][idx, 0]
-        h2v = h2.segments[s][idx]
-        return h2v * (y - lam_h * mu) / eta + gamma_h * mu + Q @ y
-
-    def jump(k):
-        return np.full(N, market.gamma * xi[k - 1])
-
-    return _backward_sweep(h2.grid, np.zeros(N), rhs, jump, method)
+    idx = np.arange(N)
+    A_segs, b_segs = [], []
+    for h2_s, mu_s in zip(h2.segments, mu_agg.segments):
+        A = np.broadcast_to(Q, (len(h2_s), N, N)).copy()
+        A[:, idx, idx] += h2_s / eta
+        A_segs.append(A)
+        b_segs.append((gamma_h - lam_h * h2_s / eta) * mu_s)
+    jumps = market.gamma * xi[:, None] * np.ones(N)
+    return _backward_affine(h2.grid, A_segs, b_segs, jumps, method)
 
 
 def compute_h0(h1: PiecewiseCurve, h2: PiecewiseCurve, mu_agg: PiecewiseCurve,
                aversion: AversionSpec, market: MarketParams, method: str = "rk4") -> PiecewiseCurve:
-    """Backward quadrature of the constant coefficient, continuous at trade times."""
+    """Backward quadrature of the constant coefficient, continuous at trade times.
+
+    In tau = T - t: dh0/dtau = Q h0 + (h1 - lambdaH mu)^2 / (4 eta).
+    """
     Q = np.asarray(aversion.Q, dtype=float)
     eta, lam_h = market.eta, market.lam_h
     N = aversion.n_states
-
-    def rhs(s, idx, y):
-        mu = mu_agg.segments[s][idx, 0]
-        z = h1.segments[s][idx] - lam_h * mu
-        return z * z / (4.0 * eta) + Q @ y
-
-    return _backward_sweep(h2.grid, np.zeros(N), rhs, lambda k: np.zeros(N), method)
+    A_segs, b_segs = [], []
+    for h1_s, mu_s in zip(h1.segments, mu_agg.segments):
+        A_segs.append(np.broadcast_to(Q, (len(h1_s), N, N)))
+        b_segs.append((h1_s - lam_h * mu_s) ** 2 / (4.0 * eta))
+    jumps = np.zeros((h2.grid.n_segments - 1, N))
+    return _backward_affine(h2.grid, A_segs, b_segs, jumps, method)
 
 
 @dataclass(frozen=True)

@@ -264,6 +264,19 @@ def test_rerun_byte_identical(config_file, raw_config, tmp_path):
             open(os.path.join(out2, name), "rb").read()
 
 
+
+def test_verbose_logs_condition_number_to_stderr_only(config_file, raw_config, tmp_path,
+                                                      capsys):
+    quiet, loud = str(tmp_path / "quiet"), str(tmp_path / "loud")
+    assert run(["solve-partial", "--config", config_file(raw_config), "--out", quiet]) == 0
+    assert "condition number" not in capsys.readouterr().err
+    assert run(["solve-partial", "-v", "--config", config_file(raw_config), "--out", loud]) == 0
+    assert "condition number" in capsys.readouterr().err
+    assert sorted(os.listdir(quiet)) == sorted(os.listdir(loud))
+    for name in os.listdir(quiet):
+        assert open(os.path.join(quiet, name), "rb").read() == \
+            open(os.path.join(loud, name), "rb").read()
+
 @pytest.mark.slow
 def test_validate_fresh_checkout_passes(tmp_path):
     out = str(tmp_path / "v")

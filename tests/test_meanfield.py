@@ -224,3 +224,18 @@ def test_solution_exposes_fundamental_matrices(baseline_eq):
                                 eq.E_by_state.right_at(s) if s else eq.E_by_state.initial()])
         assert np.max(np.abs(eq.U[s][0] @ eq.c_segments[s] - state)) < 1e-12
     assert np.array_equal(eq.c0[1:], cfg.population.E0)
+
+
+def test_curve_eval_rejects_times_outside_horizon(baseline_eq):
+    _, eq = baseline_eq
+    curve = eq.E_agg
+    T = eq.grid.horizon
+    for t in (-0.5, T + 0.5):
+        with pytest.raises(ValueError):
+            curve.eval(t)
+    assert np.array_equal(curve.eval(0.0), curve.initial())
+    assert np.array_equal(curve.eval(T), curve.terminal())
+    for k in range(1, eq.grid.n_segments):
+        tk = eq.grid.bounds[k]
+        assert np.array_equal(curve.eval(tk, side="left"), curve.left_at(k))
+        assert np.array_equal(curve.eval(tk), curve.right_at(k))
