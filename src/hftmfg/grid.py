@@ -126,6 +126,11 @@ def weighted_aggregate(curve: PiecewiseCurve, weights: PiecewiseCurve) -> Piecew
     return PiecewiseCurve(curve.grid, segs)
 
 
+def sup_diff(a: PiecewiseCurve, b: PiecewiseCurve) -> float:
+    """Largest absolute difference between two curves on the same grid."""
+    return max(float(np.max(np.abs(x - y))) for x, y in zip(a.segments, b.segments))
+
+
 def lincomb(curves: list[PiecewiseCurve], coeffs) -> PiecewiseCurve:
     """Linear combination of curves defined on the same grid."""
     coeffs = np.asarray(coeffs, dtype=float)

@@ -116,6 +116,27 @@ class ResidualReport:
         return float(np.max(np.abs(self.jump_by_state), initial=0.0))
 
 
+def _residual_report(B_T: np.ndarray, Gamma, jumps: np.ndarray, E0: np.ndarray,
+                     E_by_state: PiecewiseCurve, mu_by_state: PiecewiseCurve,
+                     mu_agg: PiecewiseCurve, condition_number: float) -> ResidualReport:
+    """Residuals of E(0) = E0, the speed jumps ``jumps`` at the trades and the
+    terminal coupling B_T mu(T) + 2 diag(Gamma) E(T) = 0."""
+    term_vec = B_T @ mu_by_state.terminal() + 2.0 * np.asarray(Gamma) * E_by_state.terminal()
+    K = len(jumps)
+    jump_state = np.empty((K, len(E0)))
+    jump_agg = np.empty(K)
+    for k in range(1, K + 1):
+        jump_state[k - 1] = (mu_by_state.left_at(k) - mu_by_state.right_at(k)) - jumps[k - 1]
+        jump_agg[k - 1] = (mu_agg.left_at(k)[0] - mu_agg.right_at(k)[0]) - jumps[k - 1]
+    return ResidualReport(
+        terminal=float(np.linalg.norm(term_vec)),
+        initial=float(np.max(np.abs(E_by_state.initial() - E0), initial=0.0)),
+        jump_aggregate=jump_agg,
+        jump_by_state=jump_state,
+        terminal_condition_number=condition_number,
+    )
+
+
 @dataclass(frozen=True)
 class MeanFieldSolution:
     grid: TimeGrid
@@ -252,21 +273,8 @@ class MeanFieldEngine:
         mu_agg = weighted_aggregate(mu_by_state, self.chain.p)
         E_agg = weighted_aggregate(E_by_state, self.chain.p)
 
-        term_vec = self._B_T @ mu_by_state.terminal() \
-            + 2.0 * np.asarray(cfg.aversion.Gamma) * E_by_state.terminal()
-        jump_state = np.empty((K, N))
-        jump_agg = np.empty(K)
-        for k in range(1, K + 1):
-            expected = scale * xi[k - 1]
-            jump_state[k - 1] = (mu_by_state.left_at(k) - mu_by_state.right_at(k)) - expected
-            jump_agg[k - 1] = (mu_agg.left_at(k)[0] - mu_agg.right_at(k)[0]) - expected
-        residuals = ResidualReport(
-            terminal=float(np.linalg.norm(term_vec)),
-            initial=float(np.max(np.abs(E_by_state.initial() - E0), initial=0.0)),
-            jump_aggregate=jump_agg,
-            jump_by_state=jump_state,
-            terminal_condition_number=self.terminal_condition_number,
-        )
+        residuals = _residual_report(self._B_T, cfg.aversion.Gamma, jumps, E0, E_by_state,
+                                     mu_by_state, mu_agg, self.terminal_condition_number)
         tol = cfg.solver.shooting_tolerance
         if residuals.terminal > tol or residuals.worst_jump > tol or residuals.initial > tol:
             warnings.warn(
@@ -359,18 +367,8 @@ def closed_form_n1(cfg: ModelConfig, xi=None, grid: TimeGrid | None = None) -> M
     E_agg = weighted_aggregate(E_by_state, chain.p)
     mu_agg = weighted_aggregate(mu_by_state, chain.p)
 
-    term = denom * mu_by_state.terminal()[0] + 2.0 * Gam * E_by_state.terminal()[0]
-    jump_state = np.empty((K, 1))
-    jump_agg = np.empty(K)
-    for k in range(1, K + 1):
-        expected = scale * xi[k - 1]
-        jump_state[k - 1] = (mu_by_state.left_at(k) - mu_by_state.right_at(k)) - expected
-        jump_agg[k - 1] = jump_state[k - 1, 0]
-    residuals = ResidualReport(
-        terminal=abs(float(term)),
-        initial=abs(float(E_by_state.initial()[0] - E0)),
-        jump_aggregate=jump_agg, jump_by_state=jump_state,
-        terminal_condition_number=1.0)
+    residuals = _residual_report(np.array([[denom]]), cfg.aversion.Gamma, scale * xi,
+                                 np.array([E0]), E_by_state, mu_by_state, mu_agg, 1.0)
     return MeanFieldSolution(
         grid=grid, chain=chain, h2=h2,
         E_by_state=E_by_state, mu_by_state=mu_by_state,

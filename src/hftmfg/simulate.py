@@ -425,18 +425,21 @@ class _Quadratic:
 
 
 def _control_edges(grid, cells_per_segment: int):
-    """Cell edges snapped to level-0 nodes, per segment; returns (edge times, node index pairs)."""
+    """Control cells snapped to level-0 nodes, per segment.
+
+    Returns the edge times and, per cell, (segment, first node, last node).
+    """
     edges = [0.0]
-    node_edges = []  # (segment, node index) of each edge except the first
+    cells = []
     for s in range(grid.n_segments):
         m = grid.steps[s]
         r = min(cells_per_segment, m)
-        idx = sorted({int(round(j * m / r)) for j in range(1, r + 1)} | {m})
+        idx = [0] + sorted({int(round(j * m / r)) for j in range(1, r + 1)} | {m})
         t = grid.level0_times(s)
-        for i in idx:
-            edges.append(float(t[i]))
-            node_edges.append((s, i))
-    return np.asarray(edges), node_edges
+        for a, b in zip(idx[:-1], idx[1:]):
+            edges.append(float(t[b]))
+            cells.append((s, a, b))
+    return np.asarray(edges), cells
 
 
 def _trapz_weights(times: np.ndarray) -> np.ndarray:
@@ -452,7 +455,7 @@ def _deviator_quadratic(cfg: ModelConfig, eq: MeanFieldSolution, delta: float,
                         y_init: int, events, cells_per_segment: int) -> _Quadratic:
     grid = eq.grid
     m = cfg.market
-    edges, _ = _control_edges(grid, cells_per_segment)
+    edges, cells = _control_edges(grid, cells_per_segment)
     left = edges[:-1]
     widths = np.diff(edges)
     R = len(widths)
@@ -486,16 +489,9 @@ def _deviator_quadratic(cfg: ModelConfig, eq: MeanFieldSolution, delta: float,
 
     # temporary-impact drag against the others' speed, per cell
     V = np.zeros(R)
-    c = 0
-    for s in range(grid.n_segments):
+    for c, (s, a, b) in enumerate(cells):
         times = grid.level0_times(s)
-        vb = vbar_segments[s]
-        mseg = grid.steps[s]
-        r = min(cells_per_segment, mseg)
-        idx = [0] + sorted({int(round(j * mseg / r)) for j in range(1, r + 1)} | {mseg})
-        for a, b in zip(idx[:-1], idx[1:]):
-            V[c] = float(np.trapezoid(vb[a:b + 1], times[a:b + 1]))
-            c += 1
+        V[c] = float(np.trapezoid(vbar_segments[s][a:b + 1], times[a:b + 1]))
     g += -m.lam_h * (1.0 - delta) * V
 
     # price shifts of the schedule trades
@@ -547,12 +543,8 @@ def _deviator_quadratic(cfg: ModelConfig, eq: MeanFieldSolution, delta: float,
 
 def _cell_projected_controls(traj_X_segments, grid, cells_per_segment: int) -> np.ndarray:
     """Cell averages of a realized control, from inventory at cell edges."""
-    _, node_edges = _control_edges(grid, cells_per_segment)
-    xs = [traj_X_segments[0][0]]
-    for s, i in node_edges:
-        xs.append(traj_X_segments[s][i])
-    x = np.asarray(xs)
-    edges, _ = _control_edges(grid, cells_per_segment)
+    edges, cells = _control_edges(grid, cells_per_segment)
+    x = np.asarray([traj_X_segments[0][0]] + [traj_X_segments[s][b] for s, _, b in cells])
     return np.diff(x) / np.diff(edges)
 
 

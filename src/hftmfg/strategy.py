@@ -153,14 +153,19 @@ def solve_overall(cfg: ModelConfig, grid=None) -> OverallEquilibrium:
     C_E = lincomb([b.E_agg for b in basis_initial], E0)
     C_mu = lincomb([b.mu_agg for b in basis_initial], E0)
 
+    if K:
+        # response at t_k to a unit trade at t_m, (K, K)
+        bE = np.column_stack([b.E_at_trades() for b in basis_trades])
+        bMu = np.column_stack([b.mu_at_trades(side) for b in basis_trades])
+    else:
+        bE = bMu = np.zeros((0, 0))
+
     if K == 0:
         xi_star = np.zeros(0)
     elif K == 1:
         xi_star = np.array([-xi0])
     else:
         # affine data of the first-order system in the trade vector
-        bE = np.column_stack([b.E_at_trades() for b in basis_trades])       # (K, K)
-        bMu = np.column_stack([b.mu_at_trades(side) for b in basis_trades])
         cE0 = np.array([C_E.right_at(k)[0] for k in range(1, K + 1)])
         cMu0 = np.array([C_mu.left_at(k)[0] if side == "left" else C_mu.right_at(k)[0]
                          for k in range(1, K + 1)])
@@ -189,13 +194,7 @@ def solve_overall(cfg: ModelConfig, grid=None) -> OverallEquilibrium:
         warnings.warn(f"equilibrium fixed-point residual {residual:.3e} exceeds "
                       f"{FIXED_POINT_TOL:g}", ResidualWarning, stacklevel=2)
 
-    if K:
-        bE_full = np.column_stack([b.E_at_trades() for b in basis_trades])
-        bMu_full = np.column_stack([b.mu_at_trades(side) for b in basis_trades])
-    else:
-        bE_full = np.zeros((0, 0))
-        bMu_full = np.zeros((0, 0))
-    concavity = concavity_check(cfg, bE_full, bMu_full)
+    concavity = concavity_check(cfg, bE, bMu)
     if not concavity.negative_definite:
         warnings.warn("substituted objective is not negative definite; the solved "
                       "trade vector is a stationary point only", ResidualWarning, stacklevel=2)
@@ -204,9 +203,3 @@ def solve_overall(cfg: ModelConfig, grid=None) -> OverallEquilibrium:
         xi_star=xi_star, mean_field=mean_field,
         basis_initial=basis_initial, basis_trades=basis_trades,
         C_E=C_E, C_mu=C_mu, concavity=concavity, fixed_point_residual=residual)
-
-
-def lt_objective_fixed_field(cfg: ModelConfig, xi, mean_field: MeanFieldSolution,
-                             P0: float = 0.0, side: str | None = None) -> float:
-    """Trader revenue for schedule xi with the mean field frozen (no response)."""
-    return lt_profit(cfg, xi, mean_field, P0, side).profit_with_hft

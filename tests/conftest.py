@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 
 from hftmfg import presets
@@ -68,7 +67,3 @@ def stiff_eq():
 def twostate_eq():
     cfg = presets.partial_two_type(grid=1000).with_solver(shooting_tolerance=1e-4)
     return cfg, solve_partial(cfg)
-
-
-def max_seg_diff(a, b):
-    return max(float(np.max(np.abs(x - y))) for x, y in zip(a.segments, b.segments))

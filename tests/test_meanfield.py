@@ -7,10 +7,12 @@ from hftmfg import presets
 from hftmfg.chain import pq_batch
 from hftmfg.config import config_from_dict
 from hftmfg.errors import ResidualWarning
+from hftmfg.grid import sup_diff
 from hftmfg.meanfield import (MeanFieldEngine, assemble_A, closed_form_n1,
                               jump_conditions_report, solve_partial,
                               speed_jump_size)
-from conftest import base_raw, max_seg_diff
+from hftmfg.validate import SWEEP
+from conftest import base_raw
 
 
 def test_assemble_A_single_state_structure(baseline_eq):
@@ -72,8 +74,18 @@ def test_oracle_equivalence(Gamma, phi):
         shooting_tolerance=1e-4)
     num = solve_partial(cfg)
     ora = closed_form_n1(cfg)
-    assert max_seg_diff(num.E_by_state, ora.E_by_state) < 1e-6
-    assert max_seg_diff(num.mu_by_state, ora.mu_by_state) < 1e-6
+    assert sup_diff(num.E_by_state, ora.E_by_state) < 1e-6
+    assert sup_diff(num.mu_by_state, ora.mu_by_state) < 1e-6
+
+
+def test_oracle_and_engine_report_residuals_alike():
+    for Gamma, phi in SWEEP:
+        cfg = presets.partial_single_type(Gamma, phi, grid=2000)
+        tol = cfg.solver.shooting_tolerance
+        for r in (closed_form_n1(cfg).residuals, solve_partial(cfg).residuals):
+            assert r.jump_aggregate.shape == (9,) and r.jump_by_state.shape == (9, 1)
+            assert np.array_equal(r.jump_aggregate, r.jump_by_state[:, 0])
+            assert max(r.terminal, r.worst_jump, r.initial) <= tol, (Gamma, phi)
 
 
 def test_closed_form_root_values():
@@ -110,9 +122,9 @@ def test_repeated_root_branch_matches_perturbed_distinct_roots():
     cfg1 = presets.partial_single_type(1.5, 1e-9, grid=500,
                                        market_overrides={"gammaH": 0.0})
     near = closed_form_n1(cfg1)
-    assert max_seg_diff(rep.E_by_state, near.E_by_state) < 1e-6
+    assert sup_diff(rep.E_by_state, near.E_by_state) < 1e-6
     num = solve_partial(cfg0)
-    assert max_seg_diff(rep.E_by_state, num.E_by_state) < 1e-8
+    assert sup_diff(rep.E_by_state, num.E_by_state) < 1e-8
 
 
 def test_jump_conditions_baseline(baseline_eq):
@@ -192,7 +204,7 @@ def test_euler_integrator_full_path():
     cfg = cfg.with_solver(shooting_tolerance=1e-2)
     num = solve_partial(cfg)
     ora = closed_form_n1(cfg)
-    assert max_seg_diff(num.E_by_state, ora.E_by_state) < 1e-2
+    assert sup_diff(num.E_by_state, ora.E_by_state) < 1e-2
 
 
 def test_boundary_conditions_hold_even_on_coarse_grids():

@@ -8,8 +8,7 @@ from hftmfg.config import config_from_dict
 from hftmfg.errors import ResidualWarning
 from hftmfg.grid import lincomb
 from hftmfg.meanfield import solve_partial
-from hftmfg.strategy import (best_response_values, concavity_check,
-                             lt_best_response, lt_objective_fixed_field,
+from hftmfg.strategy import (best_response_values, concavity_check, lt_best_response,
                              lt_profit, profit_without_crowd, solve_overall)
 from conftest import base_raw
 
@@ -105,13 +104,13 @@ def test_basis_consistency(overall_baseline):
 
 def test_perturbing_any_free_trade_never_helps(overall_baseline):
     cfg, eq = overall_baseline
-    base = lt_objective_fixed_field(cfg, eq.xi_star, eq.mean_field)
+    base = lt_profit(cfg, eq.xi_star, eq.mean_field).profit_with_hft
     for k in range(8):
         for eps in (1e-4, -1e-4):
             xi = eq.xi_star.copy()
             xi[k] += eps
             xi[-1] -= eps
-            assert lt_objective_fixed_field(cfg, xi, eq.mean_field) <= base + 1e-12
+            assert lt_profit(cfg, xi, eq.mean_field).profit_with_hft <= base + 1e-12
 
 
 def test_p0_invariance(overall_baseline):
