@@ -113,8 +113,16 @@ class PiecewiseCurve:
         w = (float(t) - ft[i]) / (ft[i + 1] - ft[i])
         return (1.0 - w) * vals[i] + w * vals[i + 1]
 
-    def map(self, fn) -> "PiecewiseCurve":
-        return PiecewiseCurve(self.grid, tuple(fn(seg) for seg in self.segments))
+
+def trade_values(segments, side: str = "right") -> np.ndarray:
+    """Samples at the trade times t_1..t_K from per-segment arrays.
+
+    ``side="left"`` takes the left limit, the last sample of segment k-1;
+    ``"right"`` the right-continuous value, the first sample of segment k.
+    """
+    if side == "left":
+        return np.array([seg[-1] for seg in segments[:-1]])
+    return np.array([seg[0] for seg in segments[1:]])
 
 
 def weighted_aggregate(curve: PiecewiseCurve, weights: PiecewiseCurve) -> PiecewiseCurve:

@@ -42,7 +42,7 @@ from .affine import step_maps, trajectory
 from .chain import ChainSolution, pq_batch, solve_chain
 from .config import AversionSpec, MarketParams, ModelConfig
 from .errors import ResidualWarning, SolverError
-from .grid import PiecewiseCurve, TimeGrid, make_grid, weighted_aggregate
+from .grid import PiecewiseCurve, TimeGrid, make_grid, trade_values, weighted_aggregate
 from .riccati import solve_h2
 
 logger = logging.getLogger(__name__)
@@ -161,14 +161,10 @@ class MeanFieldSolution:
         return None if self.c_segments is None else self.c_segments[0]
 
     def mu_at_trades(self, side: str = "right") -> np.ndarray:
-        K = self.grid.n_segments - 1
-        if side == "right":
-            return np.array([self.mu_agg.right_at(k)[0] for k in range(1, K + 1)])
-        return np.array([self.mu_agg.left_at(k)[0] for k in range(1, K + 1)])
+        return trade_values([seg[:, 0] for seg in self.mu_agg.segments], side)
 
     def E_at_trades(self) -> np.ndarray:
-        K = self.grid.n_segments - 1
-        return np.array([self.E_agg.right_at(k)[0] for k in range(1, K + 1)])
+        return trade_values([seg[:, 0] for seg in self.E_agg.segments])
 
 
 class MeanFieldEngine:

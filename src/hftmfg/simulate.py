@@ -24,11 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .affine import step_maps
 from .chain import pq_batch
 from .config import ModelConfig
 from .errors import SimulationError
+from .grid import trade_values
 from .meanfield import MeanFieldSolution
-from .strategy import best_response_values
+from .strategy import best_response_values, lt_profit, profit_from_aggregates
 
 _MASK64 = (1 << 64) - 1
 _PURPOSE_AGENT = 0
@@ -272,6 +274,9 @@ def simulate_population(cfg: ModelConfig, eq: MeanFieldSolution, M: int, seed: i
         mu_seg = eq.mu_by_state.segments[s]
         E_seg = eq.E_by_state.segments[s]
         cols = _StateColumns.build(ft, a_seg, b_seg, E_seg)
+        # the integrator's scalar step map D -> alpha D + beta, per (step, state)
+        Phi, beta = step_maps(a_seg[:, :, None] * np.eye(N), h, method, b_seg)
+        alpha = np.diagonal(Phi, axis1=1, axis2=2)
         vbar = np.empty(m + 1)
         Xbar = np.empty(m + 1)
         theta = np.empty((m + 1, N))
@@ -319,21 +324,7 @@ def simulate_population(cfg: ModelConfig, eq: MeanFieldSolution, M: int, seed: i
                     D[J], Y[J], t0, t2, grp, rank, ev_t[ptr:end][order],
                     ev_state[ptr:end][order], cols, method)
 
-            a0 = a_seg[2 * i][Y]
-            b0 = b_seg[2 * i][Y]
-            if method == "rk4":
-                am = a_seg[2 * i + 1][Y]
-                bm = b_seg[2 * i + 1][Y]
-                a1 = a_seg[2 * i + 2][Y]
-                b1 = b_seg[2 * i + 2][Y]
-                k1 = a0 * D + b0
-                k2 = am * (D + 0.5 * h * k1) + bm
-                k3 = am * (D + 0.5 * h * k2) + bm
-                k4 = a1 * (D + h * k3) + b1
-                D = D + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-            else:
-                D = D + h * (a0 * D + b0)
-
+            D = alpha[i, Y] * D + beta[i, Y]
             if end > ptr:
                 D[J] = D_J
                 Y[J] = Y_J
@@ -636,14 +627,6 @@ class LTDeviationResult:
     seed: int
 
 
-def _psi_value(cfg: ModelConfig, xi: np.ndarray, xbar_k: np.ndarray,
-               xbar0: float, vbar_k: np.ndarray) -> float:
-    m = cfg.market
-    inner = m.gamma * np.cumsum(xi) + m.gamma_h * (xbar_k - xbar0) \
-        + m.lam_h * vbar_k + (m.lam + m.eta0) * xi
-    return float(np.sum(-xi * inner))
-
-
 def lt_deviation_gain(cfg: ModelConfig, overall_eq,
                       traj: PopulationTrajectory) -> LTDeviationResult:
     """Exact best response of the trader against the simulated crowd ``traj``.
@@ -654,17 +637,16 @@ def lt_deviation_gain(cfg: ModelConfig, overall_eq,
     constraint and the first-order formula gives the exact maximizer.
     ``traj`` must come from ``simulate_population(cfg, overall_eq.mean_field, ...)``.
     """
-    K = cfg.schedule.K
     xbar0 = float(traj.segments[0].Xbar[0])
-    xbar_k = np.array([traj.segments[k].Xbar[0] for k in range(1, K + 1)])
-    if cfg.solver.mu_at_trades == "left":
-        vbar_k = np.array([traj.segments[k - 1].vbar[-1] for k in range(1, K + 1)])
-    else:
-        vbar_k = np.array([traj.segments[k].vbar[0] for k in range(1, K + 1)])
-    xi0 = float(cfg.schedule.xi0)
-    xi_best = best_response_values(xbar_k, vbar_k, xi0, cfg)
-    psi_star = _psi_value(cfg, np.asarray(overall_eq.xi_star, dtype=float), xbar_k, xbar0, vbar_k)
-    psi_best = _psi_value(cfg, xi_best, xbar_k, xbar0, vbar_k)
+    xbar_k = trade_values([rec.Xbar for rec in traj.segments])
+    vbar_k = trade_values([rec.vbar for rec in traj.segments], cfg.solver.mu_at_trades)
+    xi_best = best_response_values(xbar_k, vbar_k, float(cfg.schedule.xi0), cfg)
+
+    def psi(xi) -> float:
+        return profit_from_aggregates(cfg, xi, xbar_k, xbar0, vbar_k).profit_with_hft
+
+    psi_star = psi(overall_eq.xi_star)
+    psi_best = psi(xi_best)
     return LTDeviationResult(psi_star, psi_best, psi_best - psi_star, xi_best,
                              traj.M, traj.seed)
 
@@ -681,7 +663,7 @@ class LTPathOutcome:
 
 
 def sample_price_paths(cfg: ModelConfig, xi, solution: MeanFieldSolution,
-                       replications: int, seed: int, P0: float = 0.0) -> LTPathOutcome:
+                       replications: int, seed: int) -> LTPathOutcome:
     """Realized trader revenue under sampled price noise.
 
     The Brownian term is sampled exactly at the trade times; the crowd's
@@ -696,12 +678,7 @@ def sample_price_paths(cfg: ModelConfig, xi, solution: MeanFieldSolution,
     tk = solution.grid.trade_times
     if K != len(tk):
         raise ValueError("xi length must match the number of trade times")
-    E_k = solution.E_at_trades()
-    mu_k = solution.mu_at_trades(cfg.solver.mu_at_trades)
-    E_start = float(solution.E_agg.initial()[0])
-    base = P0 + m.gamma * np.cumsum(xi) + m.gamma_h * (E_k - E_start)
-    hat_p = base + m.lam_h * mu_k + (m.lam + m.eta0) * xi
-    det_revenue = float(np.sum(-xi * hat_p))
+    det_revenue = lt_profit(cfg, xi, solution).profit_with_hft
     revenues = np.empty(replications)
     if K == 0 or m.sigma == 0.0:
         revenues[:] = det_revenue

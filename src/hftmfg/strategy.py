@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import ModelConfig
 from .errors import ResidualWarning, SolverError
-from .grid import PiecewiseCurve, lincomb
+from .grid import PiecewiseCurve, lincomb, trade_values
 from .meanfield import MeanFieldEngine, MeanFieldSolution
 
 logger = logging.getLogger(__name__)
@@ -54,13 +54,12 @@ def best_response_values(E_k: np.ndarray, mu_k: np.ndarray, xi0: float,
     return xi
 
 
-def lt_best_response(mean_field: MeanFieldSolution, cfg: ModelConfig,
-                     side: str | None = None) -> np.ndarray:
+def lt_best_response(mean_field: MeanFieldSolution, cfg: ModelConfig) -> np.ndarray:
     """Optimal trades against a fixed mean field (empty schedule -> empty vector)."""
-    side = cfg.solver.mu_at_trades if side is None else side
     xi0 = cfg.schedule.xi0 if cfg.schedule.xi0 is not None else 0.0
     return best_response_values(mean_field.E_at_trades(),
-                                mean_field.mu_at_trades(side), float(xi0), cfg)
+                                mean_field.mu_at_trades(cfg.solver.mu_at_trades),
+                                float(xi0), cfg)
 
 
 @dataclass(frozen=True)
@@ -71,26 +70,35 @@ class ProfitReport:
 
 
 def profit_without_crowd(cfg: ModelConfig, xi: np.ndarray, P0: float = 0.0) -> float:
-    """Expected revenue with no fast-trader crowd in the market."""
+    """Expected revenue -sum_k xi_k P_k with no fast-trader crowd in the market."""
     xi = np.asarray(xi, dtype=float)
     m = cfg.market
-    xi0 = cfg.schedule.xi0 if cfg.schedule.xi0 is not None else 0.0
     running = float(np.sum(xi * np.cumsum(xi)))
-    return P0 * xi0 - m.gamma * running - (m.lam + m.eta0) * float(np.sum(xi * xi))
+    return -P0 * float(np.sum(xi)) - m.gamma * running \
+        - (m.lam + m.eta0) * float(np.sum(xi * xi))
+
+
+def profit_from_aggregates(cfg: ModelConfig, xi, E_k: np.ndarray, E_start: float,
+                           mu_k: np.ndarray, P0: float = 0.0) -> ProfitReport:
+    """Expected revenue with and without the crowd's extra price impact.
+
+    ``E_k`` and ``mu_k`` are the crowd's aggregate inventory and speed at the
+    trade times, ``E_start`` its inventory at time 0; they may come from the
+    mean field or from a simulated population.
+    """
+    xi = np.asarray(xi, dtype=float)
+    m = cfg.market
+    base = profit_without_crowd(cfg, xi, P0)
+    diff = float(np.sum(-xi * (m.gamma_h * (E_k - E_start) + m.lam_h * mu_k)))
+    return ProfitReport(base, base + diff, diff)
 
 
 def lt_profit(cfg: ModelConfig, xi, mean_field: MeanFieldSolution,
-              P0: float = 0.0, side: str | None = None) -> ProfitReport:
-    """Expected revenue with and without the crowd's extra price impact."""
-    xi = np.asarray(xi, dtype=float)
-    side = cfg.solver.mu_at_trades if side is None else side
-    m = cfg.market
-    base = profit_without_crowd(cfg, xi, P0)
-    E_k = mean_field.E_at_trades()
-    mu_k = mean_field.mu_at_trades(side)
-    E_start = float(mean_field.E_agg.initial()[0])
-    diff = float(np.sum(-xi * (m.gamma_h * (E_k - E_start) + m.lam_h * mu_k)))
-    return ProfitReport(base, base + diff, diff)
+              P0: float = 0.0) -> ProfitReport:
+    """Expected revenue against the mean field, with and without its price impact."""
+    return profit_from_aggregates(cfg, xi, mean_field.E_at_trades(),
+                                  float(mean_field.E_agg.initial()[0]),
+                                  mean_field.mu_at_trades(cfg.solver.mu_at_trades), P0)
 
 
 @dataclass(frozen=True)
@@ -166,9 +174,8 @@ def solve_overall(cfg: ModelConfig, grid=None) -> OverallEquilibrium:
         xi_star = np.array([-xi0])
     else:
         # affine data of the first-order system in the trade vector
-        cE0 = np.array([C_E.right_at(k)[0] for k in range(1, K + 1)])
-        cMu0 = np.array([C_mu.left_at(k)[0] if side == "left" else C_mu.right_at(k)[0]
-                         for k in range(1, K + 1)])
+        cE0 = trade_values([seg[:, 0] for seg in C_E.segments])
+        cMu0 = trade_values([seg[:, 0] for seg in C_mu.segments], side)
         m = cfg.market
         d = m.gamma_h * (bE[-1][None, :] - bE) + m.lam_h * (bMu[-1][None, :] - bMu)
         d0 = m.gamma_h * (cE0[-1] - cE0) + m.lam_h * (cMu0[-1] - cMu0)
@@ -188,7 +195,7 @@ def solve_overall(cfg: ModelConfig, grid=None) -> OverallEquilibrium:
         xi_star[-1] = -xi0 - float(np.sum(z))
 
     mean_field = engine.solve(E0, xi_star)
-    br = lt_best_response(mean_field, cfg, side)
+    br = lt_best_response(mean_field, cfg)
     residual = float(np.max(np.abs(br - xi_star), initial=0.0))
     if residual > FIXED_POINT_TOL:
         warnings.warn(f"equilibrium fixed-point residual {residual:.3e} exceeds "

@@ -6,6 +6,7 @@ for the package.  C1-C8 and C10 run the checks of ``hftmfg validate`` at its
 default (grid 1e4, RK4), so the gate and the validator cannot disagree.
 """
 
+import functools
 import json
 import os
 import time
@@ -33,8 +34,13 @@ def report(line: str) -> None:
     print(full, flush=True)
 
 
+@functools.cache
 def run_check(name: str) -> str:
-    """Run one validate check at the criterion grid; its failure fails the test."""
+    """Run one validate check at the criterion grid; its failure fails the test.
+
+    Memoized, so C2 and C3 share one run of ``equilibrium-conditions``; a
+    check that raises is not cached and fails every test that calls it.
+    """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ResidualWarning)
         return CHECKS[name](GRID, "rk4")

@@ -123,6 +123,19 @@ def test_p0_invariance(overall_baseline):
     assert rep7.difference == rep0.difference
 
 
+def test_p0_shifts_partial_revenue(baseline_eq):
+    # revenue -sum_k xi_k P_k: the initial price enters as -P0*sum(xi), also
+    # when the schedule is given (no xi0)
+    cfg, eq = baseline_eq
+    xi = cfg.schedule.quantities
+    rep0 = lt_profit(cfg, xi, eq, P0=0.0)
+    rep7 = lt_profit(cfg, xi, eq, P0=7.0)
+    shift = -7.0 * float(np.sum(xi))
+    assert rep7.profit_no_hft - rep0.profit_no_hft == pytest.approx(shift, abs=1e-12)
+    assert rep7.profit_with_hft - rep0.profit_with_hft == pytest.approx(shift, abs=1e-12)
+    assert rep7.difference == rep0.difference
+
+
 def test_profit_arithmetic_baseline(baseline_eq):
     cfg, eq = baseline_eq
     base = profit_without_crowd(cfg, cfg.schedule.quantities, P0=0.0)
