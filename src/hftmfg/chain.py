@@ -28,9 +28,6 @@ class ChainSolution:
     p: PiecewiseCurve   # (n, N) probabilities on the fine mesh, smooth on [0, T]
     Q: np.ndarray
 
-    def p_at(self, t: float) -> np.ndarray:
-        return self.p.eval(t)
-
 
 def solve_chain(aversion: AversionSpec, grid: TimeGrid, method: str = "rk4") -> ChainSolution:
     """Integrate the forward equation on the grid's fine mesh."""

@@ -240,7 +240,7 @@ def cmd_figures(args) -> int:
             warnings.simplefilter("ignore", ResidualWarning)
             return render_panel(panel, args.out)
 
-    if args.workers > 1 and panels:
+    if args.workers > 1:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
             written = list(pool.map(run, panels))
     else:
@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figures", help="reproduce built-in figure sweeps")
     _add_common(p, config_required=False)
-    p.add_argument("--ids", nargs="*", default=[], help="figure ids (F1..F12)")
+    p.add_argument("--ids", nargs="+", required=True, help="figure ids (F1..F12)")
     p.set_defaults(fn=cmd_figures)
 
     p = sub.add_parser("validate", help="run the invariant suite")

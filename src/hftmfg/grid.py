@@ -138,15 +138,3 @@ def sup_diff(a: PiecewiseCurve, b: PiecewiseCurve) -> float:
     """Largest absolute difference between two curves on the same grid."""
     return max(float(np.max(np.abs(x - y))) for x, y in zip(a.segments, b.segments))
 
-
-def lincomb(curves: list[PiecewiseCurve], coeffs) -> PiecewiseCurve:
-    """Linear combination of curves defined on the same grid."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    grid = curves[0].grid
-    segs = []
-    for s in range(grid.n_segments):
-        acc = np.zeros_like(curves[0].segments[s])
-        for c, curve in zip(coeffs, curves):
-            acc = acc + c * curve.segments[s]
-        segs.append(acc)
-    return PiecewiseCurve(grid, tuple(segs))

@@ -676,8 +676,6 @@ def sample_price_paths(cfg: ModelConfig, xi, solution: MeanFieldSolution,
     m = cfg.market
     K = len(xi)
     tk = solution.grid.trade_times
-    if K != len(tk):
-        raise ValueError("xi length must match the number of trade times")
     det_revenue = lt_profit(cfg, xi, solution).profit_with_hft
     revenues = np.empty(replications)
     if K == 0 or m.sigma == 0.0:

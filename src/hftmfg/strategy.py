@@ -8,9 +8,10 @@ constraint sum(xi) = -xi0, and the first-order condition gives, for k < K,
     D_k  = gammaH (E(t_K) - E(t_k)) + lambdaH (mu(t_K) - mu(t_k)),
 
 with xi_K absorbing the remainder; the initial price P0 cancels.  In the
-joint equilibrium the mean field responds linearly to (E0, xi), so solving
-the N + K basis problems and substituting turns the fixed point into one
-(K-1)-dimensional linear system.
+joint equilibrium the schedule is the best response to the mean field it
+induces.  The mean field at the trade times is linear in (E0, xi), so the
+best response is affine in the trades, xi -> G xi + g, and its fixed point
+is one (K-1)-dimensional linear system.
 """
 
 from __future__ import annotations
@@ -23,18 +24,11 @@ import numpy as np
 
 from .config import ModelConfig
 from .errors import ResidualWarning, SolverError
-from .grid import PiecewiseCurve, lincomb, trade_values
-from .meanfield import MeanFieldEngine, MeanFieldSolution
+from .meanfield import COND_ABORT, MeanFieldEngine, MeanFieldSolution
 
 logger = logging.getLogger(__name__)
 
-COND_ABORT = 1e12
 FIXED_POINT_TOL = 1e-6
-
-
-def _impact_cost_coeff(cfg: ModelConfig) -> float:
-    m = cfg.market
-    return m.gamma + 2.0 * (m.lam + m.eta0)
 
 
 def best_response_values(E_k: np.ndarray, mu_k: np.ndarray, xi0: float,
@@ -44,7 +38,7 @@ def best_response_values(E_k: np.ndarray, mu_k: np.ndarray, xi0: float,
     if K == 0:
         return np.zeros(0)
     m = cfg.market
-    cstar = 1.0 / _impact_cost_coeff(cfg)
+    cstar = 1.0 / (m.gamma + 2.0 * (m.lam + m.eta0))
     D = m.gamma_h * (E_k[-1] - E_k) + m.lam_h * (mu_k[-1] - mu_k)
     xi = np.empty(K)
     if K > 1:
@@ -84,9 +78,13 @@ def profit_from_aggregates(cfg: ModelConfig, xi, E_k: np.ndarray, E_start: float
 
     ``E_k`` and ``mu_k`` are the crowd's aggregate inventory and speed at the
     trade times, ``E_start`` its inventory at time 0; they may come from the
-    mean field or from a simulated population.
+    mean field or from a simulated population.  All three vectors need one
+    entry per trade time.
     """
     xi = np.asarray(xi, dtype=float)
+    if not len(xi) == len(E_k) == len(mu_k):
+        raise ValueError(f"xi has {len(xi)} entries, the aggregates {len(E_k)} and "
+                         f"{len(mu_k)}; each needs one per trade time")
     m = cfg.market
     base = profit_without_crowd(cfg, xi, P0)
     diff = float(np.sum(-xi * (m.gamma_h * (E_k - E_start) + m.lam_h * mu_k)))
@@ -134,16 +132,12 @@ def concavity_check(cfg: ModelConfig, basis_E: np.ndarray, basis_mu: np.ndarray)
 class OverallEquilibrium:
     xi_star: np.ndarray
     mean_field: MeanFieldSolution
-    basis_initial: tuple[MeanFieldSolution, ...]   # responses to unit E0 components
-    basis_trades: tuple[MeanFieldSolution, ...]    # responses to unit trades
-    C_E: PiecewiseCurve                            # inhomogeneous aggregate inventory
-    C_mu: PiecewiseCurve                           # inhomogeneous aggregate speed
     concavity: ConcavityReport
     fixed_point_residual: float
 
 
 def solve_overall(cfg: ModelConfig, grid=None) -> OverallEquilibrium:
-    """Joint equilibrium: crowd fixed point plus the trader's first-order system."""
+    """Joint equilibrium: the schedule that is the best response to the mean field it induces."""
     if cfg.mode != "overall":
         raise ValueError("solve_overall requires an overall-mode configuration")
     engine = MeanFieldEngine(cfg, grid)
@@ -153,46 +147,37 @@ def solve_overall(cfg: ModelConfig, grid=None) -> OverallEquilibrium:
     E0 = cfg.population.E0
     side = cfg.solver.mu_at_trades
 
-    eye_N = np.eye(N)
-    basis_initial = tuple(engine.solve(eye_N[i], np.zeros(K)) for i in range(N))
-    eye_K = np.eye(K)
-    basis_trades = tuple(engine.solve(np.zeros(N), eye_K[k]) for k in range(K))
-
-    C_E = lincomb([b.E_agg for b in basis_initial], E0)
-    C_mu = lincomb([b.mu_agg for b in basis_initial], E0)
-
-    if K:
-        # response at t_k to a unit trade at t_m, (K, K)
-        bE = np.column_stack([b.E_at_trades() for b in basis_trades])
-        bMu = np.column_stack([b.mu_at_trades(side) for b in basis_trades])
+    if K <= 1:
+        # the completion constraint alone fixes the schedule
+        bE = bMu = np.zeros((K, K))
+        xi_star = best_response_values(np.zeros(K), np.zeros(K), xi0, cfg)
     else:
-        bE = bMu = np.zeros((0, 0))
+        def at_trades(E0_i, xi):
+            sol = engine.solve(E0_i, xi)
+            return sol.E_at_trades(), sol.mu_at_trades(side)
 
-    if K == 0:
-        xi_star = np.zeros(0)
-    elif K == 1:
-        xi_star = np.array([-xi0])
-    else:
-        # affine data of the first-order system in the trade vector
-        cE0 = trade_values([seg[:, 0] for seg in C_E.segments])
-        cMu0 = trade_values([seg[:, 0] for seg in C_mu.segments], side)
-        m = cfg.market
-        d = m.gamma_h * (bE[-1][None, :] - bE) + m.lam_h * (bMu[-1][None, :] - bMu)
-        d0 = m.gamma_h * (cE0[-1] - cE0) + m.lam_h * (cMu0[-1] - cMu0)
-        cstar = 1.0 / _impact_cost_coeff(cfg)
+        # mean field at the trades in response to unit E0 components and unit trades
+        initial = [at_trades(e, np.zeros(K)) for e in np.eye(N)]
+        trades = [at_trades(np.zeros(N), e) for e in np.eye(K)]
+        bE = np.column_stack([E for E, _ in trades])
+        bMu = np.column_stack([mu for _, mu in trades])
+        cE0 = sum(c * E for c, (E, _) in zip(E0, initial))
+        cMu0 = sum(c * mu for c, (_, mu) in zip(E0, initial))
 
-        # xi_k - xi_K - cstar * D_k(xi) = 0 for k < K, with xi_K = -xi0 - sum(z)
-        A_sys = np.eye(K - 1) + np.ones((K - 1, K - 1)) \
-            - cstar * (d[:-1, :-1] - d[:-1, -1][:, None])
-        rhs = cstar * d0[:-1] - xi0 * (1.0 + cstar * d[:-1, -1])
+        # the best response to the field of xi is G xi + g
+        G = np.column_stack([best_response_values(bE[:, j], bMu[:, j], 0.0, cfg)
+                             for j in range(K)])
+        g = best_response_values(cE0, cMu0, xi0, cfg)
+
+        # fixed point in z = xi[:-1], with xi_K = -xi0 - sum(z)
+        A_sys = np.eye(K - 1) - G[:-1, :-1] + G[:-1, -1:]
+        rhs = g[:-1] - xi0 * G[:-1, -1]
         cond = float(np.linalg.cond(A_sys))
         logger.info("trade system condition number: %.3e", cond)
         if not np.isfinite(cond) or cond > COND_ABORT:
             raise SolverError(f"trade-vector system is numerically singular (cond {cond:.3e})")
         z = np.linalg.solve(A_sys, rhs)
-        xi_star = np.empty(K)
-        xi_star[:-1] = z
-        xi_star[-1] = -xi0 - float(np.sum(z))
+        xi_star = np.append(z, -xi0 - float(np.sum(z)))
 
     mean_field = engine.solve(E0, xi_star)
     br = lt_best_response(mean_field, cfg)
@@ -206,7 +191,5 @@ def solve_overall(cfg: ModelConfig, grid=None) -> OverallEquilibrium:
         warnings.warn("substituted objective is not negative definite; the solved "
                       "trade vector is a stationary point only", ResidualWarning, stacklevel=2)
 
-    return OverallEquilibrium(
-        xi_star=xi_star, mean_field=mean_field,
-        basis_initial=basis_initial, basis_trades=basis_trades,
-        C_E=C_E, C_mu=C_mu, concavity=concavity, fixed_point_residual=residual)
+    return OverallEquilibrium(xi_star=xi_star, mean_field=mean_field,
+                              concavity=concavity, fixed_point_residual=residual)

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hftmfg
 import hftmfg.cli as cli
 from hftmfg.cli import main
 from hftmfg.config import load_config
@@ -208,9 +211,21 @@ def test_figures_accumulation_panel_monotone(tmp_path):
 
 def test_figures_empty_and_unknown(tmp_path):
     out = str(tmp_path / "f")
-    assert run(["figures", "--ids", "--out", out]) == 0
+    assert run(["figures", "--ids", "--out", out]) == 2
+    assert run(["figures", "--out", out]) == 2
     assert not os.path.exists(out) or os.listdir(out) == []
     assert run(["figures", "--ids", "F99", "--out", out]) == 2
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    src = os.path.dirname(os.path.dirname(hftmfg.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "hftmfg", "figures", "--ids", "F99",
+                           "--out", str(tmp_path / "f")], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 2
+    assert "unknown figure id" in proc.stderr
 
 
 def test_figures_scan_has_sign_change(tmp_path):

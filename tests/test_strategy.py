@@ -6,8 +6,8 @@ import pytest
 from hftmfg import presets
 from hftmfg.config import config_from_dict
 from hftmfg.errors import ResidualWarning
-from hftmfg.grid import lincomb
-from hftmfg.meanfield import solve_partial
+from hftmfg.meanfield import MeanFieldEngine, solve_partial
+from hftmfg.simulate import sample_price_paths
 from hftmfg.strategy import (best_response_values, concavity_check, lt_best_response,
                              lt_profit, profit_without_crowd, solve_overall)
 from conftest import base_raw
@@ -92,13 +92,16 @@ def test_running_aversion_pushes_toward_uniform():
 
 
 def test_basis_consistency(overall_baseline):
+    # the equilibrium field is the sum of the fields of its single trades and
+    # of its single initial-inventory components
     cfg, eq = overall_baseline
-    combo_E = lincomb([b.E_agg for b in eq.basis_trades], eq.xi_star)
-    if len(eq.basis_initial):
-        combo_E = lincomb([combo_E] + [b.E_agg for b in eq.basis_initial],
-                          np.concatenate(([1.0], cfg.population.E0)))
+    engine = MeanFieldEngine(cfg)
+    N, K = cfg.n_states, cfg.schedule.K
+    parts = [engine.solve(np.zeros(N), x * e) for x, e in zip(eq.xi_star, np.eye(K))]
+    parts += [engine.solve(c * e, np.zeros(K)) for c, e in zip(cfg.population.E0, np.eye(N))]
+    total = [sum(segs) for segs in zip(*(p.E_agg.segments for p in parts))]
     worst = max(float(np.max(np.abs(a - b)))
-                for a, b in zip(combo_E.segments, eq.mean_field.E_agg.segments))
+                for a, b in zip(total, eq.mean_field.E_agg.segments))
     assert worst < 1e-8
 
 
@@ -134,6 +137,14 @@ def test_p0_shifts_partial_revenue(baseline_eq):
     assert rep7.profit_no_hft - rep0.profit_no_hft == pytest.approx(shift, abs=1e-12)
     assert rep7.profit_with_hft - rep0.profit_with_hft == pytest.approx(shift, abs=1e-12)
     assert rep7.difference == rep0.difference
+
+
+def test_wrong_length_schedule_is_rejected(baseline_eq):
+    cfg, eq = baseline_eq
+    with pytest.raises(ValueError, match="one per trade time"):
+        lt_profit(cfg, [1.0], eq)
+    with pytest.raises(ValueError, match="one per trade time"):
+        sample_price_paths(cfg, np.ones(10), eq, replications=2, seed=0)
 
 
 def test_profit_arithmetic_baseline(baseline_eq):
