@@ -1,15 +1,35 @@
-"""Affine step maps and their prefix composition.
+"""Explicit Runge-Kutta steps, affine step maps and their prefix composition.
 
-Explicit Euler and classic RK4 applied to an affine system y' = A(t) y + b(t)
-are exactly affine maps y_{n+1} = Phi_n y_n + psi_n.  ``step_maps`` builds
-every map of a segment at once from stage samples, and ``trajectory``
-composes them with an inclusive Hillis-Steele scan: ceil(log2 m) batched
-matrix products instead of m sequential small ones.
+``rk_step`` is the one place the explicit Euler and classic RK4 formulas are
+written; every integrator in the package takes its steps through it.
+Applied to an affine system y' = A(t) y + b(t), a step is exactly an affine
+map y_{n+1} = Phi_n y_n + psi_n.  ``step_maps`` builds every map of a
+segment at once from stage samples, and ``trajectory`` composes them with an
+inclusive Hillis-Steele scan: ceil(log2 m) batched matrix products instead
+of m sequential small ones.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def rk_step(f, y, h, method: str):
+    """One explicit step of y' = f(c, y) of width h: classic RK4 or Euler.
+
+    ``f(c, y)`` evaluates the right-hand side at stage sample c: 0 is the
+    step's start, 1 its midpoint and 2 its end.  ``y`` and ``h`` may be floats
+    or arrays that broadcast together.
+    """
+    if method == "rk4":
+        k1 = f(0, y)
+        k2 = f(1, y + (h / 2.0) * k1)
+        k3 = f(1, y + (h / 2.0) * k2)
+        k4 = f(2, y + h * k3)
+        return y + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    if method == "euler":
+        return y + h * f(0, y)
+    raise ValueError(f"unknown integrator {method!r}")
 
 
 def step_maps(A: np.ndarray, h: float, method: str, b: np.ndarray | None = None):
@@ -22,25 +42,15 @@ def step_maps(A: np.ndarray, h: float, method: str, b: np.ndarray | None = None)
     carries the inhomogeneous part, so one set of stage products builds both.
     """
     n = A.shape[-1]
-    X = np.eye(n, n if b is None else n + 1)
+    stages = (slice(0, -1, 2), slice(1, None, 2), slice(2, None, 2))
 
-    def f(k, Y):
-        F = A[k] @ Y
+    def f(c, Y):
+        F = A[stages[c]] @ Y
         if b is not None:
-            F[..., n] += b[k]
+            F[..., n] += b[stages[c]]
         return F
 
-    start, mid, end = slice(0, -1, 2), slice(1, None, 2), slice(2, None, 2)
-    if method == "rk4":
-        k1 = f(start, X)
-        k2 = f(mid, X + (h / 2.0) * k1)
-        k3 = f(mid, X + (h / 2.0) * k2)
-        k4 = f(end, X + h * k3)
-        M = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    elif method == "euler":
-        M = X + h * f(start, X)
-    else:
-        raise ValueError(f"unknown integrator {method!r}")
+    M = rk_step(f, np.eye(n, n if b is None else n + 1), h, method)
     return M[..., :n], None if b is None else M[..., n]
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affine import step_maps, trajectory
+from .affine import rk_step, step_maps, trajectory
 from .chain import ChainSolution, pq_batch, solve_chain
 from .config import AversionSpec, MarketParams, ModelConfig
 from .errors import ResidualWarning, SolverError
@@ -218,18 +218,9 @@ class MeanFieldEngine:
     def _midpoint_states(Un, A, h, method):
         # one vectorized half-step from every node; the quarter-point matrix is
         # linearly interpolated, which is ample for the stage-data consumers
-        U0 = Un[:-1]
-        A0 = A[0:-1:2]
-        Am = A[1::2]
-        if method != "rk4":
-            return U0 + (h / 2.0) * (A0 @ U0)
-        Aq = 0.5 * (A0 + Am)
-        hh = h / 2.0
-        k1 = A0 @ U0
-        k2 = Aq @ (U0 + (hh / 2.0) * k1)
-        k3 = Aq @ (U0 + (hh / 2.0) * k2)
-        k4 = Am @ (U0 + hh * k3)
-        return U0 + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        A0, Am = A[0:-1:2], A[1::2]
+        stages = (A0, 0.5 * (A0 + Am), Am)
+        return rk_step(lambda c, U: stages[c] @ U, Un[:-1], h / 2.0, method)
 
     def solve(self, E0, xi=None) -> MeanFieldSolution:
         cfg = self.cfg

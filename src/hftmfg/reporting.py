@@ -10,7 +10,6 @@ from solver internals.
 from __future__ import annotations
 
 import csv
-import io
 import os
 import threading
 
@@ -22,19 +21,11 @@ from .meanfield import MeanFieldSolution
 PALETTE = ("#1f6fb2", "#d1495b", "#2e933c", "#8338ec", "#e36414", "#118ab2")
 
 
-def _atomic_write(path: str, data: str) -> None:
+def _atomic_write(path: str, chunks: list[str]) -> None:
     tmp = f"{path}.tmp-{os.getpid()}-{threading.get_ident()}"
     with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(data)
+        fh.writelines(chunks)
     os.replace(tmp, path)
-
-
-def fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, float) or isinstance(x, np.floating):
-        return repr(float(x))
-    return str(x)
 
 
 def meta_line(cfg: ModelConfig | None, **extra) -> str:
@@ -48,13 +39,10 @@ def meta_line(cfg: ModelConfig | None, **extra) -> str:
 
 
 def write_csv(path, header: list[str], rows, cfg: ModelConfig | None = None, **extra) -> None:
-    buf = io.StringIO()
-    buf.write(meta_line(cfg, **extra) + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([fmt(v) for v in row])
-    _atomic_write(str(path), buf.getvalue())
+    """Rows hold Python scalars: numbers are written with repr, strings as they are."""
+    lines = [meta_line(cfg, **extra) + "\n", ",".join(header) + "\n"]
+    lines += [",".join(v if isinstance(v, str) else repr(v) for v in row) + "\n" for row in rows]
+    _atomic_write(str(path), lines)
 
 
 def read_csv(path) -> tuple[str, list[str], list[list[str]]]:
@@ -74,13 +62,12 @@ def equilibrium_rows(sol: MeanFieldSolution) -> tuple[list[str], list[list]]:
     S = sol.grid.n_segments
     for s in range(S):
         times = sol.grid.level0_times(s)
-        E = sol.E_by_state.node_values(s)
-        mu = sol.mu_by_state.node_values(s)
-        Ea = sol.E_agg.node_values(s)[:, 0]
-        mua = sol.mu_agg.node_values(s)[:, 0]
-        for i, t in enumerate(times):
-            side = "L" if (i == len(times) - 1 and s < S - 1) else "R"
-            rows.append([t, side, *E[i], *mu[i], Ea[i], mua[i]])
+        vals = np.hstack([times[:, None], sol.E_by_state.node_values(s),
+                          sol.mu_by_state.node_values(s), sol.E_agg.node_values(s),
+                          sol.mu_agg.node_values(s)]).tolist()
+        rows += [[t, "R", *rest] for t, *rest in vals]
+        if s < S - 1:
+            rows[-1][1] = "L"
     return header, rows
 
 
@@ -207,7 +194,7 @@ def svg_plot(path, series, title: str = "", xlabel: str = "", ylabel: str = "",
         out.append(f'<text x="16" y="{mt + ph / 2}" font-size="12" text-anchor="middle" '
                    f'fill="#111" transform="rotate(-90 16 {mt + ph / 2})">{ylabel}</text>')
     out.append("</svg>")
-    _atomic_write(str(path), "\n".join(out) + "\n")
+    _atomic_write(str(path), ["\n".join(out) + "\n"])
 
 
 def plot_columns_from_csv(csv_path, svg_path, xcol: str, ycols: list[str],

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affine import step_maps, trajectory
+from .affine import rk_step, step_maps, trajectory
 from .config import AversionSpec, MarketParams
 from .errors import ResidualWarning, SolverError
 from .grid import PiecewiseCurve, TimeGrid
@@ -41,62 +41,32 @@ def h2_box_bound(aversion: AversionSpec, market: MarketParams) -> float:
 def solve_h2(aversion: AversionSpec, market: MarketParams, grid: TimeGrid,
              method: str = "rk4") -> PiecewiseCurve:
     """Integrate the quadratic coefficient backward from -Gamma on the fine mesh."""
-    N = aversion.n_states
     eta = market.eta
-    phi = np.asarray(aversion.phi, dtype=float)
-    Q = np.asarray(aversion.Q, dtype=float)
-    segs: list[np.ndarray | None] = [None] * grid.n_segments
-    cur = -np.asarray(aversion.Gamma, dtype=float)
-
-    if N == 1:
-        ph = float(phi[0])
-        q = float(Q[0, 0])
+    if aversion.n_states == 1:
+        # plain floats: with a one-element array the solve takes ~30x as long
+        ph, q = float(aversion.phi[0]), float(np.asarray(aversion.Q)[0, 0])
         inv_eta = 1.0 / eta
-        h = float(cur[0])
-        for s in reversed(range(grid.n_segments)):
-            m2 = 2 * grid.steps[s]
-            dt = grid.step_width(s) / 2.0
-            out = np.empty((m2 + 1, 1))
-            out[-1, 0] = h
-            if method == "rk4":
-                for i in range(m2):
-                    k1 = h * h * inv_eta - ph + q * h
-                    y = h + 0.5 * dt * k1
-                    k2 = y * y * inv_eta - ph + q * y
-                    y = h + 0.5 * dt * k2
-                    k3 = y * y * inv_eta - ph + q * y
-                    y = h + dt * k3
-                    k4 = y * y * inv_eta - ph + q * y
-                    h = h + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-                    out[m2 - 1 - i, 0] = h
-            else:
-                for i in range(m2):
-                    h = h + dt * (h * h * inv_eta - ph + q * h)
-                    out[m2 - 1 - i, 0] = h
-            segs[s] = out
+        cur = -float(aversion.Gamma[0])
+
+        def g(c, y):
+            return y * y * inv_eta - ph + q * y
     else:
-        def g(y):
-            # time runs backward here: d h2 / d(T - t)
+        phi = np.asarray(aversion.phi, dtype=float)
+        Q = np.asarray(aversion.Q, dtype=float)
+        cur = -np.asarray(aversion.Gamma, dtype=float)
+
+        def g(c, y):
             return y * y / eta - phi + Q @ y
-        for s in reversed(range(grid.n_segments)):
-            m2 = 2 * grid.steps[s]
-            dt = grid.step_width(s) / 2.0
-            out = np.empty((m2 + 1, N))
-            out[-1] = cur
-            if method == "rk4":
-                for i in range(m2):
-                    k1 = g(cur)
-                    k2 = g(cur + 0.5 * dt * k1)
-                    k3 = g(cur + 0.5 * dt * k2)
-                    k4 = g(cur + dt * k3)
-                    cur = cur + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-                    out[m2 - 1 - i] = cur
-            else:
-                for i in range(m2):
-                    cur = cur + dt * g(cur)
-                    out[m2 - 1 - i] = cur
-            segs[s] = out
-        cur = segs[0][0]
+
+    # time runs backward here: g is d h2 / d(T - t), autonomous in c
+    segs: list[np.ndarray | None] = [None] * grid.n_segments
+    for s in reversed(range(grid.n_segments)):
+        dt = grid.step_width(s) / 2.0
+        nodes = [cur]
+        for _ in range(2 * grid.steps[s]):
+            cur = rk_step(g, cur, dt, method)
+            nodes.append(cur)
+        segs[s] = np.array(nodes[::-1]).reshape(len(nodes), -1)
 
     curve = PiecewiseCurve(grid, tuple(segs))
     _check_box(curve, aversion, market)

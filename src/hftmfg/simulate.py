@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affine import step_maps
+from .affine import rk_step, step_maps
 from .chain import pq_batch
 from .config import ModelConfig
 from .errors import SimulationError
@@ -198,20 +198,9 @@ def _sub_step(D: np.ndarray, ta: np.ndarray, tb: np.ndarray, y: np.ndarray,
     Coefficients are interpolated off the fine mesh, so the step may start and
     end anywhere; where tb <= ta it is a no-op.
     """
-    rk4 = method == "rk4"
-    h = tb - ta
-    nodes = (ta, 0.5 * (ta + tb), tb) if rk4 else (ta,)
-    a, b = (x.reshape(len(nodes), -1) for x in _interp_by_state(
-        np.concatenate(nodes), np.tile(y, len(nodes)), cols.ft, cols.a, cols.b))
-    if rk4:
-        k1 = a[0] * D + b[0]
-        k2 = a[1] * (D + 0.5 * h * k1) + b[1]
-        k3 = a[1] * (D + 0.5 * h * k2) + b[1]
-        k4 = a[2] * (D + h * k3) + b[2]
-        out = D + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-    else:
-        out = D + h * (a[0] * D + b[0])
-    return np.where(tb <= ta, D, out)
+    a, b = (x.reshape(3, -1) for x in _interp_by_state(
+        np.concatenate((ta, 0.5 * (ta + tb), tb)), np.tile(y, 3), cols.ft, cols.a, cols.b))
+    return np.where(tb <= ta, D, rk_step(lambda c, d: a[c] * d + b[c], D, tb - ta, method))
 
 
 def _through_switches(D: np.ndarray, Y: np.ndarray, t0: float, t2: float,

@@ -5,6 +5,8 @@ of the chain, box bounds and closed forms of the value coefficients, oracle
 equivalence and jump/terminal conditions of the equilibrium, linearity,
 profit arithmetic, qualitative shapes, simulator exactness).  The runner
 produces a machine-readable JSON report and a nonzero exit on any failure.
+It certifies the RK4 build only, because the checks' absolute bounds are
+sized for RK4; the order checks also take Euler.
 
 The checks are the single implementation of the release criteria: the
 acceptance tests call them at the default (grid 1e4, RK4) and add nothing
@@ -30,6 +32,9 @@ from .reporting import _atomic_write
 from .riccati import h2_box_bound, recover_h1, solve_h2
 from .simulate import sample_price_paths, simulate_population
 from .strategy import lt_best_response, lt_profit, profit_without_crowd, solve_overall
+
+# bounds on the error ratio when the step count doubles, per integrator
+ORDER_RATIO = {"rk4": (8.0, 40.0), "euler": (1.5, 3.0)}
 
 # the single-type (Gamma, phi) sweep of the paper's figures
 SWEEP = tuple((Gam, phi) for Gam in (0.0, 0.1, 2.0) for phi in (0.0, 5.0, 10.0))
@@ -99,7 +104,7 @@ def check_chain_order(grid: int, method: str) -> str:
     e1 = _chain_closed_form_error(200, method)
     e2 = _chain_closed_form_error(400, method)
     ratio = e1 / e2
-    lo, hi = (8.0, 40.0) if method == "rk4" else (1.5, 3.0)
+    lo, hi = ORDER_RATIO[method]
     _need(lo <= ratio <= hi, f"step-halving ratio {ratio:.2f} outside [{lo}, {hi}]")
     return f"error {e1:.2e} -> {e2:.2e}, ratio {ratio:.1f}"
 
@@ -111,7 +116,7 @@ def check_h2(grid: int, method: str) -> str:
     e1 = _h2_closed_form_error(200, method)
     e2 = _h2_closed_form_error(400, method)
     ratio = e1 / e2
-    lo, hi = (8.0, 40.0) if method == "rk4" else (1.5, 3.0)
+    lo, hi = ORDER_RATIO[method]
     _need(lo <= ratio <= hi, f"order ratio {ratio:.2f} outside [{lo}, {hi}]")
     # box bound and terminal value across the sweep, every distinct figure
     # preset and the lambdaH scan presets (lambdaH leaves the bound unchanged)
@@ -344,7 +349,7 @@ CHECKS = [
 
 
 def run_validation(out_path=None, config_path=None, grid: int = 10000,
-                   method: str = "rk4", printer=print) -> dict:
+                   printer=print) -> dict:
     results = []
     if config_path is not None:
         try:
@@ -357,7 +362,7 @@ def run_validation(out_path=None, config_path=None, grid: int = 10000,
         warnings.simplefilter("ignore")
         for name, fn in CHECKS:
             try:
-                detail = fn(grid, method)
+                detail = fn(grid, "rk4")
                 results.append({"name": name, "passed": True, "detail": detail})
             except CheckFailure as exc:
                 results.append({"name": name, "passed": False, "detail": str(exc)})
@@ -365,9 +370,9 @@ def run_validation(out_path=None, config_path=None, grid: int = 10000,
                 results.append({"name": name, "passed": False,
                                 "detail": f"{type(exc).__name__}: {exc}"})
     report = {"passed": all(r["passed"] for r in results), "grid": grid,
-              "integrator": method, "checks": results}
+              "integrator": "rk4", "checks": results}
     for r in results:
         printer(f"{'PASS' if r['passed'] else 'FAIL'} {r['name']}: {r['detail']}")
     if out_path is not None:
-        _atomic_write(out_path, json.dumps(report, indent=2))
+        _atomic_write(out_path, [json.dumps(report, indent=2)])
     return report

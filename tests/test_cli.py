@@ -221,11 +221,12 @@ def test_python_m_runs_the_cli(tmp_path):
     src = os.path.dirname(os.path.dirname(hftmfg.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-m", "hftmfg", "figures", "--ids", "F99",
-                           "--out", str(tmp_path / "f")], env=env, capture_output=True,
-                          text=True)
-    assert proc.returncode == 2
-    assert "unknown figure id" in proc.stderr
+    for module in ("hftmfg", "hftmfg.cli"):
+        proc = subprocess.run([sys.executable, "-m", module, "figures", "--ids", "F99",
+                               "--out", str(tmp_path / "f")], env=env, capture_output=True,
+                              text=True)
+        assert proc.returncode == 2, module
+        assert "unknown figure id" in proc.stderr, module
 
 
 def test_figures_scan_has_sign_change(tmp_path):
@@ -300,6 +301,15 @@ def test_validate_fresh_checkout_passes(tmp_path):
     report = json.load(open(os.path.join(out, "validation.json")))
     assert report["passed"] is True
     assert all(c["passed"] for c in report["checks"])
+
+
+def test_validate_rejects_euler(tmp_path, capsys):
+    # the checks' bounds are sized for RK4; an Euler run is a usage error, not a failure
+    out = tmp_path / "v"
+    assert run(["validate", "--out", str(out), "--integrator", "euler"]) == 2
+    err = capsys.readouterr().err
+    assert "rk4" in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()
 
 
 def test_validate_fault_injection(config_file, tmp_path):

@@ -5,7 +5,7 @@ from hftmfg import presets
 from hftmfg.config import config_from_dict
 from hftmfg.errors import SolverError
 from hftmfg.grid import make_grid
-from hftmfg.meanfield import solve_partial
+from hftmfg.meanfield import default_grid, solve_partial
 from hftmfg.riccati import (RiccatiSolution, compute_h0, feedback_control,
                             feedback_control_deviation_form, h2_box_bound,
                             integrate_h1_backward, recover_h1, solve_h2,
@@ -108,6 +108,53 @@ def test_h2_convergence_order():
 
     assert 8.0 <= err(100, "rk4") / err(200, "rk4") <= 40.0
     assert 1.5 <= err(100, "euler") / err(200, "euler") <= 3.0
+
+
+def h2_stage_loop(cfg, grid, method):
+    """Reference: h2 backward from -Gamma, one explicit step at a time."""
+    eta = cfg.market.eta
+    phi = np.asarray(cfg.aversion.phi, dtype=float)
+    Q = np.asarray(cfg.aversion.Q, dtype=float)
+
+    def g(y):
+        # the single-state solver scales by 1/eta; in floats that differs from / eta
+        sq = y * y * (1.0 / eta) if cfg.n_states == 1 else y * y / eta
+        return sq - phi + Q @ y
+
+    y = -np.asarray(cfg.aversion.Gamma, dtype=float)
+    segs = []
+    for s in reversed(range(grid.n_segments)):
+        dt = grid.step_width(s) / 2.0
+        out = [y]
+        for _ in range(2 * grid.steps[s]):
+            if method == "euler":
+                y = y + dt * g(y)
+            else:
+                k1 = g(y)
+                k2 = g(y + 0.5 * dt * k1)
+                k3 = g(y + 0.5 * dt * k2)
+                k4 = g(y + dt * k3)
+                y = y + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+            out.append(y)
+        segs.append(np.array(out[::-1]))
+    return segs[::-1]
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("make", [lambda: presets.partial_single_type(2.0, 10.0, grid=400),
+                                  lambda: presets.partial_single_type(2.0, 0.0, grid=400),
+                                  lambda: presets.partial_two_type(grid=400)],
+                         ids=["single_type", "single_type_no_running", "two_type"])
+def test_h2_matches_stage_by_stage_loop(make, method):
+    # (2, 10) settles on its fixed point within a few steps, so rounding changes
+    # rarely reach its bits; (2, 0) keeps moving and shows them
+    cfg = make()
+    grid = default_grid(cfg)
+    h2 = solve_h2(cfg.aversion, cfg.market, grid, method)
+    ref = h2_stage_loop(cfg, grid, method)
+    assert len(h2.segments) == len(ref)
+    for seg, r in zip(h2.segments, ref):
+        assert np.array_equal(seg, r)
 
 
 def test_h1_recovery_jumps_and_terminal(baseline_eq):
