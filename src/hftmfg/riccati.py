@@ -50,6 +50,16 @@ def solve_h2(aversion: AversionSpec, market: MarketParams, grid: TimeGrid,
 
         def g(c, y):
             return y * y * inv_eta - ph + q * y
+    elif aversion.n_states == 2:
+        # one complex scalar, real part state 1 and imaginary part state 2:
+        # with a two-element array the solve takes ~7x as long
+        (p1, p2), ((q11, q12), (q21, q22)) = aversion.phi.tolist(), aversion.Q.tolist()
+        cur = -complex(*aversion.Gamma.tolist())
+
+        def g(c, y):
+            a, b = y.real, y.imag
+            return complex(a * a / eta - p1 + (q11 * a + q12 * b),
+                           b * b / eta - p2 + (q21 * a + q22 * b))
     else:
         phi = np.asarray(aversion.phi, dtype=float)
         Q = np.asarray(aversion.Q, dtype=float)
@@ -66,7 +76,7 @@ def solve_h2(aversion: AversionSpec, market: MarketParams, grid: TimeGrid,
         for _ in range(2 * grid.steps[s]):
             cur = rk_step(g, cur, dt, method)
             nodes.append(cur)
-        segs[s] = np.array(nodes[::-1]).reshape(len(nodes), -1)
+        segs[s] = np.array(nodes[::-1]).view(np.float64).reshape(len(nodes), -1)
 
     curve = PiecewiseCurve(grid, tuple(segs))
     _check_box(curve, aversion, market)
@@ -75,10 +85,13 @@ def solve_h2(aversion: AversionSpec, market: MarketParams, grid: TimeGrid,
 
 def _check_box(curve: PiecewiseCurve, aversion: AversionSpec, market: MarketParams) -> None:
     C = h2_box_bound(aversion, market)
-    for s, seg in enumerate(curve.segments):
-        bad = (seg < -C - BOX_SLACK) | (seg > 1e-12)
-        if np.any(bad):
-            t = curve.grid.fine_times[s][np.argmax(np.any(bad, axis=1))]
+    # h2 runs backward from T, so the latest bad node is where it first left;
+    # NaN fails both comparisons and counts as outside
+    for s in reversed(range(curve.grid.n_segments)):
+        seg = curve.segments[s]
+        inside = (seg >= -C - BOX_SLACK) & (seg <= 1e-12)
+        if not inside.all():
+            t = curve.grid.fine_times[s][np.flatnonzero(~inside.all(axis=1))[-1]]
             raise SolverError(
                 f"quadratic coefficient left [{-C:.6g}, 0] at t={t:.6g}; refine the grid")
 

@@ -4,9 +4,9 @@ import pytest
 from hftmfg import presets
 from hftmfg.config import config_from_dict
 from hftmfg.errors import SolverError
-from hftmfg.grid import make_grid
+from hftmfg.grid import PiecewiseCurve, make_grid
 from hftmfg.meanfield import default_grid, solve_partial
-from hftmfg.riccati import (RiccatiSolution, compute_h0, feedback_control,
+from hftmfg.riccati import (RiccatiSolution, _check_box, compute_h0, feedback_control,
                             feedback_control_deviation_form, h2_box_bound,
                             integrate_h1_backward, recover_h1, solve_h2,
                             value_function)
@@ -85,6 +85,31 @@ def test_h2_box_abort_on_coarse_euler():
         solve_h2(cfg.aversion, cfg.market, grid, "euler")
 
 
+def test_h2_box_check_rejects_nan():
+    # NaN fails every comparison, so it has to count as leaving the box
+    cfg = presets.partial_two_type(grid=100)
+    grid = default_grid(cfg)
+    segs = [np.full((len(t), 2), -0.5) for t in grid.fine_times]
+    segs[3][4, 1] = np.nan
+    with pytest.raises(SolverError, match=f"t={grid.fine_times[3][4]:.6g};"):
+        _check_box(PiecewiseCurve(grid, tuple(segs)), cfg.aversion, cfg.market)
+
+
+def test_h2_box_abort_names_the_same_time_on_both_paths():
+    # the scalar two-state path and the array loop blow up to inf and NaN in
+    # different components; both must name the node where h2 first left the box
+    cfg = presets.partial_two_type(phi=(1000, 10), Gamma=(50, 2), grid=100,
+                                   market_overrides={"eta": 5e-4, "eta0": 5e-4})
+    grid = default_grid(cfg)
+    with pytest.raises(SolverError, match="t=0.995;"):
+        solve_h2(cfg.aversion, cfg.market, grid)
+    with np.errstate(all="ignore"):
+        ref = h2_stage_loop(cfg, grid, "rk4")
+    assert sum(np.isnan(seg).sum() for seg in ref) > 400
+    with pytest.raises(SolverError, match="t=0.995;"):
+        _check_box(PiecewiseCurve(grid, tuple(ref)), cfg.aversion, cfg.market)
+
+
 def test_h2_monotone_in_terminal_aversion():
     grid = make_grid(1.0, TRADES, 300)
     vals = []
@@ -143,8 +168,9 @@ def h2_stage_loop(cfg, grid, method):
 @pytest.mark.parametrize("method", ["rk4", "euler"])
 @pytest.mark.parametrize("make", [lambda: presets.partial_single_type(2.0, 10.0, grid=400),
                                   lambda: presets.partial_single_type(2.0, 0.0, grid=400),
-                                  lambda: presets.partial_two_type(grid=400)],
-                         ids=["single_type", "single_type_no_running", "two_type"])
+                                  lambda: presets.partial_two_type(grid=400),
+                                  lambda: random_three_state(np.random.default_rng(5), grid=400)],
+                         ids=["single_type", "single_type_no_running", "two_type", "three_state"])
 def test_h2_matches_stage_by_stage_loop(make, method):
     # (2, 10) settles on its fixed point within a few steps, so rounding changes
     # rarely reach its bits; (2, 0) keeps moving and shows them
@@ -155,6 +181,56 @@ def test_h2_matches_stage_by_stage_loop(make, method):
     assert len(h2.segments) == len(ref)
     for seg, r in zip(h2.segments, ref):
         assert np.array_equal(seg, r)
+
+
+def h2_float_loop(cfg, grid, method):
+    """Reference: two-state h2 on Python floats, each row of Q summed left to right."""
+    eta = cfg.market.eta
+    (p1, p2), ((q11, q12), (q21, q22)) = cfg.aversion.phi.tolist(), cfg.aversion.Q.tolist()
+
+    def g(y):
+        a, b = y
+        return (a * a / eta - p1 + (q11 * a + q12 * b), b * b / eta - p2 + (q21 * a + q22 * b))
+
+    def add(y, h, k):
+        return tuple(yi + h * ki for yi, ki in zip(y, k))
+
+    y = tuple(-float(v) for v in cfg.aversion.Gamma)
+    segs = []
+    for s in reversed(range(grid.n_segments)):
+        dt = grid.step_width(s) / 2.0
+        out = [y]
+        for _ in range(2 * grid.steps[s]):
+            if method == "euler":
+                y = add(y, dt, g(y))
+            else:
+                k1 = g(y)
+                k2 = g(add(y, 0.5 * dt, k1))
+                k3 = g(add(y, 0.5 * dt, k2))
+                k4 = g(add(y, dt, k3))
+                y = tuple(yi + dt * (a + 2.0 * b + 2.0 * c + d) / 6.0
+                          for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
+            out.append(y)
+        segs.append(np.array(out[::-1]))
+    return segs[::-1]
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+def test_h2_two_state_scalar_path(method):
+    # configs drawn from the solve benchmark's ranges; the scalar path rounds
+    # both products of Q y, where numpy's 2x2 product fuses one of them
+    rng = np.random.default_rng(23)
+    for _ in range(10):
+        cfg = presets.partial_two_type(
+            phi=tuple(rng.uniform(0.0, 10.0, 2)), Gamma=tuple(rng.uniform(0.0, 2.0, 2)),
+            x=rng.uniform(0.2, 0.8), y=rng.uniform(0.2, 0.8), grid=400)
+        grid = default_grid(cfg)
+        h2 = solve_h2(cfg.aversion, cfg.market, grid, method)
+        tol = 1e-14 * h2_box_bound(cfg.aversion, cfg.market)
+        for seg, exact, arr in zip(h2.segments, h2_float_loop(cfg, grid, method),
+                                   h2_stage_loop(cfg, grid, method)):
+            assert np.array_equal(seg, exact)
+            assert np.max(np.abs(seg - arr)) <= tol
 
 
 def test_h1_recovery_jumps_and_terminal(baseline_eq):
@@ -217,7 +293,6 @@ def test_h0_constant_source_quadrature():
     c = 0.7
     ones = [np.full((len(grid.fine_times[s]), 1), c) for s in range(grid.n_segments)]
     zeros = [np.zeros((len(grid.fine_times[s]), 1)) for s in range(grid.n_segments)]
-    from hftmfg.grid import PiecewiseCurve
     h1 = PiecewiseCurve(grid, tuple(ones))
     mu = PiecewiseCurve(grid, tuple(zeros))
     h0 = compute_h0(h1, h2, mu, cfg.aversion, cfg.market)
@@ -232,7 +307,6 @@ def test_h0_zero_when_everything_vanishes():
     cfg = single_type(0.0, 0.0)
     grid = make_grid(1.0, TRADES, 200)
     h2 = solve_h2(cfg.aversion, cfg.market, grid)
-    from hftmfg.grid import PiecewiseCurve
     zeros = tuple(np.zeros((len(grid.fine_times[s]), 1)) for s in range(grid.n_segments))
     h0 = compute_h0(PiecewiseCurve(grid, zeros), h2,
                     PiecewiseCurve(grid, zeros), cfg.aversion, cfg.market)
@@ -316,22 +390,28 @@ def test_value_function_matches_realized_payoff(Gamma, phi, x0):
     assert 0.0 <= r.gain < 1e-7
 
 
+def random_three_state(rng, grid=500):
+    """Three-state chain with random switch rates and penalties."""
+    off = rng.uniform(0.0, 2.0, size=(3, 3))
+    np.fill_diagonal(off, 0.0)
+    Q = off - np.diag(off.sum(axis=1))
+    raw = base_raw()
+    raw["aversion"] = {"Gamma": list(rng.uniform(0.0, 3.0, size=3)),
+                       "phi": list(rng.uniform(0.0, 12.0, size=3)),
+                       "Q": [list(r) for r in Q],
+                       "p0": [1 / 3, 1 / 3, 1 / 3]}
+    raw["population"]["E0"] = [0.0, 0.0, 0.0]
+    raw["solver"]["grid_steps_per_unit_time"] = grid
+    return config_from_dict(raw)
+
+
 def test_h2_box_invariant_random_generators():
     # three-state chains with random rates and penalties stay inside the
     # envelope [-max(Gamma, sqrt(eta*phi)), 0]
     rng = np.random.default_rng(31)
     grid = make_grid(1.0, TRADES, 400)
     for _ in range(10):
-        off = rng.uniform(0.0, 2.0, size=(3, 3))
-        np.fill_diagonal(off, 0.0)
-        Q = off - np.diag(off.sum(axis=1))
-        raw = base_raw()
-        raw["aversion"] = {"Gamma": list(rng.uniform(0.0, 3.0, size=3)),
-                           "phi": list(rng.uniform(0.0, 12.0, size=3)),
-                           "Q": [list(r) for r in Q],
-                           "p0": [1 / 3, 1 / 3, 1 / 3]}
-        raw["population"]["E0"] = [0.0, 0.0, 0.0]
-        cfg = config_from_dict(raw)
+        cfg = random_three_state(rng)
         h2 = solve_h2(cfg.aversion, cfg.market, grid)
         C = h2_box_bound(cfg.aversion, cfg.market)
         for seg in h2.segments:
