@@ -175,9 +175,9 @@ class MeanFieldEngine:
     N x N linear solve plus the curve reconstruction.
     """
 
-    def __init__(self, cfg: ModelConfig, grid: TimeGrid | None = None):
+    def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
-        self.grid = grid if grid is not None else default_grid(cfg)
+        self.grid = default_grid(cfg)
         method = cfg.solver.integrator
         self.chain = solve_chain(cfg.aversion, self.grid, method)
         self.h2 = solve_h2(cfg.aversion, cfg.market, self.grid, method)
@@ -276,16 +276,16 @@ class MeanFieldEngine:
             residuals=residuals, U=tuple(self._U_nodes), c_segments=c_segments)
 
 
-def solve_partial(cfg: ModelConfig, xi=None, grid: TimeGrid | None = None) -> MeanFieldSolution:
+def solve_partial(cfg: ModelConfig, xi=None) -> MeanFieldSolution:
     """Solve the crowd equilibrium for a fixed trade schedule."""
     if xi is None:
         xi = cfg.schedule.quantities
         if xi is None:
             xi = np.zeros(cfg.schedule.K)
-    return MeanFieldEngine(cfg, grid).solve(cfg.population.E0, xi)
+    return MeanFieldEngine(cfg).solve(cfg.population.E0, xi)
 
 
-def closed_form_n1(cfg: ModelConfig, xi=None, grid: TimeGrid | None = None) -> MeanFieldSolution:
+def closed_form_n1(cfg: ModelConfig, xi=None) -> MeanFieldSolution:
     """Exact single-state solution; the independent oracle for the numerical path.
 
     E(t) = A_k e^{th1 t} + B_k e^{th2 t} on each interval, with the roots of
@@ -296,7 +296,7 @@ def closed_form_n1(cfg: ModelConfig, xi=None, grid: TimeGrid | None = None) -> M
     if cfg.n_states != 1:
         raise ValueError("closed_form_n1 requires a single-state configuration")
     mkt = cfg.market
-    grid = grid if grid is not None else default_grid(cfg)
+    grid = default_grid(cfg)
     K = grid.n_segments - 1
     if xi is None:
         xi = cfg.schedule.quantities

@@ -70,13 +70,15 @@ def solve_h2(aversion: AversionSpec, market: MarketParams, grid: TimeGrid,
 
     # time runs backward here: g is d h2 / d(T - t), autonomous in c
     segs: list[np.ndarray | None] = [None] * grid.n_segments
-    for s in reversed(range(grid.n_segments)):
-        dt = grid.step_width(s) / 2.0
-        nodes = [cur]
-        for _ in range(2 * grid.steps[s]):
-            cur = rk_step(g, cur, dt, method)
-            nodes.append(cur)
-        segs[s] = np.array(nodes[::-1]).view(np.float64).reshape(len(nodes), -1)
+    # a blow-up must reach _check_box as inf/NaN and raise there, not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in reversed(range(grid.n_segments)):
+            dt = grid.step_width(s) / 2.0
+            nodes = [cur]
+            for _ in range(2 * grid.steps[s]):
+                cur = rk_step(g, cur, dt, method)
+                nodes.append(cur)
+            segs[s] = np.array(nodes[::-1]).view(np.float64).reshape(len(nodes), -1)
 
     curve = PiecewiseCurve(grid, tuple(segs))
     _check_box(curve, aversion, market)

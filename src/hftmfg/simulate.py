@@ -140,8 +140,7 @@ class PopulationTrajectory:
     agent0_initial_inventory: float
     M: int
     seed: int
-    rep: int
-    # populated only when simulate_population(record_paths=True): per segment
+    # populated only when record_paths=True: per segment
     # (m+1, M) inventories and states at level-0 nodes
     paths_X: tuple[np.ndarray, ...] | None = None
     paths_Y: tuple[np.ndarray, ...] | None = None
@@ -232,24 +231,36 @@ def _through_switches(D: np.ndarray, Y: np.ndarray, t0: float, t2: float,
 
 
 def simulate_population(cfg: ModelConfig, eq: MeanFieldSolution, M: int, seed: int,
-                        *, rep: int = 0, init_spread: float | None = None,
-                        record_paths: bool = False
+                        *, init_spread: float | None = None, record_paths: bool = False
                         ) -> tuple[PopulationTrajectory, ConvergenceMetrics]:
     """Simulate M agents under the feedback law and measure mean-field gaps."""
     if M < 1:
         raise SimulationError("need at least one agent")
+    spread = default_init_spread(cfg) if init_spread is None else float(init_spread)
+    traj = _run_agents(cfg, eq, *_draw_agents(cfg, M, seed, 0, spread),
+                       seed=seed, record_paths=record_paths)
+    return traj, _metrics(cfg, eq, traj)
+
+
+def _run_agents(cfg: ModelConfig, eq: MeanFieldSolution, X0: np.ndarray, Y0: np.ndarray,
+                ev_t: np.ndarray, ev_agent: np.ndarray, ev_state: np.ndarray,
+                *, seed: int, record_paths: bool) -> PopulationTrajectory:
+    """Step agents from (X0, Y0) through their time-sorted switch events.
+
+    Event e moves agent ev_agent[e] to state ev_state[e] at time ev_t[e].  The
+    agents do not interact: each plays its feedback law against the frozen
+    mean field, so an agent stepped alone takes exactly its path in a crowd.
+    """
     grid = eq.grid
     N = cfg.n_states
+    M = len(X0)
     method = cfg.solver.integrator
-    spread = default_init_spread(cfg) if init_spread is None else float(init_spread)
-    X0, Y, ev_t, ev_agent, ev_state = _draw_agents(cfg, M, seed, rep, spread)
+    Y = np.array(Y0, dtype=np.int64)
     a_segs, b_segs = _segment_coeffs(cfg, eq)
 
     D = X0 - eq.E_by_state.initial()[Y]
-    max_abs = np.abs(X0).copy()
+    max_abs = np.abs(X0)
     agent0_events = [(float(t), int(s)) for t, s, a in zip(ev_t, ev_state, ev_agent) if a == 0]
-    agent0_y0 = int(Y[0])
-    agent0_x0 = float(X0[0])
 
     records = []
     paths_X: list[np.ndarray] = []
@@ -332,12 +343,12 @@ def simulate_population(cfg: ModelConfig, eq: MeanFieldSolution, M: int, seed: i
         final=PopulationState(X_final, Y.copy(), grid.horizon),
         max_abs_X=max_abs,
         agent0_events=tuple(agent0_events),
-        agent0_initial_state=agent0_y0,
-        agent0_initial_inventory=agent0_x0,
-        M=M, seed=seed, rep=rep,
+        agent0_initial_state=int(Y0[0]),
+        agent0_initial_inventory=float(X0[0]),
+        M=M, seed=seed,
         paths_X=tuple(paths_X) if record_paths else None,
         paths_Y=tuple(paths_Y) if record_paths else None)
-    return traj, _metrics(cfg, eq, traj)
+    return traj
 
 
 def _metrics(cfg: ModelConfig, eq: MeanFieldSolution, traj: PopulationTrajectory) -> ConvergenceMetrics:
@@ -538,68 +549,45 @@ def deviation_gain(cfg: ModelConfig, eq: MeanFieldSolution, traj: PopulationTraj
     the grid-exact optimum.  Against it, j_mfg evaluates the same functional
     at the cell projection of her realized feedback play, so gain >= 0 up to
     solve rounding.  Martingale price-noise terms are omitted (mean zero).
+    Because the deviator's own switch path is frozen too, the best response
+    knows when the agent will switch, which the feedback law cannot: for a
+    switching crowd the gain carries that foresight, so it is not the epsilon
+    of epsilon-Nash and does not shrink with M.
     ``traj`` must come from ``simulate_population(cfg, eq, ...)``.
     """
     M = traj.M
     if M < 2:
         raise SimulationError("deviation test needs at least two agents")
     vbar_minus = [(M * rec.vbar - rec.v_agent0) / (M - 1) for rec in traj.segments]
-    quad = _deviator_quadratic(
-        cfg, eq, 1.0 / M, vbar_minus, traj.agent0_initial_inventory,
-        traj.agent0_initial_state, traj.agent0_events, control_cells_per_segment)
-    w_mfg = _cell_projected_controls([rec.X_agent0 for rec in traj.segments],
-                                     eq.grid, control_cells_per_segment)
-    w_best = quad.maximizer()
-    j_mfg = quad.value(w_mfg)
-    j_best = quad.value(w_best)
-    return DeviationResult(j_mfg, j_best, j_best - j_mfg, M, traj.seed)
-
-
-def _single_agent_inventory(cfg: ModelConfig, eq: MeanFieldSolution, x_init: float,
-                            y_init: int, events) -> list[np.ndarray]:
-    """Level-0 inventory path of one agent following the feedback law."""
-    grid = eq.grid
-    method = cfg.solver.integrator
-    a_segs, b_segs = _segment_coeffs(cfg, eq)
-    ev_t = np.array([t for t, _ in events], dtype=float)
-    ev_state = np.array([y for _, y in events], dtype=np.int64)
-    D = np.array([x_init - float(eq.E_by_state.initial()[y_init])])
-    Y = np.array([y_init], dtype=np.int64)
-    ptr = 0
-    out = []
-    for s in range(grid.n_segments):
-        ft = grid.fine_times[s]
-        mseg = grid.steps[s]
-        E_seg = eq.E_by_state.segments[s]
-        cols = _StateColumns.build(ft, a_segs[s], b_segs[s], E_seg)
-        xs = np.empty(mseg + 1)
-        xs[0] = E_seg[0, Y[0]] + D[0]
-        for i in range(mseg):
-            t2 = ft[2 * i + 2]
-            end = int(ev_t.searchsorted(t2, side="right"))
-            n = end - ptr
-            D, Y = _through_switches(D, Y, ft[2 * i], t2, np.zeros(n, dtype=np.int64),
-                                     np.arange(n), ev_t[ptr:end], ev_state[ptr:end],
-                                     cols, method)
-            ptr = end
-            xs[i + 1] = E_seg[2 * i + 2, Y[0]] + D[0]
-        out.append(xs)
-    return out
+    return _deviation_result(cfg, eq, 1.0 / M, vbar_minus, traj,
+                             control_cells_per_segment, M, traj.seed)
 
 
 def deviation_gain_vs_mean_field(cfg: ModelConfig, eq: MeanFieldSolution, x_init: float,
                                  *, y_init: int = 0, events=(),
                                  control_cells_per_segment: int = 20) -> DeviationResult:
     """Limiting deviation test with the rest of the crowd replaced by the mean field."""
+    events = list(events)
+    traj = _run_agents(cfg, eq, np.array([float(x_init)]), np.array([y_init]),
+                       np.array([t for t, _ in events], dtype=float),
+                       np.zeros(len(events), dtype=np.int64),
+                       np.array([y for _, y in events], dtype=np.int64),
+                       seed=0, record_paths=False)
     vbar = [eq.mu_agg.node_values(s)[:, 0] for s in range(eq.grid.n_segments)]
-    quad = _deviator_quadratic(cfg, eq, 0.0, vbar, x_init, y_init, list(events),
-                               control_cells_per_segment)
-    xs = _single_agent_inventory(cfg, eq, x_init, y_init, list(events))
-    w_mfg = _cell_projected_controls(xs, eq.grid, control_cells_per_segment)
+    return _deviation_result(cfg, eq, 0.0, vbar, traj, control_cells_per_segment, 0, 0)
+
+
+def _deviation_result(cfg: ModelConfig, eq: MeanFieldSolution, delta: float,
+                      vbar: list[np.ndarray], traj: PopulationTrajectory, cells: int,
+                      M: int, seed: int) -> DeviationResult:
+    """Agent 0's realized play against the best response to the others' speed vbar."""
+    quad = _deviator_quadratic(cfg, eq, delta, vbar, traj.agent0_initial_inventory,
+                               traj.agent0_initial_state, traj.agent0_events, cells)
+    w_mfg = _cell_projected_controls([rec.X_agent0 for rec in traj.segments], eq.grid, cells)
     w_best = quad.maximizer()
     j_mfg = quad.value(w_mfg)
     j_best = quad.value(w_best)
-    return DeviationResult(j_mfg, j_best, j_best - j_mfg, 0, 0)
+    return DeviationResult(j_mfg, j_best, j_best - j_mfg, M, seed)
 
 
 # ---------------------------------------------------------------------------

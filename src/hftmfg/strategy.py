@@ -136,11 +136,11 @@ class OverallEquilibrium:
     fixed_point_residual: float
 
 
-def solve_overall(cfg: ModelConfig, grid=None) -> OverallEquilibrium:
+def solve_overall(cfg: ModelConfig) -> OverallEquilibrium:
     """Joint equilibrium: the schedule that is the best response to the mean field it induces."""
     if cfg.mode != "overall":
         raise ValueError("solve_overall requires an overall-mode configuration")
-    engine = MeanFieldEngine(cfg, grid)
+    engine = MeanFieldEngine(cfg)
     N = cfg.n_states
     K = cfg.schedule.K
     xi0 = float(cfg.schedule.xi0)

@@ -348,8 +348,7 @@ CHECKS = [
 ]
 
 
-def run_validation(out_path=None, config_path=None, grid: int = 10000,
-                   printer=print) -> dict:
+def run_validation(out_path=None, config_path=None, grid: int = 10000) -> dict:
     results = []
     if config_path is not None:
         try:
@@ -372,7 +371,7 @@ def run_validation(out_path=None, config_path=None, grid: int = 10000,
     report = {"passed": all(r["passed"] for r in results), "grid": grid,
               "integrator": "rk4", "checks": results}
     for r in results:
-        printer(f"{'PASS' if r['passed'] else 'FAIL'} {r['name']}: {r['detail']}")
+        print(f"{'PASS' if r['passed'] else 'FAIL'} {r['name']}: {r['detail']}")
     if out_path is not None:
         _atomic_write(out_path, [json.dumps(report, indent=2)])
     return report

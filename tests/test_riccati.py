@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,23 @@ def test_h2_box_abort_names_the_same_time_on_both_paths():
     assert sum(np.isnan(seg).sum() for seg in ref) > 400
     with pytest.raises(SolverError, match="t=0.995;"):
         _check_box(PiecewiseCurve(grid, tuple(ref)), cfg.aversion, cfg.market)
+
+
+def test_h2_array_path_blow_up_raises_without_warning():
+    # the N >= 3 array path overflows to inf and NaN; that must surface as the
+    # SolverError the CLI maps to exit 1, also when warnings are errors
+    raw = base_raw()
+    raw["market"]["eta"] = raw["market"]["eta0"] = 5e-4
+    raw["aversion"] = {"Gamma": [50.0, 2.0, 2.0], "phi": [1000.0, 10.0, 10.0],
+                       "Q": [[-1.0, 0.5, 0.5], [0.5, -1.0, 0.5], [0.5, 0.5, -1.0]],
+                       "p0": [1 / 3, 1 / 3, 1 / 3]}
+    raw["population"]["E0"] = [0.0, 0.0, 0.0]
+    raw["solver"]["grid_steps_per_unit_time"] = 100
+    cfg = config_from_dict(raw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="t=0.995;"):
+            solve_h2(cfg.aversion, cfg.market, default_grid(cfg))
 
 
 def test_h2_monotone_in_terminal_aversion():

@@ -9,8 +9,9 @@ from hftmfg.meanfield import solve_partial
 from hftmfg.simulate import (default_init_spread, deviation_gain,
                              deviation_gain_vs_mean_field, inventory_growth_bound,
                              lt_deviation_gain, sample_price_paths,
-                             simulate_population, _draw_agents, _new_stream, _rekey,
-                             _segment_coeffs, _single_agent_inventory)
+                             simulate_population, _deviator_quadratic, _draw_agents,
+                             _cell_projected_controls, _new_stream, _rekey, _run_agents,
+                             _segment_coeffs, _StateColumns, _through_switches)
 from hftmfg.strategy import lt_profit, solve_overall
 
 
@@ -152,6 +153,39 @@ def _scalar_inventory(cfg, eq, x_init, y_init, events):
     return out
 
 
+def _switch_stepped_inventory(cfg, eq, x_init, y_init, events):
+    """One agent carried through `_through_switches` on every level-0 step."""
+    method = cfg.solver.integrator
+    a_segs, b_segs = _segment_coeffs(cfg, eq)
+    ev_t = np.array([t for t, _ in events], dtype=float)
+    ev_state = np.array([y for _, y in events], dtype=np.int64)
+    D = np.array([x_init - float(eq.E_by_state.initial()[y_init])])
+    Y = np.array([y_init], dtype=np.int64)
+    ptr, out = 0, []
+    for s in range(eq.grid.n_segments):
+        ft, E = eq.grid.fine_times[s], eq.E_by_state.segments[s]
+        cols = _StateColumns.build(ft, a_segs[s], b_segs[s], E)
+        xs = [E[0, Y[0]] + D[0]]
+        for i in range(eq.grid.steps[s]):
+            t2 = ft[2 * i + 2]
+            end = int(ev_t.searchsorted(t2, side="right"))
+            n = end - ptr
+            D, Y = _through_switches(D, Y, ft[2 * i], t2, np.zeros(n, dtype=np.int64),
+                                     np.arange(n), ev_t[ptr:end], ev_state[ptr:end],
+                                     cols, method)
+            ptr = end
+            xs.append(E[2 * i + 2, Y[0]] + D[0])
+        out.append(np.array(xs))
+    return out
+
+
+def _lone_agent(cfg, eq, x_init, y_init, ev_t, ev_state, record_paths=False):
+    """One agent stepped on its own through the population's stepper."""
+    return _run_agents(cfg, eq, np.array([float(x_init)]), np.array([y_init]),
+                       np.asarray(ev_t, dtype=float), np.zeros(len(ev_t), dtype=np.int64),
+                       np.asarray(ev_state, dtype=np.int64), seed=0, record_paths=record_paths)
+
+
 def test_multi_switch_steps_match_single_agent_integration():
     # switch rates of 10 on a 0.01 level-0 step: some agents switch two or
     # more times inside one step, where the population batches the events
@@ -172,11 +206,16 @@ def test_multi_switch_steps_match_single_agent_integration():
     for j in range(M):
         mine = ev_agent == j
         events = list(zip(ev_t[mine].tolist(), ev_state[mine].tolist()))
-        xs = _single_agent_inventory(cfg, eq, float(X0[j]), int(Y0[j]), events)
+        xs = _switch_stepped_inventory(cfg, eq, float(X0[j]), int(Y0[j]), events)
         ref = _scalar_inventory(cfg, eq, float(X0[j]), int(Y0[j]), events)
+        # agents do not interact: alone, agent j takes its population path exactly
+        alone = _lone_agent(cfg, eq, X0[j], Y0[j], ev_t[mine], ev_state[mine],
+                            record_paths=True)
         for s, x in enumerate(xs):
             assert np.array_equal(x, ref[s])
             assert np.max(np.abs(traj.paths_X[s][:, j] - x)) <= 1e-12
+            assert np.array_equal(alone.paths_X[s][:, 0], traj.paths_X[s][:, j])
+            assert np.max(np.abs(alone.paths_X[s][:, 0] - ref[s])) <= 1e-12
 
 
 def test_deviation_gain_nonnegative_and_shrinks(stiff_eq):
@@ -199,15 +238,27 @@ def test_deviation_vs_mean_field_is_tiny(stiff_eq):
     assert 0.0 <= r.gain < 5e-4 * max(abs(r.j_mfg), 1.0)
 
 
+@pytest.mark.parametrize("x_init", [0.3, -0.8])
+def test_deviation_vs_mean_field_with_switch_events(x_init):
+    # the deviator's events reach both its stepped play and its quadratic
+    cfg = presets.partial_two_type(grid=1000)
+    eq = solve_partial(cfg)
+    events = [(0.123, 1), (0.55, 0), (0.9001, 1)]
+    r = deviation_gain_vs_mean_field(cfg, eq, x_init=x_init, events=events)
+    vbar = [eq.mu_agg.node_values(s)[:, 0] for s in range(eq.grid.n_segments)]
+    quad = _deviator_quadratic(cfg, eq, 0.0, vbar, x_init, 0, events, 20)
+    ref = quad.value(_cell_projected_controls(_scalar_inventory(cfg, eq, x_init, 0, events),
+                                              eq.grid, 20))
+    assert abs(r.j_mfg - ref) <= 1e-12 * abs(ref)
+
+
 def test_deviation_perturbation_second_order(baseline_eq):
     # bumping one control cell by +1 against the mean field lowers the payoff
     # by eta * cell_width at leading order
     cfg, eq = baseline_eq
-    from hftmfg.simulate import (_cell_projected_controls, _deviator_quadratic,
-                                 _single_agent_inventory)
     vbar = [eq.mu_agg.node_values(s)[:, 0] for s in range(eq.grid.n_segments)]
     quad = _deviator_quadratic(cfg, eq, 0.0, vbar, 0.0, 0, [], 20)
-    xs = _single_agent_inventory(cfg, eq, 0.0, 0, [])
+    xs = [rec.X_agent0 for rec in _lone_agent(cfg, eq, 0.0, 0, [], []).segments]
     w = _cell_projected_controls(xs, eq.grid, 20)
     base = quad.value(w)
     c = len(w) // 2
