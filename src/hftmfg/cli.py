@@ -42,15 +42,25 @@ def simulate_population(*args, **kwargs):
     return _simulate.simulate_population(*args, **kwargs)
 
 
-def _add_common(p: argparse.ArgumentParser, config_required: bool = True) -> None:
-    p.add_argument("--config", required=config_required, help="model configuration JSON")
+def _add_flags(p: argparse.ArgumentParser, *, config: bool | None, solver: bool,
+               seed: bool = False, workers: bool = False) -> None:
+    """Register ``--out``, ``-v`` and the shared flags that the command reads.
+
+    ``config`` is True for a required ``--config``, False for an optional one
+    and None for none; ``solver`` adds ``--grid`` and ``--integrator``.
+    """
+    if config is not None:
+        p.add_argument("--config", required=config, help="model configuration JSON")
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--seed", type=int, default=0, help="base random seed")
-    p.add_argument("--grid", type=int, default=None,
-                   help="override solver.grid_steps_per_unit_time")
-    p.add_argument("--integrator", choices=("euler", "rk4"), default=None,
-                   help="override solver.integrator")
-    p.add_argument("--workers", type=int, default=1, help="task-parallel worker threads")
+    if seed:
+        p.add_argument("--seed", type=int, default=0, help="base random seed")
+    if solver:
+        p.add_argument("--grid", type=int, default=None,
+                       help="override solver.grid_steps_per_unit_time")
+        p.add_argument("--integrator", choices=("euler", "rk4"), default=None,
+                       help="override solver.integrator")
+    if workers:
+        p.add_argument("--workers", type=int, default=1, help="task-parallel worker threads")
     p.add_argument("-v", "--verbose", action="store_true",
                    help="log solver diagnostics such as condition numbers to stderr")
 
@@ -231,11 +241,12 @@ def cmd_figures(args) -> int:
         print(f"unknown figure id(s): {unknown}; known: {sorted(specs)}", file=sys.stderr)
         return 2
     panels = [p for fid in ids for p in specs[fid].panels]
+    cache = {}       # chains and h2 shared by this invocation's panels
 
     def run(panel):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ResidualWarning)
-            return render_panel(panel, args.out)
+            return render_panel(panel, args.out, cache)
 
     if args.workers > 1:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
@@ -270,15 +281,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve-partial", help="crowd equilibrium for a fixed schedule")
-    _add_common(p)
+    _add_flags(p, config=True, solver=True)
     p.set_defaults(fn=cmd_solve_partial)
 
     p = sub.add_parser("solve-overall", help="joint trader/crowd equilibrium")
-    _add_common(p)
+    _add_flags(p, config=True, solver=True)
     p.set_defaults(fn=cmd_solve_overall)
 
     p = sub.add_parser("simulate", help="finite-population convergence and deviation tests")
-    _add_common(p)
+    _add_flags(p, config=True, solver=True, seed=True, workers=True)
     p.add_argument("--M", type=int, nargs="+", required=True, help="population sizes")
     p.add_argument("--seeds", type=int, default=1, help="number of seeds (from --seed)")
     p.add_argument("--skip-deviation", action="store_true")
@@ -286,12 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("figures", help="reproduce built-in figure sweeps")
-    _add_common(p, config_required=False)
+    _add_flags(p, config=None, solver=False, workers=True)
     p.add_argument("--ids", nargs="+", required=True, help="figure ids (F1..F12)")
     p.set_defaults(fn=cmd_figures)
 
     p = sub.add_parser("validate", help="run the invariant suite")
-    _add_common(p, config_required=False)
+    _add_flags(p, config=False, solver=True)
     p.set_defaults(fn=cmd_validate)
     return parser
 
@@ -300,7 +311,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.workers < 1:
+        if getattr(args, "workers", 1) < 1:
             parser.error(f"--workers must be at least 1, got {args.workers}")
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0

@@ -31,6 +31,7 @@ from .reporting import (plot_columns_from_csv, write_csv, write_equilibrium_csv)
 from .strategy import lt_profit, solve_overall
 
 XY_GRID = ((0.0, 0.0), (0.2, 0.8), (0.5, 0.5), (0.8, 0.2))
+SCAN_GAMMA, SCAN_PHI = 2.0, 10.0     # the crowd of the lambdaH scans
 
 
 @dataclass(frozen=True)
@@ -118,41 +119,46 @@ def figure_specs(grid: int = 2000) -> dict[str, FigureSpec]:
     return specs
 
 
-def profit_difference_scan(mode: str, lam_values, Gamma: float = 2.0, phi: float = 10.0,
-                           grid: int = 1000):
-    """Profit with/without the crowd across temporary-impact values."""
+def profit_difference_scan(mode: str, lam_values, grid: int = 1000, cache: dict | None = None):
+    """Profit with/without the crowd across temporary-impact values.
+
+    The crowd (Gamma = 2, phi = 10) is the same at every lambdaH, so the scan
+    integrates its chain and h2 once, through ``cache`` or a dict of its own.
+    """
+    cache = {} if cache is None else cache
     rows = []
     for lam_h in lam_values:
         if mode == "partial":
-            cfg = presets.partial_single_type(Gamma, phi, grid=grid,
+            cfg = presets.partial_single_type(SCAN_GAMMA, SCAN_PHI, grid=grid,
                                               market_overrides={"lambdaH": float(lam_h)})
-            sol = solve_partial(cfg)
+            sol = solve_partial(cfg, cache=cache)
             rep = lt_profit(cfg, cfg.schedule.quantities, sol)
         else:
-            cfg = presets.overall_single_type(Gamma, phi, grid=grid,
+            cfg = presets.overall_single_type(SCAN_GAMMA, SCAN_PHI, grid=grid,
                                               market_overrides={"lambdaH": float(lam_h)})
-            eq = solve_overall(cfg)
+            eq = solve_overall(cfg, cache)
             rep = lt_profit(cfg, eq.xi_star, eq.mean_field)
         rows.append([float(lam_h), rep.profit_no_hft, rep.profit_with_hft, rep.difference])
     return rows
 
 
-def render_panel(panel: PanelSpec, out_dir: str) -> list[str]:
+def render_panel(panel: PanelSpec, out_dir: str, cache: dict | None = None) -> list[str]:
+    """Write the panel's CSV and SVG; ``cache`` is passed to every solve."""
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"{panel.name}.csv")
     svg_path = os.path.join(out_dir, f"{panel.name}.svg")
     if panel.kind == "partial_E":
-        sol = solve_partial(panel.cfg)
+        sol = solve_partial(panel.cfg, cache=cache)
         write_equilibrium_csv(csv_path, sol, panel.cfg)
         plot_columns_from_csv(csv_path, svg_path, "time", ["E_agg"],
                               title=f"{panel.name} {panel.label}")
     elif panel.kind == "overall_E":
-        eq = solve_overall(panel.cfg)
+        eq = solve_overall(panel.cfg, cache)
         write_equilibrium_csv(csv_path, eq.mean_field, panel.cfg)
         plot_columns_from_csv(csv_path, svg_path, "time", ["E_agg"],
                               title=f"{panel.name} {panel.label}")
     elif panel.kind == "overall_xi":
-        eq = solve_overall(panel.cfg)
+        eq = solve_overall(panel.cfg, cache)
         times = panel.cfg.schedule.times
         rows = [[k + 1, float(times[k]), float(eq.xi_star[k])] for k in range(len(times))]
         write_csv(csv_path, ["k", "t_k", "xi_star_k"], rows, panel.cfg)
@@ -160,7 +166,7 @@ def render_panel(panel: PanelSpec, out_dir: str) -> list[str]:
                               title=f"{panel.name} {panel.label}", kind="bar")
     elif panel.kind == "scan_lamH":
         mode, lam_values = panel.scan
-        rows = profit_difference_scan(mode, lam_values)
+        rows = profit_difference_scan(mode, lam_values, cache=cache)
         write_csv(csv_path, ["lambdaH", "profit_no_hft", "profit_with_hft", "difference"],
                   rows, None, scan=mode)
         plot_columns_from_csv(csv_path, svg_path, "lambdaH", ["difference"],

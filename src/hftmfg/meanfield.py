@@ -167,20 +167,48 @@ class MeanFieldSolution:
         return trade_values([seg[:, 0] for seg in self.E_agg.segments])
 
 
+def _bits(*arrays) -> tuple[bytes, ...]:
+    return tuple(np.asarray(a, dtype=float).tobytes() for a in arrays)
+
+
+def _reuse(cache: dict | None, key: tuple, build):
+    """``build()``, or the value ``cache`` already holds under ``key``.
+
+    Threads that miss on one key together each build; the builds are
+    bit-identical, and every caller gets the value stored first.
+    """
+    if cache is None:
+        return build()
+    value = cache.get(key)
+    if value is None:
+        value = cache.setdefault(key, build())
+    return value
+
+
 class MeanFieldEngine:
     """Shared machinery for all solves on one configuration and grid.
 
     The chain, the quadratic coefficient and the fundamental matrix do not
     depend on (E0, xi), so basis solves reuse them; ``solve`` then costs one
     N x N linear solve plus the curve reconstruction.
+
+    The chain depends only on (Q, p0) and the grid, h2 only on (Gamma, phi,
+    Q, eta) and the grid.  Engines built with one ``cache`` dict, which a
+    caller creates for one request, integrate each distinct chain and h2
+    once and share the results.
     """
 
-    def __init__(self, cfg: ModelConfig):
+    def __init__(self, cfg: ModelConfig, cache: dict | None = None):
         self.cfg = cfg
         self.grid = default_grid(cfg)
         method = cfg.solver.integrator
-        self.chain = solve_chain(cfg.aversion, self.grid, method)
-        self.h2 = solve_h2(cfg.aversion, cfg.market, self.grid, method)
+        av = cfg.aversion
+        on_grid = (cfg.schedule.T, _bits(cfg.schedule.times),
+                   cfg.solver.grid_steps_per_unit_time, method)
+        self.chain = _reuse(cache, ("chain", _bits(av.Q, av.p0)) + on_grid,
+                            lambda: solve_chain(av, self.grid, method))
+        self.h2 = _reuse(cache, ("h2", _bits(av.Gamma, av.phi, av.Q), cfg.market.eta) + on_grid,
+                         lambda: solve_h2(av, cfg.market, self.grid, method))
         N = cfg.n_states
         self._N = N
         self._U_nodes, self._U_mid = [], []
@@ -276,13 +304,13 @@ class MeanFieldEngine:
             residuals=residuals, U=tuple(self._U_nodes), c_segments=c_segments)
 
 
-def solve_partial(cfg: ModelConfig, xi=None) -> MeanFieldSolution:
-    """Solve the crowd equilibrium for a fixed trade schedule."""
+def solve_partial(cfg: ModelConfig, xi=None, cache: dict | None = None) -> MeanFieldSolution:
+    """Crowd equilibrium for a fixed trade schedule; ``cache`` as in ``MeanFieldEngine``."""
     if xi is None:
         xi = cfg.schedule.quantities
         if xi is None:
             xi = np.zeros(cfg.schedule.K)
-    return MeanFieldEngine(cfg).solve(cfg.population.E0, xi)
+    return MeanFieldEngine(cfg, cache).solve(cfg.population.E0, xi)
 
 
 def closed_form_n1(cfg: ModelConfig, xi=None) -> MeanFieldSolution:

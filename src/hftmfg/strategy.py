@@ -136,11 +136,14 @@ class OverallEquilibrium:
     fixed_point_residual: float
 
 
-def solve_overall(cfg: ModelConfig) -> OverallEquilibrium:
-    """Joint equilibrium: the schedule that is the best response to the mean field it induces."""
+def solve_overall(cfg: ModelConfig, cache: dict | None = None) -> OverallEquilibrium:
+    """Joint equilibrium: the schedule that is the best response to the mean field it induces.
+
+    ``cache`` as in ``MeanFieldEngine``.
+    """
     if cfg.mode != "overall":
         raise ValueError("solve_overall requires an overall-mode configuration")
-    engine = MeanFieldEngine(cfg)
+    engine = MeanFieldEngine(cfg, cache)
     N = cfg.n_states
     K = cfg.schedule.K
     xi0 = float(cfg.schedule.xi0)

@@ -8,6 +8,7 @@ import pytest
 
 import hftmfg
 import hftmfg.cli as cli
+import hftmfg.meanfield as meanfield
 from hftmfg.cli import main
 from hftmfg.config import load_config
 from hftmfg.reporting import read_csv, write_csv
@@ -215,6 +216,61 @@ def test_figures_empty_and_unknown(tmp_path):
     assert run(["figures", "--out", out]) == 2
     assert not os.path.exists(out) or os.listdir(out) == []
     assert run(["figures", "--ids", "F99", "--out", out]) == 2
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("solve-partial", "--seed", "9"), ("solve-partial", "--workers", "2"),
+    ("solve-overall", "--seed", "9"), ("solve-overall", "--workers", "2"),
+    ("figures", "--config", "cfg.json"), ("figures", "--seed", "9"),
+    ("figures", "--grid", "500"), ("figures", "--integrator", "euler"),
+    ("validate", "--seed", "9"), ("validate", "--workers", "2"),
+])
+def test_flags_a_command_does_not_read_are_usage_errors(config_file, command, flag, value,
+                                                        tmp_path):
+    needed = {"solve-partial": ["--config", config_file(base_raw())],
+              "solve-overall": ["--config", config_file(base_raw("overall"))],
+              "figures": ["--ids", "F1"], "validate": []}
+    out = tmp_path / "o"
+    assert run([command, *needed[command], "--out", str(out), flag, value]) == 2
+    assert not out.exists()
+
+
+def test_figures_integrate_each_chain_and_h2_once_per_request(tmp_path, monkeypatch):
+    calls = {"solve_h2": 0, "solve_chain": 0}
+
+    def counting(name):
+        fn = getattr(meanfield, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(meanfield, name, counting(name))
+    # F5 and F11 give the crowds of four switch-rate pairs a fixed and the joint schedule;
+    # a second request integrates them again, so nothing is kept across requests
+    for n in (1, 2):
+        assert run(["figures", "--ids", "F5", "F11", "--out", str(tmp_path / f"f{n}")]) == 0
+        assert calls == {"solve_h2": 4 * n, "solve_chain": 4 * n}
+
+
+def test_figures_byte_identical_across_worker_counts(tmp_path):
+    # the panels of F5, F11 and F12 share chains and h2, which worker threads may
+    # build at the same time; a short switch interval makes such races likely
+    blobs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 4):
+            out = tmp_path / f"w{workers}"
+            assert run(["figures", "--ids", "F5", "F11", "F12", "--out", str(out),
+                        "--workers", str(workers)]) == 0
+            blobs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(blobs[0]) == 24
+    assert blobs[0] == blobs[1]
 
 
 def test_python_m_runs_the_cli(tmp_path):

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -251,3 +252,36 @@ def test_curve_eval_rejects_times_outside_horizon(baseline_eq):
         tk = eq.grid.bounds[k]
         assert np.array_equal(curve.eval(tk, side="left"), curve.left_at(k))
         assert np.array_equal(curve.eval(tk), curve.right_at(k))
+
+
+def _two_type(p0=None, **changes):
+    cfg = presets.partial_two_type(**{"grid": 400, **changes}).with_solver(
+        shooting_tolerance=1e-3)
+    return cfg if p0 is None else replace(cfg, aversion=replace(cfg.aversion, p0=np.array(p0)))
+
+
+@pytest.mark.parametrize("changes,same_h2,same_chain", [
+    ({}, True, True),
+    ({"market_overrides": {"lambdaH": 0.3}}, True, True),
+    ({"market_overrides": {"eta": 0.08}}, False, True),
+    ({"Gamma": (0.5, 2.0)}, False, True),
+    ({"phi": (1.0, 10.0)}, False, True),
+    ({"p0": (0.3, 0.7)}, True, False),
+    ({"x": 0.2, "y": 0.8}, False, False),
+    ({"grid": 500}, False, False),
+    ({"integrator": "euler"}, False, False),
+], ids=["same", "lambdaH", "eta", "Gamma", "phi", "p0", "xy", "grid", "integrator"])
+def test_engine_cache_shares_chain_and_h2_by_key(changes, same_h2, same_chain):
+    cache = {}
+    first = MeanFieldEngine(_two_type(), cache)
+    cfg = _two_type(**changes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResidualWarning)
+        engine = MeanFieldEngine(cfg, cache)
+        assert (engine.h2 is first.h2) == same_h2
+        assert (engine.chain is first.chain) == same_chain
+        cached, fresh = (e.solve(cfg.population.E0, cfg.schedule.quantities)
+                         for e in (engine, MeanFieldEngine(cfg)))
+    for name in ("E_agg", "mu_agg", "h2"):
+        a, b = getattr(cached, name).segments, getattr(fresh, name).segments
+        assert len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b)), name
