@@ -7,11 +7,11 @@ from .config import (AversionSpec, LTSchedule, MarketParams, ModelConfig,
                      serialize_config, validate_schedule_feasibility)
 from .errors import ConfigError, ResidualWarning, SimulationError, SolverError
 from .grid import PiecewiseCurve, TimeGrid, make_grid
-from .chain import ChainSolution, build_pQ, solve_chain
+from .chain import ChainSolution, solve_chain
 from .riccati import (RiccatiSolution, compute_h0, feedback_control,
                       integrate_h1_backward, recover_h1, solve_h2, value_function)
-from .meanfield import (MeanFieldEngine, MeanFieldSolution, assemble_A,
-                        closed_form_n1, jump_conditions_report, solve_partial)
+from .meanfield import (MeanFieldEngine, MeanFieldSolution, closed_form_n1,
+                        jump_conditions_report, solve_partial)
 from .strategy import (OverallEquilibrium, ProfitReport, concavity_check,
                        lt_best_response, lt_profit, solve_overall)
 from .simulate import (ConvergenceMetrics, DeviationResult, LTPathOutcome,

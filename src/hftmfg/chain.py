@@ -78,10 +78,3 @@ def pq_batch(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     out[:, idx, idx] -= raw.sum(axis=2)
     return out
 
-
-def build_pQ(chain: ChainSolution, aversion: AversionSpec, t: float, side: str = "right") -> np.ndarray:
-    """Evaluate p_Q(t) lazily from the stored probabilities."""
-    p = chain.p.eval(t, side=side)
-    if np.any(p <= POSITIVITY_FLOOR):
-        raise SolverError(f"state probability not strictly positive at t={t:.6g}")
-    return pq_matrix(p, np.asarray(aversion.Q, dtype=float))

@@ -7,7 +7,7 @@ stay 0), 1 validation or solver failure, 2 usage error.
 Configuration values can be overridden per run through environment variables
 prefixed with ``HFTMFG_`` (path segments joined by double underscores, e.g.
 ``HFTMFG_MARKET__GAMMA=2``), and through ``--grid`` / ``--integrator``.
-``-v/--verbose`` sends the solver's INFO log (terminal- and trade-system
+``-v/--verbose`` sends the solver's INFO log (boundary- and trade-system
 condition numbers) to stderr; it never writes into ``--out``.
 """
 
@@ -120,7 +120,7 @@ def cmd_solve_partial(args) -> int:
               ["k", "t_k", "expected_jump", "residual_aggregate", "residual_state_max"],
               rows, cfg,
               terminal=repr(sol.residuals.terminal), initial=repr(sol.residuals.initial),
-              condition_number=repr(sol.residuals.terminal_condition_number))
+              condition_number=repr(sol.residuals.condition_number))
     plot_columns_from_csv(eq_csv, os.path.join(args.out, "equilibrium_E.svg"),
                           "time", ["E_agg"], title="crowd mean inventory")
     plot_columns_from_csv(eq_csv, os.path.join(args.out, "equilibrium_mu.svg"),
@@ -313,6 +313,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "workers", 1) < 1:
             parser.error(f"--workers must be at least 1, got {args.workers}")
+        if args.command == "simulate":
+            if args.seeds < 1:
+                parser.error(f"--seeds must be at least 1, got {args.seeds}")
+            if len(set(args.M)) < len(args.M):
+                parser.error(f"--M values must be distinct, got {args.M}")
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -15,19 +15,21 @@ is B mu(T) + 2 diag(Gamma) E(T) = 0, and E(0) = E0.
 
 The solver builds the fundamental matrices of dU = A U dt on each segment
 from the integrator's step maps, composed by a prefix scan (see ``affine``),
-and determines the unknown initial speeds from the terminal condition in a
-single linear solve: the problem is linear, so the shooting needs no
-iteration.  Residuals are still reported because finite grids leave
-discretization error.
+each re-anchored to the identity at its segment start, so the propagator V_s
+spans one inter-trade interval only.  The unknowns are the states
+z_s = [mu; E] at the segment starts (multiple shooting anchored at the trade
+times).  With E(z_0) = E0 substituted, the speed jumps z_{s+1} - V_s z_s =
+-jump_s [1; 0] and the terminal coupling form one square block-bidiagonal
+linear system: the problem is linear, so the shooting needs no iteration.
+Residuals are still reported because finite grids leave discretization
+error.
 
-One numerical refinement over the textbook bookkeeping: the fundamental
-matrix is re-anchored to the identity at every trade time and the speed jumps
-are applied directly to the propagated state, instead of carrying
-U(t_k)^{-1}-scaled increments in a global coefficient vector.  The two are
-identical in exact arithmetic, but when the system has fast growing modes
-(cond U(T) can exceed 1e12 on two-state presets) the global form loses six or
-more digits to cancellation, while re-anchored propagators only span one
-inter-trade interval and keep every intermediate at solution scale.
+The block system's conditioning grows roughly with the largest single-segment
+propagator, not with their product as in single shooting, which condenses
+every segment into one N x N terminal system.  On two-state presets that
+product exceeds 1e12 by T = 3, and single-state crowds lose every digit
+by T = 10.  Its condition number is checked against ``COND_ABORT`` when the
+engine is built.
 """
 
 from __future__ import annotations
@@ -95,21 +97,13 @@ def assemble_A_batch(P: np.ndarray, H2: np.ndarray, aversion: AversionSpec,
     return A
 
 
-def assemble_A(t: float, chain: ChainSolution, h2: PiecewiseCurve,
-               aversion: AversionSpec, market: MarketParams, side: str = "right") -> np.ndarray:
-    """System matrix at a single time."""
-    p = chain.p.eval(t, side=side)
-    h = h2.eval(t, side=side)
-    return assemble_A_batch(p[None, :], h[None, :], aversion, market)[0]
-
-
 @dataclass(frozen=True)
 class ResidualReport:
     terminal: float                 # ||B mu(T) + 2 Gamma E(T)||_2
     initial: float                  # max |E(0) - E0|
     jump_aggregate: np.ndarray      # (K,) aggregate-speed jump residuals
     jump_by_state: np.ndarray       # (K, N) per-state jump residuals
-    terminal_condition_number: float
+    condition_number: float         # of the linear system the solver solved
 
     @property
     def worst_jump(self) -> float:
@@ -133,7 +127,7 @@ def _residual_report(B_T: np.ndarray, Gamma, jumps: np.ndarray, E0: np.ndarray,
         initial=float(np.max(np.abs(E_by_state.initial() - E0), initial=0.0)),
         jump_aggregate=jump_agg,
         jump_by_state=jump_state,
-        terminal_condition_number=condition_number,
+        condition_number=condition_number,
     )
 
 
@@ -188,9 +182,10 @@ def _reuse(cache: dict | None, key: tuple, build):
 class MeanFieldEngine:
     """Shared machinery for all solves on one configuration and grid.
 
-    The chain, the quadratic coefficient and the fundamental matrix do not
-    depend on (E0, xi), so basis solves reuse them; ``solve`` then costs one
-    N x N linear solve plus the curve reconstruction.
+    The chain, the quadratic coefficient, the fundamental matrices and the
+    boundary system over the segment starts do not depend on (E0, xi), so
+    basis solves reuse them; ``solve`` then costs one linear solve of that
+    (N (2S - 1))-square system plus the curve reconstruction.
 
     The chain depends only on (Q, p0) and the grid, h2 only on (Gamma, phi,
     Q, eta) and the grid.  Engines built with one ``cache`` dict, which a
@@ -221,26 +216,26 @@ class MeanFieldEngine:
             self._U_mid.append(self._midpoint_states(Un, A, h, method))
         self._V_end = [Un[-1] for Un in self._U_nodes]
 
-        # the state at segment starts is affine in (mu0, E0, jumps):
-        #   z_0 = [mu0; E0],  z_k = V_{k-1} z_{k-1} - jump_k [1; 0].
-        # One backward adjoint sweep r_{S-1} = C V_{S-1}, r_k = r_{k+1} V_k
-        # gives the terminal row C V_{S-1} z_{S-1} = r_0 z_0 - sum_k jump_k r_k [1; 0].
-        S = self.grid.n_segments
+        # unknowns: the segment-start states z_s = [mu; E](t_s), with E(z_0) = E0
+        # substituted exactly.  Rows: z_{s+1} - V_s z_s = -jump_s [1; 0] at each
+        # trade, then the terminal coupling C V_{S-1} z_{S-1} = 0.
+        S, n = self.grid.n_segments, 2 * N
         pT = self.chain.p.terminal()
         self._B_T = 2.0 * cfg.market.eta * np.eye(N) + cfg.market.lam_h * np.outer(np.ones(N), pT)
-        r = np.hstack([self._B_T, 2.0 * np.diag(cfg.aversion.Gamma)]) @ self._V_end[-1]
-        self._Cu = np.empty((S - 1, N))      # row k-1: C V_{S-1} ... V_k [1; 0]
-        for k in range(S - 1, 0, -1):
-            self._Cu[k - 1] = r[:, :N].sum(axis=1)
-            r = r @ self._V_end[k - 1]
-        self._CZ = r[:, :N]
-        self._CW = r[:, N:]
-        self.terminal_condition_number = float(np.linalg.cond(self._CZ))
-        logger.info("terminal system condition number: %.3e", self.terminal_condition_number)
-        if not np.isfinite(self.terminal_condition_number) or self.terminal_condition_number > COND_ABORT:
+        C = np.hstack([self._B_T, 2.0 * np.diag(cfg.aversion.Gamma)])
+        G = np.zeros((n * S - N, n * S))
+        for s, V in enumerate(self._V_end[:-1]):
+            G[n * s:n * (s + 1), n * s:n * (s + 1)] = -V
+            G[n * s:n * (s + 1), n * (s + 1):n * (s + 2)] = np.eye(n)
+        G[n * (S - 1):, n * (S - 1):] = C @ self._V_end[-1]
+        self._E0_cols = G[:, N:n]
+        self._system = np.delete(G, np.s_[N:n], axis=1)
+        self.condition_number = float(np.linalg.cond(self._system))
+        logger.info("boundary system condition number: %.3e", self.condition_number)
+        if not np.isfinite(self.condition_number) or self.condition_number > COND_ABORT:
             raise SolverError(
-                f"terminal system is numerically singular "
-                f"(condition number {self.terminal_condition_number:.3e})")
+                f"boundary system is numerically singular "
+                f"(condition number {self.condition_number:.3e})")
 
     @staticmethod
     def _midpoint_states(Un, A, h, method):
@@ -264,15 +259,10 @@ class MeanFieldEngine:
 
         scale = cfg.market.gamma / (cfg.market.lam_h + 2.0 * cfg.market.eta)
         jumps = scale * xi
-        rhs = jumps @ self._Cu - self._CW @ E0
-        mu0 = np.linalg.solve(self._CZ, rhs)
-        c = np.concatenate([mu0, E0])
-        c_segments = np.empty((S, 2 * N))
-        c_segments[0] = c
-        jump_vec = np.concatenate([np.ones(N), np.zeros(N)])
-        for s in range(S - 1):
-            c = self._V_end[s] @ c - jumps[s] * jump_vec
-            c_segments[s + 1] = c
+        rhs = -self._E0_cols @ E0
+        rhs[:-N].reshape(K, 2 * N)[:, :N] -= jumps[:, None]     # speed rows at each trade
+        w = np.linalg.solve(self._system, rhs)
+        c_segments = np.concatenate([w[:N], E0, w[N:]]).reshape(S, 2 * N)
 
         mu_segs, E_segs = [], []
         for s in range(S):
@@ -289,7 +279,7 @@ class MeanFieldEngine:
         E_agg = weighted_aggregate(E_by_state, self.chain.p)
 
         residuals = _residual_report(self._B_T, cfg.aversion.Gamma, jumps, E0, E_by_state,
-                                     mu_by_state, mu_agg, self.terminal_condition_number)
+                                     mu_by_state, mu_agg, self.condition_number)
         tol = cfg.solver.shooting_tolerance
         if residuals.terminal > tol or residuals.worst_jump > tol or residuals.initial > tol:
             warnings.warn(

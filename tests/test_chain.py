@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hftmfg.chain import build_pQ, pq_batch, pq_matrix, solve_chain
+from hftmfg.chain import pq_batch, pq_matrix, solve_chain
 from hftmfg.config import config_from_dict
 from hftmfg.errors import SolverError
 from hftmfg.grid import make_grid
@@ -110,12 +110,3 @@ def test_pq_batch_matches_single():
     batch = pq_batch(P, Q)
     for i in range(5):
         assert np.max(np.abs(batch[i] - pq_matrix(P[i], Q))) < 1e-14
-
-
-def test_build_pq_evaluates_lazily():
-    grid = make_grid(1.0, TRADES, 200)
-    av = two_state(0.2, 0.8)
-    sol = solve_chain(av, grid)
-    got = build_pQ(sol, av, 0.35)
-    p = sol.p.eval(0.35)
-    assert np.max(np.abs(got - pq_matrix(p, av.Q))) == 0.0

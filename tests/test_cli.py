@@ -147,6 +147,19 @@ def test_workers_below_one_is_usage_error(config_file, raw_config, tmp_path, wor
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args,flag", [
+    (["--M", "20", "40", "--seeds", "0"], "--seeds"),   # no seed: NaN medians and slope
+    (["--M", "50", "50"], "--M"),                       # a slope through one repeated M
+], ids=["no-seeds", "repeated-M"])
+def test_simulate_rejects_degenerate_sample_flags(config_file, raw_config, tmp_path, capsys,
+                                                  args, flag):
+    out = tmp_path / "o"
+    rc = run(["simulate", "--config", config_file(raw_config), "--out", str(out)] + args)
+    assert rc == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_byte_identical_across_worker_counts(config_file, tmp_path):
     raw = base_raw()
     raw["solver"]["grid_steps_per_unit_time"] = 150
@@ -348,6 +361,20 @@ def test_verbose_logs_condition_number_to_stderr_only(config_file, raw_config, t
     for name in os.listdir(quiet):
         assert open(os.path.join(quiet, name), "rb").read() == \
             open(os.path.join(loud, name), "rb").read()
+
+
+def test_solve_partial_exits_1_on_singular_boundary_system(config_file, tmp_path, capsys):
+    # N = 1 at T = 40: the block system over the segment starts has cond ~1e16
+    raw = base_raw()
+    raw["aversion"]["phi"] = [10.0]
+    raw["schedule"].update(T=40.0, times=[4.0 * k for k in range(1, 10)])
+    raw["solver"]["grid_steps_per_unit_time"] = 200
+    out = tmp_path / "o"
+    assert run(["solve-partial", "--config", config_file(raw), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "boundary system" in err and "condition number" in err
+    assert not (out / "equilibrium.csv").exists()
+
 
 @pytest.mark.slow
 def test_validate_fresh_checkout_passes(tmp_path):

@@ -7,9 +7,9 @@ import pytest
 from hftmfg import presets
 from hftmfg.chain import pq_batch
 from hftmfg.config import config_from_dict
-from hftmfg.errors import ResidualWarning
+from hftmfg.errors import ResidualWarning, SolverError
 from hftmfg.grid import sup_diff
-from hftmfg.meanfield import (MeanFieldEngine, assemble_A, closed_form_n1,
+from hftmfg.meanfield import (MeanFieldEngine, assemble_A_batch, closed_form_n1,
                               jump_conditions_report, solve_partial,
                               speed_jump_size)
 from hftmfg.validate import SWEEP
@@ -18,7 +18,8 @@ from conftest import base_raw
 
 def test_assemble_A_single_state_structure(baseline_eq):
     cfg, eq = baseline_eq
-    A = assemble_A(0.3, eq.chain, eq.h2, cfg.aversion, cfg.market)
+    A = assemble_A_batch(eq.chain.p.eval(0.3)[None], eq.h2.eval(0.3)[None],
+                         cfg.aversion, cfg.market)[0]
     denom = cfg.market.lam_h + 2 * cfg.market.eta
     # derived by substituting one state into the block form: the speed row is
     # [-gammaH/(lamH+2eta), 2 phi/(lamH+2eta)], the inventory row [1, 0]
@@ -30,7 +31,8 @@ def test_assemble_A_single_state_structure(baseline_eq):
 
 def test_assemble_A_single_state_with_running_aversion(stiff_eq):
     cfg, eq = stiff_eq
-    A = assemble_A(0.0, eq.chain, eq.h2, cfg.aversion, cfg.market)
+    A = assemble_A_batch(eq.chain.p.eval(0.0)[None], eq.h2.eval(0.0)[None],
+                         cfg.aversion, cfg.market)[0]
     assert A[0, 1] == pytest.approx(2 * 10.0 / 0.2, abs=1e-10)
 
 
@@ -38,13 +40,15 @@ def test_assemble_A_zero_sources_block():
     cfg = config_from_dict(base_raw())
     # Gamma = phi = 0 with no switching: the inventory-feedback block vanishes
     eq = solve_partial(cfg.with_solver(grid_steps_per_unit_time=200), xi=np.zeros(9))
-    A = assemble_A(0.5, eq.chain, eq.h2, cfg.aversion, cfg.market)
+    A = assemble_A_batch(eq.chain.p.eval(0.5)[None], eq.h2.eval(0.5)[None],
+                         cfg.aversion, cfg.market)[0]
     assert A[0, 1] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_assemble_A_bottom_blocks_two_state(twostate_eq):
     cfg, eq = twostate_eq
-    A = assemble_A(0.4, eq.chain, eq.h2, cfg.aversion, cfg.market)
+    A = assemble_A_batch(eq.chain.p.eval(0.4)[None], eq.h2.eval(0.4)[None],
+                         cfg.aversion, cfg.market)[0]
     p = eq.chain.p.eval(0.4)
     pq = pq_batch(p[None, :], cfg.aversion.Q)[0]
     assert np.array_equal(A[2:, :2], np.eye(2))
@@ -216,6 +220,58 @@ def test_boundary_conditions_hold_even_on_coarse_grids():
     sol = solve_partial(cfg)
     assert sol.residuals.terminal < 1e-10
     assert sol.residuals.worst_jump < 1e-12
+
+
+@pytest.mark.parametrize("make", [
+    lambda: presets.partial_single_type(2.0, 10.0, grid=300),
+    lambda: presets.partial_two_type(grid=300).with_solver(shooting_tolerance=1e-3),
+], ids=["one-state", "two-state"])
+def test_initial_inventory_is_exact(make):
+    cfg = make()
+    engine = MeanFieldEngine(cfg)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        E0 = rng.normal(size=cfg.n_states)
+        sol = engine.solve(E0, rng.normal(size=cfg.schedule.K))
+        assert np.array_equal(sol.E_by_state.initial(), E0)
+        assert sol.residuals.initial == 0.0
+
+
+def _stretched(cfg, T):
+    """``cfg`` on the horizon T, with its nine trades moved to k T / 10."""
+    raw = cfg.to_dict()
+    raw["schedule"].update(T=T, times=[k * T / 10 for k in range(1, 10)])
+    return config_from_dict(raw)
+
+
+def test_single_state_long_horizon_meets_boundary_conditions():
+    # the fast mode grows like e^{8.4 t}, so condensing all ten segment
+    # propagators into one terminal equation loses every digit here
+    cfg = _stretched(presets.partial_single_type(2.0, 10.0, grid=200), 10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResidualWarning)
+        sol = solve_partial(cfg)
+    assert sol.residuals.terminal <= 1e-6
+    assert sol.residuals.worst_jump <= 1e-6
+
+
+def test_unswitched_two_type_crowd_meets_terminal_condition():
+    cfg = _stretched(presets.partial_two_type(phi=(10.0, 1.0), Gamma=(2.0, 1.0), x=0.0, y=0.0,
+                                              grid=200), 3.0)
+    assert solve_partial(cfg).residuals.terminal <= 1e-6
+
+
+def test_switching_two_type_long_horizon_converges_in_the_grid():
+    sols = [solve_partial(_stretched(presets.partial_two_type(grid=g), 10.0))
+            for g in (1000, 2000)]
+    assert max(sol.residuals.terminal for sol in sols) <= 1e-6
+    assert np.max(np.abs(sols[0].E_at_trades() - sols[1].E_at_trades())) <= 1e-9
+
+
+def test_near_singular_boundary_system_raises():
+    cfg = _stretched(presets.partial_single_type(2.0, 10.0, grid=200), 40.0)
+    with pytest.raises(SolverError, match="boundary system .*condition number"):
+        MeanFieldEngine(cfg)
 
 
 def test_residual_warning_when_tolerance_unreachable():
