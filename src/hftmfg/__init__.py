@@ -5,7 +5,7 @@ finite-population simulator for empirical epsilon-Nash checks."""
 from .config import (AversionSpec, LTSchedule, MarketParams, ModelConfig,
                      PopulationInit, SolverSettings, config_hash, load_config,
                      serialize_config, validate_schedule_feasibility)
-from .errors import ConfigError, ResidualWarning, SimulationError, SolverError
+from .errors import ConfigError, SimulationError, SolverError
 from .grid import PiecewiseCurve, TimeGrid, make_grid
 from .chain import ChainSolution, solve_chain
 from .riccati import (RiccatiSolution, compute_h0, feedback_control,

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: ``solve-partial``, ``solve-overall``, ``simulate``, ``figures``,
-``validate``.  Exit codes: 0 success (residual warnings print a WARN line but
-stay 0), 1 validation or solver failure, 2 usage error.
+``validate``.  Exit codes: 0 success, 1 validation or solver failure (among
+them a residual that misses its tolerance), 2 usage error.  The solve
+commands solve before they write, so a failed solve leaves no output files.
 
 Configuration values can be overridden per run through environment variables
 prefixed with ``HFTMFG_`` (path segments joined by double underscores, e.g.
@@ -17,14 +18,13 @@ import argparse
 import logging
 import os
 import sys
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
 
 from .config import ModelConfig, load_config
-from .errors import ConfigError, ResidualWarning, SimulationError, SolverError
+from .errors import ConfigError, SimulationError, SolverError
 from .meanfield import jump_conditions_report, solve_partial
 from .reporting import (plot_columns_from_csv, write_csv, write_equilibrium_csv,
                         write_keyvalue_csv)
@@ -98,20 +98,10 @@ def _load(args, mode: str | None = None) -> ModelConfig:
     return cfg
 
 
-def _solve_with_warnings(fn):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ResidualWarning)
-        result = fn()
-    for w in caught:
-        if issubclass(w.category, ResidualWarning):
-            print(f"WARN {w.message}")
-    return result
-
-
 def cmd_solve_partial(args) -> int:
     cfg = _load(args, "partial")
     os.makedirs(args.out, exist_ok=True)
-    sol = _solve_with_warnings(lambda: solve_partial(cfg))
+    sol = solve_partial(cfg)
     eq_csv = os.path.join(args.out, "equilibrium.csv")
     write_equilibrium_csv(eq_csv, sol, cfg)
     rows = [[c.k, c.time, c.expected, c.residual_aggregate, c.residual_state_max]
@@ -132,7 +122,7 @@ def cmd_solve_partial(args) -> int:
 def cmd_solve_overall(args) -> int:
     cfg = _load(args, "overall")
     os.makedirs(args.out, exist_ok=True)
-    eq = _solve_with_warnings(lambda: solve_overall(cfg))
+    eq = solve_overall(cfg)
     times = cfg.schedule.times
     write_csv(os.path.join(args.out, "xi_star.csv"), ["k", "t_k", "xi_star_k"],
               [[k + 1, float(times[k]), float(eq.xi_star[k])] for k in range(len(times))],
@@ -154,11 +144,11 @@ def cmd_simulate(args) -> int:
     cfg = _load(args)
     os.makedirs(args.out, exist_ok=True)
     if cfg.mode == "overall":
-        overall = _solve_with_warnings(lambda: solve_overall(cfg))
+        overall = solve_overall(cfg)
         eq = overall.mean_field
     else:
         overall = None
-        eq = _solve_with_warnings(lambda: solve_partial(cfg))
+        eq = solve_partial(cfg)
 
     Ms = list(args.M)
     seeds = [args.seed + i for i in range(args.seeds)]
@@ -244,9 +234,7 @@ def cmd_figures(args) -> int:
     cache = {}       # chains and h2 shared by this invocation's panels
 
     def run(panel):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ResidualWarning)
-            return render_panel(panel, args.out, cache)
+        return render_panel(panel, args.out, cache)
 
     if args.workers > 1:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class ConfigError(ValueError):
@@ -6,12 +6,9 @@ class ConfigError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """A numerical solve left its validity envelope (positivity, conditioning, ...)."""
+    """A numerical solve left its validity envelope (positivity, conditioning,
+    residual tolerance, ...)."""
 
 
 class SimulationError(RuntimeError):
     """A population simulation or deviation solve is ill-posed."""
-
-
-class ResidualWarning(UserWarning):
-    """A solved equilibrium exceeds a residual tolerance but remains usable."""

@@ -19,18 +19,16 @@ equivalently mu_i(t) + (h2_i(t)/eta)*(x - E_i(t)).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .affine import rk_step, step_maps, trajectory
 from .config import AversionSpec, MarketParams
-from .errors import ResidualWarning, SolverError
+from .errors import SolverError
 from .grid import PiecewiseCurve, TimeGrid
 
 BOX_SLACK = 1e-8
-JUMP_MISMATCH_TOL = 1e-6
 
 
 def h2_box_bound(aversion: AversionSpec, market: MarketParams) -> float:
@@ -107,8 +105,8 @@ class H1Diagnostics:
 def recover_h1(sol, h2: PiecewiseCurve, market: MarketParams) -> tuple[PiecewiseCurve, H1Diagnostics]:
     """Algebraic recovery of the linear coefficient from a solved mean field.
 
-    ``sol`` must expose mu_by_state, E_by_state, mu_agg and xi.  The jump at
-    each trade time is cross-checked against gamma*xi_k.
+    ``sol`` must expose mu_by_state, E_by_state, mu_agg and xi.  The
+    diagnostics hold the jump at each trade time less gamma*xi_k, and h1(T).
     """
     segs = []
     for mu_s, E_s, mua_s, h2_s in zip(sol.mu_by_state.segments, sol.E_by_state.segments,
@@ -121,13 +119,7 @@ def recover_h1(sol, h2: PiecewiseCurve, market: MarketParams) -> tuple[Piecewise
     jumps = np.empty((K, curve.dim))
     for k in range(1, K + 1):
         jumps[k - 1] = (curve.left_at(k) - curve.right_at(k)) - market.gamma * xi[k - 1]
-    diag = H1Diagnostics(jump_residuals=jumps, terminal=curve.terminal().copy())
-    worst = float(np.max(np.abs(jumps), initial=0.0))
-    if worst > JUMP_MISMATCH_TOL:
-        warnings.warn(
-            f"linear-coefficient jump mismatch {worst:.3e} exceeds {JUMP_MISMATCH_TOL:g}; "
-            "equilibrium inconsistency", ResidualWarning, stacklevel=2)
-    return curve, diag
+    return curve, H1Diagnostics(jump_residuals=jumps, terminal=curve.terminal().copy())
 
 
 def _backward_affine(grid: TimeGrid, A_segs, b_segs, jumps, method: str) -> PiecewiseCurve:

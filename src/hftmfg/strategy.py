@@ -17,13 +17,12 @@ is one (K-1)-dimensional linear system.
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ModelConfig
-from .errors import ResidualWarning, SolverError
+from .errors import SolverError
 from .meanfield import COND_ABORT, MeanFieldEngine, MeanFieldSolution
 
 logger = logging.getLogger(__name__)
@@ -139,7 +138,9 @@ class OverallEquilibrium:
 def solve_overall(cfg: ModelConfig, cache: dict | None = None) -> OverallEquilibrium:
     """Joint equilibrium: the schedule that is the best response to the mean field it induces.
 
-    ``cache`` as in ``MeanFieldEngine``.
+    ``cache`` as in ``MeanFieldEngine``.  Raises ``SolverError`` when the
+    fixed-point residual exceeds ``FIXED_POINT_TOL`` or the objective with the
+    crowd's response substituted is not negative definite.
     """
     if cfg.mode != "overall":
         raise ValueError("solve_overall requires an overall-mode configuration")
@@ -185,14 +186,15 @@ def solve_overall(cfg: ModelConfig, cache: dict | None = None) -> OverallEquilib
     mean_field = engine.solve(E0, xi_star)
     br = lt_best_response(mean_field, cfg)
     residual = float(np.max(np.abs(br - xi_star), initial=0.0))
-    if residual > FIXED_POINT_TOL:
-        warnings.warn(f"equilibrium fixed-point residual {residual:.3e} exceeds "
-                      f"{FIXED_POINT_TOL:g}", ResidualWarning, stacklevel=2)
+    if not residual <= FIXED_POINT_TOL:      # NaN fails too
+        raise SolverError(f"equilibrium fixed-point residual {residual:.3e} exceeds "
+                          f"{FIXED_POINT_TOL:g}")
 
     concavity = concavity_check(cfg, bE, bMu)
     if not concavity.negative_definite:
-        warnings.warn("substituted objective is not negative definite; the solved "
-                      "trade vector is a stationary point only", ResidualWarning, stacklevel=2)
+        raise SolverError(f"substituted objective is not negative definite (max eigenvalue "
+                          f"{concavity.max_eigenvalue:.3e}); the solved trade vector is "
+                          "not an equilibrium")
 
     return OverallEquilibrium(xi_star=xi_star, mean_field=mean_field,
                               concavity=concavity, fixed_point_residual=residual)

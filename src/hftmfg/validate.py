@@ -16,7 +16,6 @@ but a timing gate.
 from __future__ import annotations
 
 import json
-import warnings
 
 import numpy as np
 
@@ -220,8 +219,7 @@ def check_derivative_identities(grid: int, method: str) -> str:
 
 
 def check_linearity(grid: int, method: str) -> str:
-    cfg = presets.partial_two_type(grid=min(grid, 1000), integrator=method).with_solver(
-        shooting_tolerance=1e-3)
+    cfg = presets.partial_two_type(grid=min(grid, 1000), integrator=method)
     eng = MeanFieldEngine(cfg)
     K = cfg.schedule.K
     basis = [eng.solve(np.eye(2)[i], np.zeros(K)) for i in range(2)] \
@@ -357,17 +355,15 @@ def run_validation(out_path=None, config_path=None, grid: int = 10000) -> dict:
                             "detail": f"{config_path} is valid"})
         except ConfigError as exc:
             results.append({"name": "config-load", "passed": False, "detail": str(exc)})
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for name, fn in CHECKS:
-            try:
-                detail = fn(grid, "rk4")
-                results.append({"name": name, "passed": True, "detail": detail})
-            except CheckFailure as exc:
-                results.append({"name": name, "passed": False, "detail": str(exc)})
-            except Exception as exc:  # noqa: BLE001 - report, do not crash the suite
-                results.append({"name": name, "passed": False,
-                                "detail": f"{type(exc).__name__}: {exc}"})
+    for name, fn in CHECKS:
+        try:
+            detail = fn(grid, "rk4")
+            results.append({"name": name, "passed": True, "detail": detail})
+        except CheckFailure as exc:
+            results.append({"name": name, "passed": False, "detail": str(exc)})
+        except Exception as exc:  # noqa: BLE001 - report, do not crash the suite
+            results.append({"name": name, "passed": False,
+                            "detail": f"{type(exc).__name__}: {exc}"})
     report = {"passed": all(r["passed"] for r in results), "grid": grid,
               "integrator": "rk4", "checks": results}
     for r in results:

@@ -58,12 +58,11 @@ def baseline_eq():
 @pytest.fixture(scope="session")
 def stiff_eq():
     """Solved single-type baseline with running aversion (Gamma=2, phi=10)."""
-    cfg = presets.partial_single_type(2.0, 10.0, grid=1000).with_solver(
-        shooting_tolerance=1e-4)
+    cfg = presets.partial_single_type(2.0, 10.0, grid=1000)
     return cfg, solve_partial(cfg)
 
 
 @pytest.fixture(scope="session")
 def twostate_eq():
-    cfg = presets.partial_two_type(grid=1000).with_solver(shooting_tolerance=1e-4)
+    cfg = presets.partial_two_type(grid=1000)
     return cfg, solve_partial(cfg)

@@ -10,7 +10,6 @@ import functools
 import json
 import os
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ import pytest
 import hftmfg.validate as validate
 from hftmfg import presets
 from hftmfg.cli import main as cli_main
-from hftmfg.errors import ResidualWarning
 from hftmfg.meanfield import solve_partial
 from hftmfg.simulate import deviation_gain, lt_deviation_gain, simulate_population
 from hftmfg.strategy import lt_profit, solve_overall
@@ -41,9 +39,7 @@ def run_check(name: str) -> str:
     Memoized, so C2 and C3 share one run of ``equilibrium-conditions``; a
     check that raises is not cached and fails every test that calls it.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ResidualWarning)
-        return CHECKS[name](GRID, "rk4")
+    return CHECKS[name](GRID, "rk4")
 
 
 def test_c01_oracle_equivalence(monkeypatch):
@@ -104,45 +100,43 @@ def test_c09_epsilon_nash_convergence():
     t_start = time.perf_counter()
     Ms = (100, 1000, 10000)
     seeds = range(30)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ResidualWarning)
-        # population-average speed converges at the O(1/M) rate (two-type crowd)
-        cfg2 = presets.partial_two_type(grid=400).with_solver(shooting_tolerance=1e-3)
-        eq2 = solve_partial(cfg2)
-        med_v = [float(np.median([simulate_population(cfg2, eq2, M, s)[1].vbar_l2
-                                  for s in seeds])) for M in Ms]
-        slope = float(np.polyfit(np.log(Ms), np.log(med_v), 1)[0])
-        assert -1.35 <= slope <= -0.65, f"slope {slope:.3f}"
+    # population-average speed converges at the O(1/M) rate (two-type crowd)
+    cfg2 = presets.partial_two_type(grid=400).with_solver(shooting_tolerance=1e-3)
+    eq2 = solve_partial(cfg2)
+    med_v = [float(np.median([simulate_population(cfg2, eq2, M, s)[1].vbar_l2
+                              for s in seeds])) for M in Ms]
+    slope = float(np.polyfit(np.log(Ms), np.log(med_v), 1)[0])
+    assert -1.35 <= slope <= -0.65, f"slope {slope:.3f}"
 
-        # a single crowd member cannot profitably deviate for large M
-        cfg1 = presets.partial_single_type(2.0, 10.0, grid=400).with_solver(
-            shooting_tolerance=1e-3)
-        eq1 = solve_partial(cfg1)
-        med_g, med_j = [], []
-        for M in Ms:
-            res = [deviation_gain(cfg1, eq1, simulate_population(cfg1, eq1, M, s)[0])
-                   for s in seeds]
-            assert all(r.gain >= -1e-10 for r in res)
-            med_g.append(float(np.median([r.gain for r in res])))
-            med_j.append(float(np.median([abs(r.j_mfg) for r in res])))
-        assert med_g[0] > med_g[1] > med_g[2], f"gains {med_g}"
-        hft_ratio = med_g[-1] / med_j[-1]
-        assert hft_ratio < 0.01, f"gain/objective {hft_ratio:.2e}"
+    # a single crowd member cannot profitably deviate for large M
+    cfg1 = presets.partial_single_type(2.0, 10.0, grid=400).with_solver(
+        shooting_tolerance=1e-3)
+    eq1 = solve_partial(cfg1)
+    med_g, med_j = [], []
+    for M in Ms:
+        res = [deviation_gain(cfg1, eq1, simulate_population(cfg1, eq1, M, s)[0])
+               for s in seeds]
+        assert all(r.gain >= -1e-10 for r in res)
+        med_g.append(float(np.median([r.gain for r in res])))
+        med_j.append(float(np.median([abs(r.j_mfg) for r in res])))
+    assert med_g[0] > med_g[1] > med_g[2], f"gains {med_g}"
+    hft_ratio = med_g[-1] / med_j[-1]
+    assert hft_ratio < 0.01, f"gain/objective {hft_ratio:.2e}"
 
-        # neither can the trader (two-type joint equilibrium)
-        cfgo = presets.overall_two_type(grid=400).with_solver(shooting_tolerance=1e-3)
-        eqo = solve_overall(cfgo)
-        pi0 = abs(lt_profit(cfgo, eqo.xi_star, eqo.mean_field).profit_no_hft)
-        med_lt = []
-        for M in Ms:
-            vals = [lt_deviation_gain(cfgo, eqo,
-                                      simulate_population(cfgo, eqo.mean_field, M, s)[0]).gain
-                    for s in seeds]
-            assert all(v >= -1e-10 for v in vals)
-            med_lt.append(float(np.median(vals)))
-        assert med_lt[0] > med_lt[1] > med_lt[2], f"gains {med_lt}"
-        lt_ratio = med_lt[-1] / pi0
-        assert lt_ratio < 0.01, f"gain/|profit| {lt_ratio:.2e}"
+    # neither can the trader (two-type joint equilibrium)
+    cfgo = presets.overall_two_type(grid=400).with_solver(shooting_tolerance=1e-3)
+    eqo = solve_overall(cfgo)
+    pi0 = abs(lt_profit(cfgo, eqo.xi_star, eqo.mean_field).profit_no_hft)
+    med_lt = []
+    for M in Ms:
+        vals = [lt_deviation_gain(cfgo, eqo,
+                                  simulate_population(cfgo, eqo.mean_field, M, s)[0]).gain
+                for s in seeds]
+        assert all(v >= -1e-10 for v in vals)
+        med_lt.append(float(np.median(vals)))
+    assert med_lt[0] > med_lt[1] > med_lt[2], f"gains {med_lt}"
+    lt_ratio = med_lt[-1] / pi0
+    assert lt_ratio < 0.01, f"gain/|profit| {lt_ratio:.2e}"
 
     elapsed = time.perf_counter() - t_start
     assert elapsed < 300.0, f"sweep took {elapsed:.0f}s"

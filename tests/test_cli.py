@@ -9,6 +9,7 @@ import pytest
 import hftmfg
 import hftmfg.cli as cli
 import hftmfg.meanfield as meanfield
+from hftmfg import presets
 from hftmfg.cli import main
 from hftmfg.config import load_config
 from hftmfg.reporting import read_csv, write_csv
@@ -98,7 +99,6 @@ def test_simulate_runs_one_population_per_task(config_file, tmp_path, monkeypatc
                        "Q": [[-0.5, 0.5], [0.5, -0.5]], "p0": [0.5, 0.5]}
     raw["population"]["E0"] = [0.0, 0.0]
     raw["solver"]["grid_steps_per_unit_time"] = 200
-    raw["solver"]["shooting_tolerance"] = 1e-3
     path = config_file(raw)
     trajs = {}
     simulate_population = cli.simulate_population
@@ -374,6 +374,26 @@ def test_solve_partial_exits_1_on_singular_boundary_system(config_file, tmp_path
     err = capsys.readouterr().err
     assert "boundary system" in err and "condition number" in err
     assert not (out / "equilibrium.csv").exists()
+
+
+def test_solve_partial_exits_1_when_residuals_miss_tolerance(config_file, raw_config,
+                                                             tmp_path, capsys):
+    raw_config["solver"]["shooting_tolerance"] = 1e-16
+    out = tmp_path / "o"
+    assert run(["solve-partial", "--config", config_file(raw_config), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "solver error:" in captured.err and "exceed tolerance" in captured.err
+    assert "WARN" not in captured.out + captured.err
+    assert not (out / "equilibrium.csv").exists()
+
+
+def test_solve_overall_exits_1_on_non_concave_objective(config_file, tmp_path, capsys):
+    cfg = presets.overall_single_type(0.0, 0.0, grid=300,
+                                      market_overrides={"gammaH": 80.0, "lambdaH": 5.0})
+    out = tmp_path / "o"
+    assert run(["solve-overall", "--config", config_file(cfg.to_dict()), "--out", str(out)]) == 1
+    assert "not negative definite" in capsys.readouterr().err
+    assert not (out / "xi_star.csv").exists()
 
 
 @pytest.mark.slow

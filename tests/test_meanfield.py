@@ -1,4 +1,3 @@
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 from hftmfg import presets
 from hftmfg.chain import pq_batch
 from hftmfg.config import config_from_dict
-from hftmfg.errors import ResidualWarning, SolverError
+from hftmfg.errors import SolverError
 from hftmfg.grid import sup_diff
 from hftmfg.meanfield import (MeanFieldEngine, assemble_A_batch, closed_form_n1,
                               jump_conditions_report, solve_partial,
@@ -75,8 +74,7 @@ def test_constant_solution_without_aversion():
 
 @pytest.mark.parametrize("Gamma,phi", [(0.0, 0.0), (0.0, 10.0), (2.0, 0.0), (2.0, 10.0)])
 def test_oracle_equivalence(Gamma, phi):
-    cfg = presets.partial_single_type(Gamma, phi, grid=2000).with_solver(
-        shooting_tolerance=1e-4)
+    cfg = presets.partial_single_type(Gamma, phi, grid=2000)
     num = solve_partial(cfg)
     ora = closed_form_n1(cfg)
     assert sup_diff(num.E_by_state, ora.E_by_state) < 1e-6
@@ -167,22 +165,20 @@ def test_terminal_and_initial_conditions(twostate_eq):
 
 
 def test_linearity_superposition_two_state():
-    cfg = presets.partial_two_type(grid=500).with_solver(shooting_tolerance=1e-3)
+    cfg = presets.partial_two_type(grid=500)
     eng = MeanFieldEngine(cfg)
     K = cfg.schedule.K
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ResidualWarning)
-        basis_E0 = [eng.solve(np.eye(2)[i], np.zeros(K)) for i in range(2)]
-        basis_xi = [eng.solve(np.zeros(2), np.eye(K)[k]) for k in range(K)]
-        rng = np.random.default_rng(5)
-        for _ in range(4):
-            E0 = rng.normal(size=2)
-            xi = rng.normal(size=K)
-            direct = eng.solve(E0, xi)
-            for s in range(K + 1):
-                acc = sum(E0[i] * basis_E0[i].E_by_state.segments[s] for i in range(2)) \
-                    + sum(xi[k] * basis_xi[k].E_by_state.segments[s] for k in range(K))
-                assert np.max(np.abs(acc - direct.E_by_state.segments[s])) < 1e-8
+    basis_E0 = [eng.solve(np.eye(2)[i], np.zeros(K)) for i in range(2)]
+    basis_xi = [eng.solve(np.zeros(2), np.eye(K)[k]) for k in range(K)]
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        E0 = rng.normal(size=2)
+        xi = rng.normal(size=K)
+        direct = eng.solve(E0, xi)
+        for s in range(K + 1):
+            acc = sum(E0[i] * basis_E0[i].E_by_state.segments[s] for i in range(2)) \
+                + sum(xi[k] * basis_xi[k].E_by_state.segments[s] for k in range(K))
+            assert np.max(np.abs(acc - direct.E_by_state.segments[s])) < 1e-8
 
 
 def test_derivative_identities(baseline_eq):
@@ -206,7 +202,6 @@ def test_derivative_identities(baseline_eq):
 
 def test_euler_integrator_full_path():
     cfg = presets.partial_single_type(2.0, 0.0, grid=4000, integrator="euler")
-    cfg = cfg.with_solver(shooting_tolerance=1e-2)
     num = solve_partial(cfg)
     ora = closed_form_n1(cfg)
     assert sup_diff(num.E_by_state, ora.E_by_state) < 1e-2
@@ -224,7 +219,7 @@ def test_boundary_conditions_hold_even_on_coarse_grids():
 
 @pytest.mark.parametrize("make", [
     lambda: presets.partial_single_type(2.0, 10.0, grid=300),
-    lambda: presets.partial_two_type(grid=300).with_solver(shooting_tolerance=1e-3),
+    lambda: presets.partial_two_type(grid=300),
 ], ids=["one-state", "two-state"])
 def test_initial_inventory_is_exact(make):
     cfg = make()
@@ -248,9 +243,7 @@ def test_single_state_long_horizon_meets_boundary_conditions():
     # the fast mode grows like e^{8.4 t}, so condensing all ten segment
     # propagators into one terminal equation loses every digit here
     cfg = _stretched(presets.partial_single_type(2.0, 10.0, grid=200), 10.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", ResidualWarning)
-        sol = solve_partial(cfg)
+    sol = solve_partial(cfg)
     assert sol.residuals.terminal <= 1e-6
     assert sol.residuals.worst_jump <= 1e-6
 
@@ -277,8 +270,27 @@ def test_near_singular_boundary_system_raises():
 def test_residual_warning_when_tolerance_unreachable():
     cfg = presets.partial_single_type(2.0, 10.0, grid=200).with_solver(
         shooting_tolerance=1e-16)
-    with pytest.warns(ResidualWarning):
+    with pytest.raises(SolverError, match="exceed tolerance"):
         solve_partial(cfg)
+
+
+def test_nan_residuals_raise():
+    # NaN compares False against any tolerance, so the gate must not read
+    # "residual > tol"
+    engine = MeanFieldEngine(presets.partial_single_type(2.0, 10.0, grid=200))
+    with pytest.raises(SolverError, match="exceed tolerance"):
+        engine.solve([np.nan], np.ones(9))
+
+
+def test_closed_form_oracle_goes_through_the_residual_gate():
+    # the oracle references its growing mode at t = 0, so its own terminal
+    # residual grows with the horizon (1.0e-3 at T = 5, 1.2e17 at T = 10)
+    cfg = presets.partial_single_type(2.0, 10.0, grid=200)
+    for T in (1.0, 3.0):
+        assert closed_form_n1(_stretched(cfg, T)).residuals.terminal <= 1e-6
+    for T in (5.0, 10.0):
+        with pytest.raises(SolverError, match="exceed tolerance"):
+            closed_form_n1(_stretched(cfg, T))
 
 
 def test_solution_exposes_fundamental_matrices(baseline_eq):
@@ -311,8 +323,7 @@ def test_curve_eval_rejects_times_outside_horizon(baseline_eq):
 
 
 def _two_type(p0=None, **changes):
-    cfg = presets.partial_two_type(**{"grid": 400, **changes}).with_solver(
-        shooting_tolerance=1e-3)
+    cfg = presets.partial_two_type(**{"grid": 400, **changes})
     return cfg if p0 is None else replace(cfg, aversion=replace(cfg.aversion, p0=np.array(p0)))
 
 
@@ -331,13 +342,11 @@ def test_engine_cache_shares_chain_and_h2_by_key(changes, same_h2, same_chain):
     cache = {}
     first = MeanFieldEngine(_two_type(), cache)
     cfg = _two_type(**changes)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ResidualWarning)
-        engine = MeanFieldEngine(cfg, cache)
-        assert (engine.h2 is first.h2) == same_h2
-        assert (engine.chain is first.chain) == same_chain
-        cached, fresh = (e.solve(cfg.population.E0, cfg.schedule.quantities)
-                         for e in (engine, MeanFieldEngine(cfg)))
+    engine = MeanFieldEngine(cfg, cache)
+    assert (engine.h2 is first.h2) == same_h2
+    assert (engine.chain is first.chain) == same_chain
+    cached, fresh = (e.solve(cfg.population.E0, cfg.schedule.quantities)
+                     for e in (engine, MeanFieldEngine(cfg)))
     for name in ("E_agg", "mu_agg", "h2"):
         a, b = getattr(cached, name).segments, getattr(fresh, name).segments
         assert len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b)), name

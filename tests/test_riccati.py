@@ -397,8 +397,7 @@ def test_value_function_matches_realized_payoff(Gamma, phi, x0):
     # objective along the feedback play equals h0 + h1 x + h2 x^2, and the
     # play is the grid optimum of that same objective
     from hftmfg.simulate import deviation_gain_vs_mean_field
-    cfg = presets.partial_single_type(Gamma, phi, grid=2000).with_solver(
-        shooting_tolerance=1e-3)
+    cfg = presets.partial_single_type(Gamma, phi, grid=2000)
     eq = solve_partial(cfg)
     h1, _ = recover_h1(eq, eq.h2, cfg.market)
     h0 = compute_h0(h1, eq.h2, eq.mu_agg, cfg.aversion, cfg.market)

@@ -1,10 +1,8 @@
-import warnings
-
 import numpy as np
 import pytest
 
 from hftmfg import presets
-from hftmfg.errors import ResidualWarning, SimulationError
+from hftmfg.errors import SimulationError
 from hftmfg.meanfield import solve_partial
 from hftmfg.simulate import (default_init_spread, deviation_gain,
                              deviation_gain_vs_mean_field, inventory_growth_bound,
@@ -17,10 +15,8 @@ from hftmfg.strategy import lt_profit, solve_overall
 
 @pytest.fixture(scope="module")
 def overall_two():
-    cfg = presets.overall_two_type(grid=400).with_solver(shooting_tolerance=1e-3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ResidualWarning)
-        return cfg, solve_overall(cfg)
+    cfg = presets.overall_two_type(grid=400)
+    return cfg, solve_overall(cfg)
 
 
 def test_deterministic_single_type_metrics_vanish(stiff_eq):
@@ -190,8 +186,7 @@ def test_multi_switch_steps_match_single_agent_integration():
     # switch rates of 10 on a 0.01 level-0 step: some agents switch two or
     # more times inside one step, where the population batches the events
     # of all agents by their rank within the step
-    cfg = presets.partial_two_type(x=10.0, y=10.0, grid=100).with_solver(
-        shooting_tolerance=1e-2)
+    cfg = presets.partial_two_type(x=10.0, y=10.0, grid=100)
     eq = solve_partial(cfg)
     M, seed = 200, 1
     traj, _ = simulate_population(cfg, eq, M, seed, record_paths=True)
@@ -272,11 +267,8 @@ def test_deviation_perturbation_second_order(baseline_eq):
 def test_deviation_quadratic_concavity_guard(stiff_eq):
     cfg, eq = stiff_eq
     bad = presets.partial_single_type(0.0, 10.0, grid=1000,
-                                      market_overrides={"gammaH": 80.0}).with_solver(
-        shooting_tolerance=1e-2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ResidualWarning)
-        eq_bad = solve_partial(bad)
+                                      market_overrides={"gammaH": 80.0})
+    eq_bad = solve_partial(bad)
     with pytest.raises(SimulationError, match="concave"):
         deviation_gain(bad, eq_bad, simulate_population(bad, eq_bad, M=2, seed=0)[0])
 
@@ -316,9 +308,7 @@ def test_lt_deviation_shrinks_with_population(overall_two):
 
 def test_euler_simulation_keeps_exactness():
     cfg = presets.partial_single_type(2.0, 0.0, grid=400, integrator="euler")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ResidualWarning)
-        eq = solve_partial(cfg)
+    eq = solve_partial(cfg)
     _, met = simulate_population(cfg, eq, M=25, seed=1, init_spread=0.0)
     assert met.theta_dev == 0.0 and met.Z_dev == 0.0 and met.vbar_l2 == 0.0
 

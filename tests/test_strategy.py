@@ -1,11 +1,9 @@
-import warnings
-
 import numpy as np
 import pytest
 
 from hftmfg import presets
 from hftmfg.config import config_from_dict
-from hftmfg.errors import ResidualWarning
+from hftmfg.errors import SolverError
 from hftmfg.meanfield import MeanFieldEngine, solve_partial
 from hftmfg.simulate import sample_price_paths
 from hftmfg.strategy import (best_response_values, concavity_check, lt_best_response,
@@ -16,9 +14,7 @@ from conftest import base_raw
 @pytest.fixture(scope="module")
 def overall_baseline():
     cfg = presets.overall_single_type(2.0, 0.0, grid=600)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ResidualWarning)
-        return cfg, solve_overall(cfg)
+    return cfg, solve_overall(cfg)
 
 
 def test_best_response_uniform_without_crowd():
@@ -199,6 +195,16 @@ def test_concavity_baseline(overall_baseline):
     cfg, eq = overall_baseline
     assert eq.concavity.negative_definite
     assert eq.concavity.max_eigenvalue < 0.0
+
+
+def test_non_concave_objective_raises():
+    # a strong crowd response makes the substituted objective convex in some
+    # direction (max Hessian eigenvalue 8.5e3): the stationary point is not
+    # the trader's best response
+    cfg = presets.overall_single_type(0.0, 0.0, grid=300,
+                                      market_overrides={"gammaH": 80.0, "lambdaH": 5.0})
+    with pytest.raises(SolverError, match="not negative definite"):
+        solve_overall(cfg)
 
 
 def test_overall_requires_overall_mode():
