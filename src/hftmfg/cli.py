@@ -203,11 +203,12 @@ def cmd_simulate(args) -> int:
         for M in Ms:
             vals = [r["metrics"][4] for r in results if r["metrics"][0] == M]
             med.append((M, float(np.median(vals))))
-        logm = np.log([m for m, _ in med])
-        logv = np.log([v for _, v in med])
-        slope = float(np.polyfit(logm, logv, 1)[0])
         rows = [["vbar_l2_median", M, v] for M, v in med]
-        rows.append(["vbar_l2_loglog_slope", "", slope])
+        # a zero median (a population exactly on the mean field) has no log-log slope
+        if all(v > 0.0 for _, v in med):
+            logm = np.log([m for m, _ in med])
+            logv = np.log([v for _, v in med])
+            rows.append(["vbar_l2_loglog_slope", "", float(np.polyfit(logm, logv, 1)[0])])
         write_csv(os.path.join(args.out, "slope.csv"), ["quantity", "M", "value"], rows, cfg)
     if args.dump_trajectories:
         for r in results:

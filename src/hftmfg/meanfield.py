@@ -23,7 +23,9 @@ times).  With E(z_0) = E0 substituted, the speed jumps z_{s+1} - V_s z_s =
 linear system: the problem is linear, so the shooting needs no iteration.
 The initial, jump and terminal residuals of every solution are checked
 against ``solver.shooting_tolerance``, and one that misses it (or is NaN)
-raises ``SolverError``.
+raises ``SolverError``.  They, and the aggregates at the trade times, are read
+from the states at the segment ends, V_s z_s and z_s; the fine-mesh curves
+are reconstructed from the fundamental matrices only when first read.
 
 The block system's conditioning grows roughly with the largest single-segment
 propagator, not with their product as in single shooting, which condenses
@@ -36,7 +38,9 @@ engine is built.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -111,26 +115,22 @@ class ResidualReport:
 
 
 def _residual_report(B_T: np.ndarray, Gamma, jumps: np.ndarray, E0: np.ndarray,
-                     E_by_state: PiecewiseCurve, mu_by_state: PiecewiseCurve,
-                     mu_agg: PiecewiseCurve, condition_number: float,
+                     ends: np.ndarray, agg_ends: np.ndarray, condition_number: float,
                      tol: float) -> ResidualReport:
     """Residuals of E(0) = E0, the speed jumps ``jumps`` at the trades and the
     terminal coupling B_T mu(T) + 2 diag(Gamma) E(T) = 0.
 
-    Raises ``SolverError`` when any of them exceeds ``tol`` or is NaN.
+    ``ends[s]`` holds [mu; E] at the start and the end of segment s, and
+    ``agg_ends[s]`` the aggregates (mu_agg, E_agg) there.  Raises
+    ``SolverError`` when any residual exceeds ``tol`` or is NaN.
     """
-    term_vec = B_T @ mu_by_state.terminal() + 2.0 * np.asarray(Gamma) * E_by_state.terminal()
-    K = len(jumps)
-    jump_state = np.empty((K, len(E0)))
-    jump_agg = np.empty(K)
-    for k in range(1, K + 1):
-        jump_state[k - 1] = (mu_by_state.left_at(k) - mu_by_state.right_at(k)) - jumps[k - 1]
-        jump_agg[k - 1] = (mu_agg.left_at(k)[0] - mu_agg.right_at(k)[0]) - jumps[k - 1]
+    N = len(E0)
+    term_vec = B_T @ ends[-1, 1, :N] + 2.0 * np.asarray(Gamma) * ends[-1, 1, N:]
     report = ResidualReport(
         terminal=float(np.linalg.norm(term_vec)),
-        initial=float(np.max(np.abs(E_by_state.initial() - E0), initial=0.0)),
-        jump_aggregate=jump_agg,
-        jump_by_state=jump_state,
+        initial=float(np.max(np.abs(ends[0, 0, N:] - E0), initial=0.0)),
+        jump_aggregate=(agg_ends[:-1, 1, 0] - agg_ends[1:, 0, 0]) - jumps,
+        jump_by_state=(ends[:-1, 1, :N] - ends[1:, 0, :N]) - jumps[:, None],
         condition_number=condition_number,
     )
     # written so that NaN fails: NaN <= tol is False
@@ -142,23 +142,75 @@ def _residual_report(B_T: np.ndarray, Gamma, jumps: np.ndarray, E0: np.ndarray,
     return report
 
 
+class _Curves:
+    """A solution's fine-mesh curves, built on first read.
+
+    ``fine()`` returns the per-segment [mu; E] samples on the fine mesh.  It
+    is dropped once the curves exist, which releases what it holds, and the
+    lock lets threads that read a shared solution build it once.
+    """
+
+    def __init__(self, grid: TimeGrid, p: PiecewiseCurve, fine):
+        self._grid, self._p, self._fine = grid, p, fine
+        self._lock = threading.Lock()
+        self._built = None
+
+    def get(self) -> tuple[PiecewiseCurve, PiecewiseCurve, PiecewiseCurve, PiecewiseCurve]:
+        """(E_by_state, mu_by_state, E_agg, mu_agg)."""
+        with self._lock:
+            if self._built is None:
+                N = self._p.dim
+                fine = self._fine()
+                mu_by_state = PiecewiseCurve(self._grid, tuple(f[:, :N] for f in fine))
+                E_by_state = PiecewiseCurve(self._grid, tuple(f[:, N:] for f in fine))
+                self._built = (E_by_state, mu_by_state, weighted_aggregate(E_by_state, self._p),
+                               weighted_aggregate(mu_by_state, self._p))
+                self._fine = None
+            return self._built
+
+
 @dataclass(frozen=True)
 class MeanFieldSolution:
+    """The crowd's equilibrium.
+
+    The segment-boundary values are computed with the solution; the residual
+    report, ``E_at_trades``, ``mu_at_trades`` and ``E_agg_initial`` read only
+    them.  The curves ``E_by_state``, ``mu_by_state``, ``E_agg`` and ``mu_agg``
+    are built on first read and kept.
+    """
+
     grid: TimeGrid
     chain: ChainSolution
     h2: PiecewiseCurve
-    E_by_state: PiecewiseCurve
-    mu_by_state: PiecewiseCurve
-    E_agg: PiecewiseCurve
-    mu_agg: PiecewiseCurve
     xi: np.ndarray
     E0: np.ndarray
     residuals: ResidualReport
+    ends: np.ndarray                          # (S, 2, 2N): [mu; E] at the start and
+                                              # the end of each segment
+    agg_ends: np.ndarray                      # (S, 2, 2): (mu_agg, E_agg) at the same
+                                              # points
     U: tuple[np.ndarray, ...] | None          # per-segment fundamental matrices at
                                               # level-0 nodes, re-anchored to I at
                                               # each trade time
     c_segments: np.ndarray | None             # (S, 2N) state at each segment start;
                                               # [mu; E](t) = U_s(t) c_s on segment s
+    _curves: _Curves = field(repr=False, compare=False)
+
+    @property
+    def E_by_state(self) -> PiecewiseCurve:
+        return self._curves.get()[0]
+
+    @property
+    def mu_by_state(self) -> PiecewiseCurve:
+        return self._curves.get()[1]
+
+    @property
+    def E_agg(self) -> PiecewiseCurve:
+        return self._curves.get()[2]
+
+    @property
+    def mu_agg(self) -> PiecewiseCurve:
+        return self._curves.get()[3]
 
     @property
     def c0(self) -> np.ndarray | None:
@@ -166,10 +218,49 @@ class MeanFieldSolution:
         return None if self.c_segments is None else self.c_segments[0]
 
     def mu_at_trades(self, side: str = "right") -> np.ndarray:
-        return trade_values([seg[:, 0] for seg in self.mu_agg.segments], side)
+        return trade_values(self.agg_ends[:, :, 0], side)
 
     def E_at_trades(self) -> np.ndarray:
-        return trade_values([seg[:, 0] for seg in self.E_agg.segments])
+        return trade_values(self.agg_ends[:, :, 1])
+
+    def E_agg_initial(self) -> float:
+        return float(self.agg_ends[0, 0, 1])
+
+
+def _solution(grid: TimeGrid, chain: ChainSolution, h2: PiecewiseCurve, xi: np.ndarray,
+              E0: np.ndarray, ends: np.ndarray, p_ends: np.ndarray, fine, B_T: np.ndarray,
+              Gamma, jumps: np.ndarray, condition_number: float, tol: float,
+              U=None, c_segments=None) -> MeanFieldSolution:
+    """Check the boundary values ``ends`` and wrap them with the curve builder ``fine``.
+
+    ``p_ends`` holds the chain's probabilities at the same points as ``ends``.
+    """
+    N = len(E0)
+    # the product and reduction of ``weighted_aggregate``, so the values equal
+    # its samples bit for bit
+    agg_ends = np.stack([np.sum(p_ends * ends[..., :N], axis=-1),
+                         np.sum(p_ends * ends[..., N:], axis=-1)], axis=-1)
+    residuals = _residual_report(B_T, Gamma, jumps, E0, ends, agg_ends, condition_number, tol)
+    return MeanFieldSolution(
+        grid=grid, chain=chain, h2=h2, xi=xi.copy(), E0=E0.copy(), residuals=residuals,
+        ends=ends, agg_ends=agg_ends, U=U, c_segments=c_segments,
+        _curves=_Curves(grid, chain.p, fine))
+
+
+def _segment_ends(segments) -> np.ndarray:
+    """First and last sample of every segment, shape (S, 2, dim)."""
+    return np.stack([seg[[0, -1]] for seg in segments])
+
+
+def _fine_states(U_nodes, U_mid, c_segments) -> list[np.ndarray]:
+    """[mu; E] on every segment's fine mesh: nodes from U_nodes, midpoints from U_mid."""
+    fine = []
+    for Un, Um, c in zip(U_nodes, U_mid, c_segments):
+        f = np.empty((len(Un) + len(Um), len(c)))
+        f[0::2] = Un @ c
+        f[1::2] = Um @ c
+        fine.append(f)
+    return fine
 
 
 def _bits(*arrays) -> tuple[bytes, ...]:
@@ -196,7 +287,8 @@ class MeanFieldEngine:
     The chain, the quadratic coefficient, the fundamental matrices and the
     boundary system over the segment starts do not depend on (E0, xi), so
     basis solves reuse them; ``solve`` then costs one linear solve of that
-    (N (2S - 1))-square system plus the curve reconstruction.
+    (N (2S - 1))-square system and one product per segment end.  The curves
+    are reconstructed only when a caller reads them.
 
     The chain depends only on (Q, p0) and the grid, h2 only on (Gamma, phi,
     Q, eta) and the grid.  Engines built with one ``cache`` dict, which a
@@ -217,15 +309,17 @@ class MeanFieldEngine:
                          lambda: solve_h2(av, cfg.market, self.grid, method))
         N = cfg.n_states
         self._N = N
-        self._U_nodes, self._U_mid = [], []
+        U_nodes, U_mid = [], []
         for s in range(self.grid.n_segments):
             A = assemble_A_batch(self.chain.p.segments[s], self.h2.segments[s],
                                  cfg.aversion, cfg.market)
             h = self.grid.step_width(s)
             Un = trajectory(np.eye(2 * N), step_maps(A, h, method)[0])
-            self._U_nodes.append(Un)
-            self._U_mid.append(self._midpoint_states(Un, A, h, method))
-        self._V_end = [Un[-1] for Un in self._U_nodes]
+            U_nodes.append(Un)
+            U_mid.append(self._midpoint_states(Un, A, h, method))
+        self._U_nodes, self._U_mid = tuple(U_nodes), tuple(U_mid)
+        self._U_ends = np.stack([Un[[0, -1]] for Un in U_nodes])    # I and V_s per segment
+        self._p_ends = _segment_ends(self.chain.p.segments)
 
         # unknowns: the segment-start states z_s = [mu; E](t_s), with E(z_0) = E0
         # substituted exactly.  Rows: z_{s+1} - V_s z_s = -jump_s [1; 0] at each
@@ -235,10 +329,11 @@ class MeanFieldEngine:
         self._B_T = 2.0 * cfg.market.eta * np.eye(N) + cfg.market.lam_h * np.outer(np.ones(N), pT)
         C = np.hstack([self._B_T, 2.0 * np.diag(cfg.aversion.Gamma)])
         G = np.zeros((n * S - N, n * S))
-        for s, V in enumerate(self._V_end[:-1]):
+        V_end = self._U_ends[:, 1]
+        for s, V in enumerate(V_end[:-1]):
             G[n * s:n * (s + 1), n * s:n * (s + 1)] = -V
             G[n * s:n * (s + 1), n * (s + 1):n * (s + 2)] = np.eye(n)
-        G[n * (S - 1):, n * (S - 1):] = C @ self._V_end[-1]
+        G[n * (S - 1):, n * (S - 1):] = C @ V_end[-1]
         self._E0_cols = G[:, N:n]
         self._system = np.delete(G, np.s_[N:n], axis=1)
         self.condition_number = float(np.linalg.cond(self._system))
@@ -275,29 +370,12 @@ class MeanFieldEngine:
         w = np.linalg.solve(self._system, rhs)
         c_segments = np.concatenate([w[:N], E0, w[N:]]).reshape(S, 2 * N)
 
-        mu_segs, E_segs = [], []
-        for s in range(S):
-            vn = self._U_nodes[s] @ c_segments[s]
-            vm = self._U_mid[s] @ c_segments[s]
-            fine = np.empty((len(vn) + len(vm), 2 * N))
-            fine[0::2] = vn
-            fine[1::2] = vm
-            mu_segs.append(fine[:, :N])
-            E_segs.append(fine[:, N:])
-        mu_by_state = PiecewiseCurve(self.grid, tuple(mu_segs))
-        E_by_state = PiecewiseCurve(self.grid, tuple(E_segs))
-        mu_agg = weighted_aggregate(mu_by_state, self.chain.p)
-        E_agg = weighted_aggregate(E_by_state, self.chain.p)
-
-        residuals = _residual_report(self._B_T, cfg.aversion.Gamma, jumps, E0, E_by_state,
-                                     mu_by_state, mu_agg, self.condition_number,
-                                     cfg.solver.shooting_tolerance)
-
-        return MeanFieldSolution(
-            grid=self.grid, chain=self.chain, h2=self.h2,
-            E_by_state=E_by_state, mu_by_state=mu_by_state,
-            E_agg=E_agg, mu_agg=mu_agg, xi=xi.copy(), E0=E0.copy(),
-            residuals=residuals, U=tuple(self._U_nodes), c_segments=c_segments)
+        # [mu; E] at both ends of every segment, as the curves would sample them
+        ends = (self._U_ends @ c_segments[:, None, :, None])[..., 0]
+        return _solution(self.grid, self.chain, self.h2, xi, E0, ends, self._p_ends,
+                         partial(_fine_states, self._U_nodes, self._U_mid, c_segments),
+                         self._B_T, cfg.aversion.Gamma, jumps, self.condition_number,
+                         cfg.solver.shooting_tolerance, U=self._U_nodes, c_segments=c_segments)
 
 
 def solve_partial(cfg: ModelConfig, xi=None, cache: dict | None = None) -> MeanFieldSolution:
@@ -376,19 +454,10 @@ def closed_form_n1(cfg: ModelConfig, xi=None) -> MeanFieldSolution:
 
     chain = solve_chain(cfg.aversion, grid, cfg.solver.integrator)
     h2 = solve_h2(cfg.aversion, cfg.market, grid, cfg.solver.integrator)
-    E_by_state = PiecewiseCurve(grid, tuple(E_segs))
-    mu_by_state = PiecewiseCurve(grid, tuple(mu_segs))
-    E_agg = weighted_aggregate(E_by_state, chain.p)
-    mu_agg = weighted_aggregate(mu_by_state, chain.p)
-
-    residuals = _residual_report(np.array([[denom]]), cfg.aversion.Gamma, scale * xi,
-                                 np.array([E0]), E_by_state, mu_by_state, mu_agg, 1.0,
-                                 cfg.solver.shooting_tolerance)
-    return MeanFieldSolution(
-        grid=grid, chain=chain, h2=h2,
-        E_by_state=E_by_state, mu_by_state=mu_by_state,
-        E_agg=E_agg, mu_agg=mu_agg, xi=xi.copy(),
-        E0=np.array([E0]), residuals=residuals, U=None, c_segments=None)
+    fine = [np.hstack([mu, E]) for mu, E in zip(mu_segs, E_segs)]
+    return _solution(grid, chain, h2, xi, np.array([E0]), _segment_ends(fine),
+                     _segment_ends(chain.p.segments), lambda: fine, np.array([[denom]]),
+                     cfg.aversion.Gamma, scale * xi, 1.0, cfg.solver.shooting_tolerance)
 
 
 @dataclass(frozen=True)

@@ -170,8 +170,11 @@ def svg_plot(path, series, title: str = "", xlabel: str = "", ylabel: str = "",
     else:
         for idx, (label, sx, sy) in enumerate(series):
             color = PALETTE[idx % len(PALETTE)]
-            pts = " ".join(f"{round(X(float(a)), 2)},{round(Y(float(b)), 2)}"
-                           for a, b in zip(sx, sy))
+            # X and Y on whole arrays do the scalar operations in the same order;
+            # Python's round on Python floats, not numpy's, keeps the halfway cases
+            px = X(np.asarray(sx, dtype=float))
+            py = Y(np.asarray(sy, dtype=float))
+            pts = " ".join(f"{round(float(a), 2)},{round(float(b), 2)}" for a, b in zip(px, py))
             out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                        f'stroke-width="1.6"/>')
         lx, ly = ml + 10, mt + 16

@@ -94,7 +94,7 @@ def lt_profit(cfg: ModelConfig, xi, mean_field: MeanFieldSolution,
               P0: float = 0.0) -> ProfitReport:
     """Expected revenue against the mean field, with and without its price impact."""
     return profit_from_aggregates(cfg, xi, mean_field.E_at_trades(),
-                                  float(mean_field.E_agg.initial()[0]),
+                                  mean_field.E_agg_initial(),
                                   mean_field.mu_at_trades(cfg.solver.mu_at_trades), P0)
 
 

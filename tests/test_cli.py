@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import hftmfg.cli as cli
 import hftmfg.meanfield as meanfield
 from hftmfg import presets
 from hftmfg.cli import main
-from hftmfg.config import load_config
+from hftmfg.config import load_config, serialize_config
 from hftmfg.reporting import read_csv, write_csv
 from hftmfg.simulate import deviation_gain, lt_deviation_gain
 from hftmfg.strategy import solve_overall
@@ -436,3 +437,20 @@ def test_validate_detects_coarse_grid(tmp_path):
     assert not byname["oracle-equivalence"]["passed"]
     assert "sup error" in byname["oracle-equivalence"]["detail"]
     assert rc == 1
+
+
+def test_simulate_on_the_mean_field_writes_no_slope(tmp_path, capsys):
+    # agents that start at E0 = 0 stay on the mean field, so every vbar_l2 median is 0
+    cfg = presets.partial_single_type(2.0, 10.0, grid=200, inventory_bound=0.0)
+    path = tmp_path / "cfg.json"
+    path.write_text(serialize_config(cfg))
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(["simulate", "--config", str(path), "--out", str(out),
+                  "--M", "10", "20", "--seeds", "2"])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    assert "nan" not in (out / "slope.csv").read_text()
+    _, _, rows = read_csv(out / "slope.csv")
+    assert rows == [["vbar_l2_median", "10", "0.0"], ["vbar_l2_median", "20", "0.0"]]
