@@ -245,6 +245,8 @@ def validate_schedule_feasibility(cfg: ModelConfig) -> None:
 
 
 def _check_keys(d: dict, allowed: set[str], required: set[str], where: str) -> None:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be an object")
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
@@ -254,8 +256,6 @@ def _check_keys(d: dict, allowed: set[str], required: set[str], where: str) -> N
 
 
 def config_from_dict(raw: dict) -> ModelConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("top-level JSON value must be an object")
     _check_keys(raw, {"mode", "market", "aversion", "schedule", "population", "solver"},
                 {"mode", "market", "aversion", "schedule", "population"}, "top level")
 
@@ -304,7 +304,7 @@ def config_from_dict(raw: dict) -> ModelConfig:
     solver = SolverSettings(
         grid_steps_per_unit_time=sv.get("grid_steps_per_unit_time", 1000),
         integrator=sv.get("integrator", "rk4"),
-        shooting_tolerance=float(sv.get("shooting_tolerance", 1e-6)),
+        shooting_tolerance=_fnum(sv.get("shooting_tolerance", 1e-6), "solver.shooting_tolerance"),
         mu_at_trades=sv.get("mu_at_trades", "right"),
     )
 

@@ -381,83 +381,82 @@ class MeanFieldEngine:
 def solve_partial(cfg: ModelConfig, xi=None, cache: dict | None = None) -> MeanFieldSolution:
     """Crowd equilibrium for a fixed trade schedule; ``cache`` as in ``MeanFieldEngine``."""
     if xi is None:
-        xi = cfg.schedule.quantities
-        if xi is None:
-            xi = np.zeros(cfg.schedule.K)
+        xi = np.zeros(cfg.schedule.K) if cfg.schedule.quantities is None else cfg.schedule.quantities
     return MeanFieldEngine(cfg, cache).solve(cfg.population.E0, xi)
 
 
-def closed_form_n1(cfg: ModelConfig, xi=None) -> MeanFieldSolution:
-    """Exact single-state solution; the independent oracle for the numerical path.
+def closed_form_q0(cfg: ModelConfig, xi=None) -> MeanFieldSolution:
+    """Exact solution for any crowd that never switches (Q = 0); the
+    independent oracle for the numerical path.
 
-    E(t) = A_k e^{th1 t} + B_k e^{th2 t} on each interval, with the roots of
-    (lambdaH + 2 eta) r^2 + gammaH r - 2 phi = 0 and coefficients propagated
-    through the trade-time jumps.  The repeated-root case (reachable only at
-    gammaH = phi = 0) uses the (A + B t) e^{th t} basis.  The roots are
-    referenced at t = 0, so the growing mode loses digits as the horizon
-    stretches; past T ~ 3 its residuals miss the tolerance and it raises
-    ``SolverError`` like the engine.
+    With Q = 0, p stays at p0 and h2 drops out, so between trades z = [mu; E]
+    solves z' = A z with the constant A = [[-B^{-1} gammaH e p0^T,
+    2 B^{-1} diag(phi)], [I, 0]], built here from those formulas.  On segment
+    s, z(t) = V e^{Lambda (t - r)} c_s in A's eigenbasis, each growing mode
+    referenced at the segment end and the others at its start, so no
+    exponential exceeds 1 at any horizon; a nilpotent A (gammaH = phi = 0)
+    gives z(t) = (I + A (t - t_s)) c_s.  E(0) = E0, the speed jumps and the
+    terminal coupling are one square system in the c_s.  Raises
+    ``SolverError`` when V is ill-conditioned, when that system's condition
+    number exceeds ``COND_ABORT`` and when the residuals miss the tolerance.
     """
+    av, mkt = cfg.aversion, cfg.market
+    if np.any(av.Q):
+        raise ValueError("closed_form_q0 requires a crowd that never switches (Q = 0)")
+    grid = default_grid(cfg)
+    S, N, n, b = grid.n_segments, cfg.n_states, 2 * cfg.n_states, grid.bounds
+    if xi is None:
+        xi = np.zeros(S - 1) if cfg.schedule.quantities is None else cfg.schedule.quantities
+    xi = np.asarray(xi, dtype=float)
+    B = 2.0 * mkt.eta * np.eye(N) + mkt.lam_h * np.outer(np.ones(N), av.p0)
+    A = np.zeros((n, n))
+    A[:N, :N] = -np.linalg.solve(B, mkt.gamma_h * np.outer(np.ones(N), av.p0))
+    A[:N, N:] = 2.0 * np.linalg.solve(B, np.diag(av.phi))
+    A[N:, :N] = np.eye(N)
+    if not A[:N].any():
+        def modes(s, t):
+            return np.eye(n) + A * (t - b[s])[:, None, None]
+    else:
+        lam, V = np.linalg.eig(A)
+        cond_V = np.linalg.cond(V)        # the curves' error is about cond_V * rounding
+        if not cond_V <= 1e8:
+            raise SolverError(f"mode basis is ill-conditioned (condition number {cond_V:.3e})")
+
+        def modes(s, t):
+            ref = np.where(lam.real > 0.0, b[s + 1], b[s])
+            return V * np.exp(lam * (t[:, None] - ref))[:, None, :]
+
+    # rows: E(0) = E0, then at each trade z_s(t_s) - z_{s-1}(t_s) = -jump [1; 0],
+    # then the terminal coupling C z_{S-1}(T) = 0
+    ends = [modes(s, b[s:s + 2]) for s in range(S)]
+    jumps = speed_jump_size(mkt, xi)
+    G = np.zeros((n * S, n * S), dtype=ends[0].dtype)     # complex only for a complex spectrum
+    rhs = np.zeros(n * S, dtype=ends[0].dtype)
+    G[:N, :n], rhs[:N] = ends[0][0][N:], cfg.population.E0
+    for s in range(1, S):
+        r = N + n * (s - 1)
+        G[r:r + n, n * (s - 1):n * s] = -ends[s - 1][1]
+        G[r:r + n, n * s:n * (s + 1)] = ends[s][0]
+        rhs[r:r + N] = -jumps[s - 1]
+    G[-N:, -n:] = np.hstack([B, 2.0 * np.diag(av.Gamma)]) @ ends[-1][1]
+    cond = float(np.linalg.cond(G))
+    if not cond <= COND_ABORT:
+        raise SolverError(f"boundary system is numerically singular (condition number {cond:.3e})")
+    c = np.linalg.solve(G, rhs).reshape(S, n)
+
+    fine = [(modes(s, t) @ c[s]).real for s, t in enumerate(grid.fine_times)]
+    chain = solve_chain(av, grid, cfg.solver.integrator)
+    h2 = solve_h2(av, mkt, grid, cfg.solver.integrator)
+    return _solution(grid, chain, h2, xi, cfg.population.E0, _segment_ends(fine),
+                     _segment_ends(chain.p.segments), lambda: fine, B, av.Gamma, jumps,
+                     cond, cfg.solver.shooting_tolerance)
+
+
+def closed_form_n1(cfg: ModelConfig, xi=None) -> MeanFieldSolution:
+    """``closed_form_q0`` for a single-state crowd."""
     if cfg.n_states != 1:
         raise ValueError("closed_form_n1 requires a single-state configuration")
-    mkt = cfg.market
-    grid = default_grid(cfg)
-    K = grid.n_segments - 1
-    if xi is None:
-        xi = cfg.schedule.quantities
-        if xi is None:
-            xi = np.zeros(K)
-    xi = np.asarray(xi, dtype=float)
-    T = grid.horizon
-    tk = grid.trade_times
-    E0 = float(cfg.population.E0[0])
-    Gam = float(cfg.aversion.Gamma[0])
-    phi = float(cfg.aversion.phi[0])
-    denom = mkt.lam_h + 2.0 * mkt.eta
-    scale = mkt.gamma / denom
-    disc = mkt.gamma_h ** 2 + 8.0 * phi * denom
-
-    E_segs, mu_segs = [], []
-    if disc > 0.0:
-        rt = np.sqrt(disc)
-        th1 = (-mkt.gamma_h + rt) / (2.0 * denom)
-        th2 = (-mkt.gamma_h - rt) / (2.0 * denom)
-        xs = np.concatenate(([0.0], np.cumsum(scale / (th2 - th1) * xi * np.exp(-th1 * tk))))
-        ys = np.concatenate(([0.0], np.cumsum(scale / (th2 - th1) * xi * np.exp(-th2 * tk))))
-        e1T, e2T = np.exp(th1 * T), np.exp(th2 * T)
-        den = denom * (th1 * e1T - th2 * e2T) + 2.0 * Gam * (e1T - e2T)
-        num = -denom * (xs[K] * th1 * e1T + (E0 - ys[K]) * th2 * e2T) \
-            - 2.0 * Gam * (xs[K] * e1T + (E0 - ys[K]) * e2T)
-        A0 = num / den
-        B0 = E0 - A0
-        for s in range(grid.n_segments):
-            a, b = A0 + xs[s], B0 - ys[s]
-            t = grid.fine_times[s]
-            e1, e2 = np.exp(th1 * t), np.exp(th2 * t)
-            E_segs.append((a * e1 + b * e2)[:, None])
-            mu_segs.append((a * th1 * e1 + b * th2 * e2)[:, None])
-    else:
-        th = -mkt.gamma_h / (2.0 * denom)
-        xs = np.concatenate(([0.0], np.cumsum(scale * xi * tk * np.exp(-th * tk))))
-        ys = np.concatenate(([0.0], np.cumsum(scale * xi * np.exp(-th * tk))))
-        A0 = E0
-        aK = A0 + xs[K]
-        den = denom * (1.0 + th * T) + 2.0 * Gam * T
-        bK = -aK * (denom * th + 2.0 * Gam) / den
-        B0 = bK + ys[K]
-        for s in range(grid.n_segments):
-            a, b = A0 + xs[s], B0 - ys[s]
-            t = grid.fine_times[s]
-            e = np.exp(th * t)
-            E_segs.append(((a + b * t) * e)[:, None])
-            mu_segs.append(((b + th * a + th * b * t) * e)[:, None])
-
-    chain = solve_chain(cfg.aversion, grid, cfg.solver.integrator)
-    h2 = solve_h2(cfg.aversion, cfg.market, grid, cfg.solver.integrator)
-    fine = [np.hstack([mu, E]) for mu, E in zip(mu_segs, E_segs)]
-    return _solution(grid, chain, h2, xi, np.array([E0]), _segment_ends(fine),
-                     _segment_ends(chain.p.segments), lambda: fine, np.array([[denom]]),
-                     cfg.aversion.Gamma, scale * xi, 1.0, cfg.solver.shooting_tolerance)
+    return closed_form_q0(cfg, xi)
 
 
 @dataclass(frozen=True)

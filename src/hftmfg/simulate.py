@@ -461,11 +461,12 @@ def _deviator_quadratic(cfg: ModelConfig, eq: MeanFieldSolution, delta: float,
     # own-speed costs: fee plus the 1/M share of the temporary impact
     P += 2.0 * (m.eta + m.lam_h * delta) * np.diag(widths)
 
+    # the agent's own state path: state[j] holds after the j-th event
+    ev_t = np.array([t for t, _ in events], dtype=float)
+    state = np.array([y_init] + [y for _, y in events], dtype=np.int64)
+
     # terminal inventory: aversion minus the 1/M share of the permanent impact
-    y_term = y_init
-    for _, ynew in events:
-        y_term = ynew
-    coef = float(cfg.aversion.Gamma[y_term]) - 0.5 * m.gamma_h * delta
+    coef = float(cfg.aversion.Gamma[state[-1]]) - 0.5 * m.gamma_h * delta
     P += 2.0 * coef * np.outer(widths, widths)
     g += -2.0 * coef * x_init * widths
     const += -coef * x_init * x_init - 0.5 * m.gamma_h * delta * x_init * x_init
@@ -493,35 +494,18 @@ def _deviator_quadratic(cfg: ModelConfig, eq: MeanFieldSolution, delta: float,
         g += m.gamma * (psik.T @ xi)
         const += m.gamma * float(np.sum(xi)) * x_init
 
-    # running aversion along the agent's own state path
-    phi = np.asarray(cfg.aversion.phi, dtype=float)
-    TA, TB, RHO = [], [], []
-    y = y_init
-    evs = list(events) + [(grid.horizon + 1.0, y_init)]
-    ei = 0
-    for s in range(grid.n_segments):
-        times = grid.level0_times(s)
-        for ta, tb in zip(times[:-1], times[1:]):
-            cur = ta
-            while True:
-                nxt_event = evs[ei][0] if ei < len(evs) else math.inf
-                stop = min(tb, nxt_event)
-                if stop > cur and phi[y] != 0.0:
-                    TA.append(cur)
-                    TB.append(stop)
-                    RHO.append(phi[y])
-                if nxt_event <= tb:
-                    y = evs[ei][1]
-                    ei += 1
-                    cur = stop
-                    continue
-                break
-    if TA:
-        TAa = np.asarray(TA)
-        TBa = np.asarray(TB)
-        om = np.asarray(RHO) * (TBa - TAa) / 3.0
-        PA = psi(TAa)
-        PB = psi(TBa)
+    # running aversion along the agent's own state path: the level-0 steps cut
+    # at the events, each piece in the state after every event up to its start
+    cuts = np.union1d(np.concatenate([grid.level0_times(s) for s in range(grid.n_segments)]),
+                      ev_t)
+    TA, TB = cuts[:-1], cuts[1:]
+    RHO = np.asarray(cfg.aversion.phi, dtype=float)[state[np.searchsorted(ev_t, TA, "right")]]
+    keep = RHO != 0.0
+    TA, TB, RHO = TA[keep], TB[keep], RHO[keep]
+    if len(TA):
+        om = RHO * (TB - TA) / 3.0
+        PA = psi(TA)
+        PB = psi(TB)
         quad = PA.T @ (om[:, None] * PA) + PB.T @ (om[:, None] * PB)
         cross = PA.T @ (om[:, None] * PB)
         quad += 0.5 * (cross + cross.T)

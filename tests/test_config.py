@@ -135,3 +135,31 @@ def test_zero_crowd_impact_allowed(config_file):
     raw["market"]["lambdaH"] = 0.0
     cfg = load_config(config_file(raw))
     assert cfg.market.gamma_h == 0.0 and cfg.market.lam_h == 0.0
+
+
+@pytest.mark.parametrize("value", ["abc", None, [1e-6], True, "1e-6", float("inf")],
+                         ids=["string", "null", "list", "bool", "numeric-string", "infinity"])
+def test_shooting_tolerance_must_be_a_finite_number(config_file, tmp_path, capsys, value):
+    from hftmfg.cli import main
+    raw = base_raw()
+    raw["solver"]["shooting_tolerance"] = value
+    with pytest.raises(ConfigError, match="solver.shooting_tolerance"):
+        config_from_dict(raw)
+    out = tmp_path / "out"
+    assert main(["solve-partial", "--config", config_file(raw), "--out", str(out)]) == 1
+    assert "configuration error: solver.shooting_tolerance" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section,value", [("solver", None), ("market", 5), ("aversion", None),
+                                           ("population", [1]), ("schedule", "T")])
+def test_config_section_must_be_an_object(section, value):
+    raw = base_raw()
+    raw[section] = value
+    with pytest.raises(ConfigError, match=f"^{section} must be an object$"):
+        config_from_dict(raw)
+
+
+def test_top_level_must_be_an_object():
+    with pytest.raises(ConfigError, match="top level must be an object"):
+        config_from_dict([base_raw()])

@@ -9,7 +9,7 @@ from hftmfg.config import config_from_dict
 from hftmfg.errors import SolverError
 from hftmfg.grid import sup_diff
 from hftmfg.meanfield import (MeanFieldEngine, assemble_A_batch, closed_form_n1,
-                              jump_conditions_report, solve_partial,
+                              closed_form_q0, jump_conditions_report, solve_partial,
                               speed_jump_size)
 from hftmfg.validate import SWEEP
 from conftest import base_raw
@@ -283,14 +283,14 @@ def test_nan_residuals_raise():
 
 
 def test_closed_form_oracle_goes_through_the_residual_gate():
-    # the oracle references its growing mode at t = 0, so its own terminal
-    # residual grows with the horizon (1.0e-3 at T = 5, 1.2e17 at T = 10)
+    # the oracle references each growing mode at its segment end, so its own
+    # residuals stay at rounding level as the horizon stretches
     cfg = presets.partial_single_type(2.0, 10.0, grid=200)
-    for T in (1.0, 3.0):
-        assert closed_form_n1(_stretched(cfg, T)).residuals.terminal <= 1e-6
-    for T in (5.0, 10.0):
-        with pytest.raises(SolverError, match="exceed tolerance"):
-            closed_form_n1(_stretched(cfg, T))
+    for T in (1.0, 3.0, 5.0, 10.0):
+        r = closed_form_n1(_stretched(cfg, T)).residuals
+        assert max(r.terminal, r.worst_jump, r.initial) <= 1e-10, T
+    with pytest.raises(SolverError, match="exceed tolerance"):
+        closed_form_n1(cfg, xi=np.full(9, np.nan))
 
 
 def test_solution_exposes_fundamental_matrices(baseline_eq):
@@ -350,3 +350,65 @@ def test_engine_cache_shares_chain_and_h2_by_key(changes, same_h2, same_chain):
     for name in ("E_agg", "mu_agg", "h2"):
         a, b = getattr(cached, name).segments, getattr(fresh, name).segments
         assert len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b)), name
+
+
+def _unswitched(N, T=1.0, grid=2000, **market):
+    """An all-averse crowd of N types that never switch, nine trades at k T / 10."""
+    raw = base_raw()
+    raw["market"].update(market)
+    raw["aversion"] = {"Gamma": [2.0, 1.0, 0.5][:N], "phi": [10.0, 1.0, 5.0][:N],
+                       "Q": [[0.0] * N] * N, "p0": [1.0 / N] * N}
+    raw["population"]["E0"] = [0.0, 0.3, -0.2][:N]
+    raw["schedule"].update(T=T, times=[k * T / 10 for k in range(1, 10)])
+    raw["solver"]["grid_steps_per_unit_time"] = grid
+    return config_from_dict(raw)
+
+
+@pytest.mark.parametrize("N,T", [(2, 1.0), (3, 1.0), (2, 5.0), (3, 5.0), (2, 10.0), (3, 10.0),
+                                 (1, 5.0), (1, 10.0)])
+def test_unswitched_crowd_oracle_equivalence(N, T):
+    cfg = _unswitched(N, T)
+    num, ora = solve_partial(cfg), closed_form_q0(cfg)
+    assert sup_diff(num.E_by_state, ora.E_by_state) < 1e-6
+    assert sup_diff(num.mu_by_state, ora.mu_by_state) < 1e-6
+
+
+def test_nilpotent_two_state_crowd_oracle_equivalence():
+    # gammaH = phi = 0: A is nilpotent and the oracle takes its polynomial branch
+    raw = _unswitched(2, grid=1000, gammaH=0.0).to_dict()
+    raw["aversion"]["phi"] = [0.0, 0.0]
+    cfg = config_from_dict(raw)
+    num, ora = solve_partial(cfg), closed_form_q0(cfg)
+    assert sup_diff(num.E_by_state, ora.E_by_state) < 1e-6
+    assert sup_diff(num.mu_by_state, ora.mu_by_state) < 1e-6
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_unswitched_oracle_residuals_at_long_horizons(N):
+    for T in (1.0, 5.0, 10.0, 20.0):
+        r = closed_form_q0(_unswitched(N, T, grid=200)).residuals
+        assert max(r.terminal, r.worst_jump, r.initial) <= 1e-10, T
+        assert r.condition_number <= 1e3, T
+
+
+def test_oracle_refuses_a_defective_mode_basis():
+    # gammaH = 0 and a type without running aversion: A has a Jordan block
+    raw = _unswitched(2, grid=200, gammaH=0.0).to_dict()
+    raw["aversion"]["phi"] = [0.0, 10.0]
+    for T in (1.0, 10.0):
+        with pytest.raises(SolverError, match="mode basis is ill-conditioned"):
+            closed_form_q0(_stretched(config_from_dict(raw), T))
+
+
+def test_oracle_refuses_the_zero_aversion_type_at_long_horizon():
+    cfg = presets.partial_two_type(x=0.0, y=0.0, grid=200)
+    assert closed_form_q0(cfg).residuals.terminal <= 1e-10
+    with pytest.raises(SolverError, match="boundary system .*condition number"):
+        closed_form_q0(_stretched(cfg, 20.0))
+
+
+def test_oracle_entry_points_reject_what_they_do_not_cover():
+    with pytest.raises(ValueError, match="Q = 0"):
+        closed_form_q0(presets.partial_two_type(grid=200))
+    with pytest.raises(ValueError, match="single-state"):
+        closed_form_n1(_unswitched(2, grid=200))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -344,3 +346,65 @@ def test_price_paths_deterministic_per_seed(baseline_eq):
     a = sample_price_paths(cfg_noise, eq_n.xi, eq_n, 64, seed=5)
     b = sample_price_paths(cfg_noise, eq_n.xi, eq_n, 64, seed=5)
     assert np.array_equal(a.revenues, b.revenues)
+
+
+def _running_aversion_by_walk(cfg, eq, quad, x_init, y_init, events):
+    """``quad`` plus the running-aversion term, pieced together by walking every
+    level-0 step and event in turn."""
+    grid = eq.grid
+    left, widths = quad.edges[:-1], quad.widths
+
+    def psi(ts):
+        return np.clip(ts[:, None] - left[None, :], 0.0, widths[None, :])
+
+    P, g, const = quad.P.copy(), quad.g.copy(), quad.const
+    phi = np.asarray(cfg.aversion.phi, dtype=float)
+    TA, TB, RHO = [], [], []
+    y = y_init
+    evs = list(events) + [(grid.horizon + 1.0, y_init)]
+    ei = 0
+    for s in range(grid.n_segments):
+        times = grid.level0_times(s)
+        for ta, tb in zip(times[:-1], times[1:]):
+            cur = ta
+            while True:
+                nxt_event = evs[ei][0] if ei < len(evs) else np.inf
+                stop = min(tb, nxt_event)
+                if stop > cur and phi[y] != 0.0:
+                    TA.append(cur)
+                    TB.append(stop)
+                    RHO.append(phi[y])
+                if nxt_event <= tb:
+                    y = evs[ei][1]
+                    ei += 1
+                    cur = stop
+                    continue
+                break
+    if TA:
+        TAa, TBa = np.asarray(TA), np.asarray(TB)
+        om = np.asarray(RHO) * (TBa - TAa) / 3.0
+        PA, PB = psi(TAa), psi(TBa)
+        q = PA.T @ (om[:, None] * PA) + PB.T @ (om[:, None] * PB)
+        cross = PA.T @ (om[:, None] * PB)
+        q += 0.5 * (cross + cross.T)
+        P += 2.0 * q
+        g += -3.0 * x_init * ((PA + PB).T @ om)
+        const += -3.0 * x_init * x_init * float(np.sum(om))
+    return P, g, const
+
+
+def test_deviator_running_aversion_matches_the_step_walk():
+    cfg = presets.partial_two_type(grid=200)
+    eq = solve_partial(cfg)
+    averse_free = replace(cfg, aversion=replace(cfg.aversion, phi=np.zeros(2)))
+    vbar = [eq.mu_agg.node_values(s)[:, 0] for s in range(eq.grid.n_segments)]
+    node, trade = float(eq.grid.level0_times(3)[7]), float(eq.grid.trade_times[4])
+    event_sets = [[], [(node, 1)], [(0.4321, 1), (0.4321, 0)], [(trade, 1)],
+                  [(0.0, 1), (0.123, 0), (node, 1), (trade, 0), (0.97, 1)]]
+    for events in event_sets:
+        for y_init in (0, 1):
+            quad = _deviator_quadratic(cfg, eq, 0.01, vbar, 0.6, y_init, events, 20)
+            base = _deviator_quadratic(averse_free, eq, 0.01, vbar, 0.6, y_init, events, 20)
+            P, g, const = _running_aversion_by_walk(cfg, eq, base, 0.6, y_init, events)
+            assert np.array_equal(quad.P, P) and np.array_equal(quad.g, g), (events, y_init)
+            assert quad.const == const, (events, y_init)
