@@ -64,12 +64,6 @@ def _check_chain(curve: PiecewiseCurve) -> None:
             raise SolverError(f"state probability not strictly positive at t={t:.6g}")
 
 
-def pq_matrix(p: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Reweighted generator for one probability vector."""
-    raw = Q.T * (p[None, :] / p[:, None])
-    return raw - np.diag(raw.sum(axis=1))
-
-
 def pq_batch(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Reweighted generators for a batch of probability vectors, shape (n, N, N)."""
     raw = Q.T[None, :, :] * (P[:, None, :] / P[:, :, None])

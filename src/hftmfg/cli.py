@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import ModelConfig, load_config
 from .errors import ConfigError, SimulationError, SolverError
-from .meanfield import jump_conditions_report, solve_partial
+from .meanfield import solve_partial, speed_jump_size
 from .reporting import (plot_columns_from_csv, write_csv, write_equilibrium_csv,
                         write_keyvalue_csv)
 from . import simulate as _simulate
@@ -92,7 +92,6 @@ def _load(args, mode: str | None = None) -> ModelConfig:
         overrides["integrator"] = args.integrator
     if overrides:
         cfg = cfg.with_solver(**overrides)
-        cfg.validate()
     if mode is not None and cfg.mode != mode:
         raise ConfigError(f"this command requires a {mode}-mode configuration")
     return cfg
@@ -104,13 +103,14 @@ def cmd_solve_partial(args) -> int:
     sol = solve_partial(cfg)
     eq_csv = os.path.join(args.out, "equilibrium.csv")
     write_equilibrium_csv(eq_csv, sol, cfg)
-    rows = [[c.k, c.time, c.expected, c.residual_aggregate, c.residual_state_max]
-            for c in jump_conditions_report(sol, cfg)]
+    r = sol.residuals
+    rows = [[k, float(sol.grid.bounds[k]), speed_jump_size(cfg.market, float(sol.xi[k - 1])),
+             float(abs(r.jump_aggregate[k - 1])), float(np.max(np.abs(r.jump_by_state[k - 1])))]
+            for k in range(1, sol.grid.n_segments)]
     write_csv(os.path.join(args.out, "residuals.csv"),
               ["k", "t_k", "expected_jump", "residual_aggregate", "residual_state_max"],
-              rows, cfg,
-              terminal=repr(sol.residuals.terminal), initial=repr(sol.residuals.initial),
-              condition_number=repr(sol.residuals.condition_number))
+              rows, cfg, terminal=repr(r.terminal), initial=repr(r.initial),
+              condition_number=repr(r.condition_number))
     plot_columns_from_csv(eq_csv, os.path.join(args.out, "equilibrium_E.svg"),
                           "time", ["E_agg"], title="crowd mean inventory")
     plot_columns_from_csv(eq_csv, os.path.join(args.out, "equilibrium_mu.svg"),

@@ -169,8 +169,9 @@ class SolverSettings:
             raise ConfigError("solver.grid_steps_per_unit_time must be >= 100")
         if self.integrator not in ("euler", "rk4"):
             raise ConfigError("solver.integrator must be 'euler' or 'rk4'")
-        if not self.shooting_tolerance > 0:
-            raise ConfigError("solver.shooting_tolerance must be > 0")
+        tol = self.shooting_tolerance
+        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < np.inf:
+            raise ConfigError("solver.shooting_tolerance must be a finite number > 0")
         if self.mu_at_trades not in ("right", "left"):
             raise ConfigError("solver.mu_at_trades must be 'right' or 'left'")
 
@@ -231,8 +232,11 @@ class ModelConfig:
         return isinstance(other, ModelConfig) and self.to_dict() == other.to_dict()
 
     def with_solver(self, **kw) -> "ModelConfig":
-        return type(self)(self.mode, self.market, self.aversion, self.schedule,
-                          self.population, replace(self.solver, **kw))
+        """This configuration with the given solver settings replaced, validated."""
+        cfg = type(self)(self.mode, self.market, self.aversion, self.schedule,
+                         self.population, replace(self.solver, **kw))
+        cfg.validate()
+        return cfg
 
 
 def validate_schedule_feasibility(cfg: ModelConfig) -> None:
@@ -313,7 +317,7 @@ def config_from_dict(raw: dict) -> ModelConfig:
     return cfg
 
 
-def load_config(path, env_overrides: bool = True) -> ModelConfig:
+def load_config(path) -> ModelConfig:
     """Load, apply environment overrides, and validate a configuration file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -322,9 +326,7 @@ def load_config(path, env_overrides: bool = True) -> ModelConfig:
         raise ConfigError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"parse error in {path}: {exc}") from None
-    if env_overrides:
-        raw = apply_env_overrides(raw)
-    return config_from_dict(raw)
+    return config_from_dict(apply_env_overrides(raw))
 
 
 def serialize_config(cfg: ModelConfig) -> str:
@@ -336,7 +338,7 @@ def config_hash(cfg: ModelConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def apply_env_overrides(raw: dict, env=None, prefix: str = ENV_PREFIX) -> dict:
+def apply_env_overrides(raw: dict, env=None) -> dict:
     """Override config entries from environment variables.
 
     ``HFTMFG_MARKET__GAMMA=2`` sets ``market.gamma``; path segments are joined
@@ -346,9 +348,9 @@ def apply_env_overrides(raw: dict, env=None, prefix: str = ENV_PREFIX) -> dict:
     env = os.environ if env is None else env
     out = json.loads(json.dumps(raw))  # deep copy of plain JSON data
     for key in sorted(env):
-        if not key.startswith(prefix):
+        if not key.startswith(ENV_PREFIX):
             continue
-        path = key[len(prefix):].split("__")
+        path = key[len(ENV_PREFIX):].split("__")
         node = out
         ok = True
         for seg in path[:-1]:

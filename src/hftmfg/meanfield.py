@@ -173,10 +173,11 @@ class _Curves:
 class MeanFieldSolution:
     """The crowd's equilibrium.
 
-    The segment-boundary values are computed with the solution; the residual
-    report, ``E_at_trades``, ``mu_at_trades`` and ``E_agg_initial`` read only
-    them.  The curves ``E_by_state``, ``mu_by_state``, ``E_agg`` and ``mu_agg``
-    are built on first read and kept.
+    The segment-boundary states ``ends`` are computed with the solution and
+    determine it (``ends[:, 0]`` are the segment starts); the residual report,
+    ``E_at_trades``, ``mu_at_trades`` and ``E_agg_initial`` read only them.
+    The curves ``E_by_state``, ``mu_by_state``, ``E_agg`` and ``mu_agg`` are
+    built on first read and kept.
     """
 
     grid: TimeGrid
@@ -189,11 +190,6 @@ class MeanFieldSolution:
                                               # the end of each segment
     agg_ends: np.ndarray                      # (S, 2, 2): (mu_agg, E_agg) at the same
                                               # points
-    U: tuple[np.ndarray, ...] | None          # per-segment fundamental matrices at
-                                              # level-0 nodes, re-anchored to I at
-                                              # each trade time
-    c_segments: np.ndarray | None             # (S, 2N) state at each segment start;
-                                              # [mu; E](t) = U_s(t) c_s on segment s
     _curves: _Curves = field(repr=False, compare=False)
 
     @property
@@ -212,11 +208,6 @@ class MeanFieldSolution:
     def mu_agg(self) -> PiecewiseCurve:
         return self._curves.get()[3]
 
-    @property
-    def c0(self) -> np.ndarray | None:
-        """Initial coefficient vector [mu(0); E(0)]."""
-        return None if self.c_segments is None else self.c_segments[0]
-
     def mu_at_trades(self, side: str = "right") -> np.ndarray:
         return trade_values(self.agg_ends[:, :, 0], side)
 
@@ -229,8 +220,7 @@ class MeanFieldSolution:
 
 def _solution(grid: TimeGrid, chain: ChainSolution, h2: PiecewiseCurve, xi: np.ndarray,
               E0: np.ndarray, ends: np.ndarray, p_ends: np.ndarray, fine, B_T: np.ndarray,
-              Gamma, jumps: np.ndarray, condition_number: float, tol: float,
-              U=None, c_segments=None) -> MeanFieldSolution:
+              Gamma, jumps: np.ndarray, condition_number: float, tol: float) -> MeanFieldSolution:
     """Check the boundary values ``ends`` and wrap them with the curve builder ``fine``.
 
     ``p_ends`` holds the chain's probabilities at the same points as ``ends``.
@@ -243,8 +233,7 @@ def _solution(grid: TimeGrid, chain: ChainSolution, h2: PiecewiseCurve, xi: np.n
     residuals = _residual_report(B_T, Gamma, jumps, E0, ends, agg_ends, condition_number, tol)
     return MeanFieldSolution(
         grid=grid, chain=chain, h2=h2, xi=xi.copy(), E0=E0.copy(), residuals=residuals,
-        ends=ends, agg_ends=agg_ends, U=U, c_segments=c_segments,
-        _curves=_Curves(grid, chain.p, fine))
+        ends=ends, agg_ends=agg_ends, _curves=_Curves(grid, chain.p, fine))
 
 
 def _segment_ends(segments) -> np.ndarray:
@@ -252,10 +241,11 @@ def _segment_ends(segments) -> np.ndarray:
     return np.stack([seg[[0, -1]] for seg in segments])
 
 
-def _fine_states(U_nodes, U_mid, c_segments) -> list[np.ndarray]:
-    """[mu; E] on every segment's fine mesh: nodes from U_nodes, midpoints from U_mid."""
+def _fine_states(U_nodes, U_mid, starts) -> list[np.ndarray]:
+    """[mu; E] on every segment's fine mesh from the segment-start states ``starts``:
+    nodes from U_nodes, midpoints from U_mid."""
     fine = []
-    for Un, Um, c in zip(U_nodes, U_mid, c_segments):
+    for Un, Um, c in zip(U_nodes, U_mid, starts):
         f = np.empty((len(Un) + len(Um), len(c)))
         f[0::2] = Un @ c
         f[1::2] = Um @ c
@@ -368,14 +358,14 @@ class MeanFieldEngine:
         rhs = -self._E0_cols @ E0
         rhs[:-N].reshape(K, 2 * N)[:, :N] -= jumps[:, None]     # speed rows at each trade
         w = np.linalg.solve(self._system, rhs)
-        c_segments = np.concatenate([w[:N], E0, w[N:]]).reshape(S, 2 * N)
+        starts = np.concatenate([w[:N], E0, w[N:]]).reshape(S, 2 * N)
 
         # [mu; E] at both ends of every segment, as the curves would sample them
-        ends = (self._U_ends @ c_segments[:, None, :, None])[..., 0]
+        ends = (self._U_ends @ starts[:, None, :, None])[..., 0]
         return _solution(self.grid, self.chain, self.h2, xi, E0, ends, self._p_ends,
-                         partial(_fine_states, self._U_nodes, self._U_mid, c_segments),
+                         partial(_fine_states, self._U_nodes, self._U_mid, starts),
                          self._B_T, cfg.aversion.Gamma, jumps, self.condition_number,
-                         cfg.solver.shooting_tolerance, U=self._U_nodes, c_segments=c_segments)
+                         cfg.solver.shooting_tolerance)
 
 
 def solve_partial(cfg: ModelConfig, xi=None, cache: dict | None = None) -> MeanFieldSolution:
@@ -458,24 +448,3 @@ def closed_form_n1(cfg: ModelConfig, xi=None) -> MeanFieldSolution:
         raise ValueError("closed_form_n1 requires a single-state configuration")
     return closed_form_q0(cfg, xi)
 
-
-@dataclass(frozen=True)
-class JumpCheck:
-    k: int
-    time: float
-    expected: float
-    residual_aggregate: float
-    residual_state_max: float
-
-
-def jump_conditions_report(sol: MeanFieldSolution, cfg: ModelConfig) -> list[JumpCheck]:
-    """Per-trade residuals of the speed-jump conditions."""
-    rows = []
-    for k in range(1, sol.grid.n_segments):
-        expected = speed_jump_size(cfg.market, float(sol.xi[k - 1]))
-        rows.append(JumpCheck(
-            k=k, time=float(sol.grid.bounds[k]), expected=expected,
-            residual_aggregate=abs(float(sol.residuals.jump_aggregate[k - 1])),
-            residual_state_max=float(np.max(np.abs(sol.residuals.jump_by_state[k - 1]))),
-        ))
-    return rows

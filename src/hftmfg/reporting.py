@@ -19,6 +19,7 @@ from .config import ModelConfig, config_hash
 from .meanfield import MeanFieldSolution
 
 PALETTE = ("#1f6fb2", "#d1495b", "#2e933c", "#8338ec", "#e36414", "#118ab2")
+WIDTH, HEIGHT = 640, 420        # SVG canvas, px
 
 
 def _atomic_write(path: str, chunks: list[str]) -> None:
@@ -84,10 +85,11 @@ def write_keyvalue_csv(path, pairs: dict, cfg: ModelConfig | None = None, **extr
 # SVG rendering
 
 
-def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    """About five ticks at 1, 2, 2.5 or 5 times a power of ten."""
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / n
+    raw = (hi - lo) / 5
     mag = 10.0 ** np.floor(np.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -111,14 +113,14 @@ def _fmt_tick(v: float) -> str:
 
 
 def svg_plot(path, series, title: str = "", xlabel: str = "", ylabel: str = "",
-             kind: str = "line", width: int = 640, height: int = 420) -> None:
+             kind: str = "line") -> None:
     """Render labelled series to a standalone SVG file.
 
     ``series`` is a list of (label, x array, y array); ``kind`` is "line" or
     "bar" (bars use the first series only).
     """
     ml, mr, mt, mb = 66, 16, 34, 48
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = WIDTH - ml - mr, HEIGHT - mt - mb
     xs = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
     ys = np.concatenate([np.asarray(s[2], dtype=float) for s in series])
     xlo, xhi = float(xs.min()), float(xs.max())
@@ -137,9 +139,9 @@ def svg_plot(path, series, title: str = "", xlabel: str = "", ylabel: str = "",
     def Y(v):
         return mt + (yhi - v) / (yhi - ylo) * ph
 
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-           f'viewBox="0 0 {width} {height}" font-family="Helvetica,Arial,sans-serif">',
-           f'<rect width="{width}" height="{height}" fill="white"/>',
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+           f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="Helvetica,Arial,sans-serif">',
+           f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
            f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" '
            f'stroke="#444" stroke-width="1"/>']
     for tx in _nice_ticks(xlo, xhi):
@@ -191,7 +193,7 @@ def svg_plot(path, series, title: str = "", xlabel: str = "", ylabel: str = "",
         out.append(f'<text x="{ml + pw / 2}" y="20" font-size="13" text-anchor="middle" '
                    f'fill="#111">{title}</text>')
     if xlabel:
-        out.append(f'<text x="{ml + pw / 2}" y="{height - 10}" font-size="12" '
+        out.append(f'<text x="{ml + pw / 2}" y="{HEIGHT - 10}" font-size="12" '
                    f'text-anchor="middle" fill="#111">{xlabel}</text>')
     if ylabel:
         out.append(f'<text x="16" y="{mt + ph / 2}" font-size="12" text-anchor="middle" '

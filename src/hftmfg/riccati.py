@@ -190,17 +190,6 @@ class RiccatiSolution:
     h1: PiecewiseCurve | None
     h0: PiecewiseCurve | None
     market: MarketParams
-    aversion: AversionSpec
-
-    def H(self, t: float, side: str = "right") -> np.ndarray:
-        """Diagonal-matrix view diag(h2_i(t))."""
-        return np.diag(self.h2.eval(t, side=side))
-
-    def Phi(self, t: float, side: str = "right") -> np.ndarray:
-        """Diagonal source matrix diag(phi_i - sum_j Q^{ij} h2_j(t))."""
-        h2 = self.h2.eval(t, side=side)
-        Q = np.asarray(self.aversion.Q, dtype=float)
-        return np.diag(np.asarray(self.aversion.phi, dtype=float) - Q @ h2)
 
 
 def feedback_control(t: float, x: float, i: int, sol: RiccatiSolution,
@@ -210,16 +199,6 @@ def feedback_control(t: float, x: float, i: int, sol: RiccatiSolution,
     h1_v = float(sol.h1.eval(t, side=side)[i])
     h2_v = float(sol.h2.eval(t, side=side)[i])
     return (h1_v + 2.0 * h2_v * x - sol.market.lam_h * mu_v) / (2.0 * sol.market.eta)
-
-
-def feedback_control_deviation_form(t: float, x: float, i: int, meanfield,
-                                    h2: PiecewiseCurve, market: MarketParams,
-                                    side: str = "right") -> float:
-    """Same control written as mu_i + (h2_i/eta) * (x - E_i)."""
-    mu_i = float(meanfield.mu_by_state.eval(t, side=side)[i])
-    E_i = float(meanfield.E_by_state.eval(t, side=side)[i])
-    h2_v = float(h2.eval(t, side=side)[i])
-    return mu_i + h2_v / market.eta * (x - E_i)
 
 
 def value_function(t: float, x: float, P: float, i: int, sol: RiccatiSolution,

@@ -124,16 +124,8 @@ class SegmentRecord:
 
 
 @dataclass(frozen=True)
-class PopulationState:
-    X: np.ndarray
-    Y: np.ndarray
-    t: float
-
-
-@dataclass(frozen=True)
 class PopulationTrajectory:
     segments: tuple[SegmentRecord, ...]
-    final: PopulationState
     max_abs_X: np.ndarray
     agent0_events: tuple[tuple[float, int], ...]
     agent0_initial_state: int
@@ -337,10 +329,8 @@ def _run_agents(cfg: ModelConfig, eq: MeanFieldSolution, X0: np.ndarray, Y0: np.
             paths_X.append(seg_X)
             paths_Y.append(seg_Y)
 
-    X_final = eq.E_by_state.terminal()[Y] + D
-    traj = PopulationTrajectory(
+    return PopulationTrajectory(
         segments=tuple(records),
-        final=PopulationState(X_final, Y.copy(), grid.horizon),
         max_abs_X=max_abs,
         agent0_events=tuple(agent0_events),
         agent0_initial_state=int(Y0[0]),
@@ -348,7 +338,6 @@ def _run_agents(cfg: ModelConfig, eq: MeanFieldSolution, X0: np.ndarray, Y0: np.
         M=M, seed=seed,
         paths_X=tuple(paths_X) if record_paths else None,
         paths_Y=tuple(paths_Y) if record_paths else None)
-    return traj
 
 
 def _metrics(cfg: ModelConfig, eq: MeanFieldSolution, traj: PopulationTrajectory) -> ConvergenceMetrics:
@@ -633,6 +622,8 @@ def sample_price_paths(cfg: ModelConfig, xi, solution: MeanFieldSolution,
     sampling error is statistical.  With sigma = 0 every replication equals
     the analytic expected revenue.
     """
+    if replications < 1:
+        raise ValueError(f"replications must be at least 1, got {replications}")
     xi = np.asarray(xi, dtype=float)
     m = cfg.market
     K = len(xi)

@@ -20,7 +20,7 @@ import json
 import numpy as np
 
 from . import presets
-from .chain import pq_batch, pq_matrix, solve_chain
+from .chain import pq_batch, solve_chain
 from .config import config_from_dict, load_config, serialize_config
 from .errors import ConfigError
 from .figures import figure_specs, profit_difference_scan
@@ -93,7 +93,7 @@ def check_chain_invariants(grid: int, method: str) -> str:
         worst_pq = max(worst_pq, float(np.max(np.abs(pq.sum(axis=2)))))
     _need(worst_sum <= 1e-10, f"conservation violated: {worst_sum:.3e}")
     _need(worst_pq <= 1e-12, f"reweighted-generator row sums: {worst_pq:.3e}")
-    sym = pq_matrix(np.array([0.5, 0.5]), np.array([[-0.5, 0.5], [0.5, -0.5]]))
+    sym = pq_batch(np.array([[0.5, 0.5]]), np.array([[-0.5, 0.5], [0.5, -0.5]]))[0]
     _need(float(np.max(np.abs(sym - np.array([[-0.5, 0.5], [0.5, -0.5]])))) <= 1e-14,
           "symmetric two-state reweighting should equal the generator")
     return f"conservation {worst_sum:.1e}, pQ rows {worst_pq:.1e}"

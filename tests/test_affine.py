@@ -3,7 +3,7 @@ import pytest
 
 from hftmfg import presets
 from hftmfg.affine import step_maps, trajectory
-from hftmfg.meanfield import assemble_A_batch, solve_partial
+from hftmfg.meanfield import MeanFieldEngine, assemble_A_batch
 
 
 def rel_err(x, ref):
@@ -74,14 +74,14 @@ def test_step_maps_reject_unknown_integrator():
 @pytest.mark.parametrize("method", ["rk4", "euler"])
 def test_fundamental_matrices_match_stage_by_stage_loop(method):
     cfg = presets.partial_two_type(grid=2000).with_solver(integrator=method)
-    eq = solve_partial(cfg)
-    for s, Un in enumerate(eq.U):
-        A = assemble_A_batch(eq.chain.p.segments[s], eq.h2.segments[s],
+    engine = MeanFieldEngine(cfg)
+    for s, Un in enumerate(engine._U_nodes):
+        A = assemble_A_batch(engine.chain.p.segments[s], engine.h2.segments[s],
                              cfg.aversion, cfg.market)
-        h = eq.grid.step_width(s)
+        h = engine.grid.step_width(s)
         U = np.eye(4)
         ref = [U]
-        for i in range(eq.grid.steps[s]):
+        for i in range(engine.grid.steps[s]):
             U = stage_step(U, A[2 * i:2 * i + 3], np.zeros(3), h, method)
             ref.append(U)
         assert rel_err(Un, np.array(ref)) <= 1e-12

@@ -27,7 +27,7 @@ def _reconstructed(engine, sol):
     states from the midpoint matrices, interleaved, then p-weighted sums."""
     N = engine.cfg.n_states
     mu_segs, E_segs = [], []
-    for Un, Um, c in zip(engine._U_nodes, engine._U_mid, sol.c_segments):
+    for Un, Um, c in zip(engine._U_nodes, engine._U_mid, sol.ends[:, 0]):
         vn, vm = Un @ c, Um @ c
         fine = np.empty((len(vn) + len(vm), 2 * N))
         fine[0::2] = vn
@@ -56,6 +56,23 @@ def test_curves_built_on_read_equal_the_node_and_midpoint_reconstruction(cfg):
         assert len(curve.segments) == len(segs)
         for got, want in zip(curve.segments, segs):
             assert np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: solve_partial(presets.partial_single_type(2.0, 10.0, grid=500)),
+    lambda: solve_partial(presets.partial_two_type(grid=400)),
+    lambda: solve_partial(presets.partial_two_type(grid=400, integrator="euler")),
+    lambda: solve_overall(presets.overall_two_type(grid=400)).mean_field,
+], ids=["single-type", "two-type", "euler", "overall"])
+def test_segment_start_states_are_the_first_curve_samples(solve):
+    # the curves sample U_s(t) z_s with U_s(t_s) = I, so ends[:, 0] is the
+    # segment-start state z_s bit for bit
+    sol = solve()
+    N = sol.E0.shape[0]
+    for s, (mu, E) in enumerate(zip(sol.mu_by_state.segments, sol.E_by_state.segments)):
+        assert np.array_equal(sol.ends[s, 0, :N], mu[0])
+        assert np.array_equal(sol.ends[s, 0, N:], E[0])
+        assert np.array_equal(sol.ends[s, 1], np.concatenate([mu[-1], E[-1]]))
 
 
 def _residuals_from_curves(cfg, sol):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hftmfg.chain import pq_batch, pq_matrix, solve_chain
+from hftmfg.chain import pq_batch, solve_chain
 from hftmfg.config import config_from_dict
 from hftmfg.errors import SolverError
 from hftmfg.grid import make_grid
@@ -69,19 +69,24 @@ def test_convergence_order():
         check_chain_order(10000, method)
 
 
+def pq_single(p, Q):
+    """The reweighted generator for one probability vector, as the validator reads it."""
+    return pq_batch(np.asarray(p)[None], Q)[0]
+
+
 def test_pq_single_state_is_zero():
-    assert pq_matrix(np.array([1.0]), np.array([[0.0]])) == np.zeros((1, 1))
+    assert pq_single(np.array([1.0]), np.array([[0.0]])) == np.zeros((1, 1))
 
 
 def test_pq_symmetric_two_state_equals_generator():
     # derived by hand: with p = (1/2, 1/2) and symmetric rates the reweighting
     # reduces to the generator itself
     Q = np.array([[-0.5, 0.5], [0.5, -0.5]])
-    assert np.max(np.abs(pq_matrix(np.array([0.5, 0.5]), Q) - Q)) < 1e-14
+    assert np.max(np.abs(pq_single(np.array([0.5, 0.5]), Q) - Q)) < 1e-14
 
 
 def test_pq_zero_generator():
-    assert np.all(pq_matrix(np.array([0.4, 0.6]), np.zeros((2, 2))) == 0.0)
+    assert np.all(pq_single(np.array([0.4, 0.6]), np.zeros((2, 2))) == 0.0)
 
 
 def test_pq_entrywise_formula_and_row_sums():
@@ -92,7 +97,7 @@ def test_pq_entrywise_formula_and_row_sums():
         off = rng.uniform(0.0, 2.0, size=(3, 3))
         np.fill_diagonal(off, 0.0)
         Q = off - np.diag(off.sum(axis=1))
-        got = pq_matrix(p, Q)
+        got = pq_single(p, Q)
         for i in range(3):
             for j in range(3):
                 if i != j:
@@ -100,13 +105,3 @@ def test_pq_entrywise_formula_and_row_sums():
             assert got[i, i] == pytest.approx(
                 -sum(p[j] / p[i] * Q[j, i] for j in range(3) if j != i), rel=1e-12)
         assert np.max(np.abs(got.sum(axis=1))) <= 1e-12
-
-
-def test_pq_batch_matches_single():
-    rng = np.random.default_rng(3)
-    P = rng.uniform(0.2, 1.0, size=(5, 2))
-    P /= P.sum(axis=1, keepdims=True)
-    Q = np.array([[-0.3, 0.3], [0.7, -0.7]])
-    batch = pq_batch(P, Q)
-    for i in range(5):
-        assert np.max(np.abs(batch[i] - pq_matrix(P[i], Q))) < 1e-14

@@ -39,6 +39,28 @@ def test_solve_partial_outputs(config_file, raw_config, tmp_path):
         assert sides == {"L", "R"}
 
 
+def test_residuals_csv_rows_come_from_the_residual_report(tmp_path):
+    cfg = presets.partial_two_type(grid=400)
+    path = tmp_path / "cfg.json"
+    path.write_text(serialize_config(cfg))
+    out = str(tmp_path / "o")
+    assert run(["solve-partial", "--config", str(path), "--out", out]) == 0
+    sol = meanfield.solve_partial(cfg)
+    r = sol.residuals
+    meta, header, rows = read_csv(os.path.join(out, "residuals.csv"))
+    assert header == ["k", "t_k", "expected_jump", "residual_aggregate", "residual_state_max"]
+    assert len(rows) == 9
+    for k, row in enumerate(rows, start=1):
+        assert row[0] == str(k)
+        assert float(row[1]) == sol.grid.bounds[k] == k / 10
+        assert float(row[2]) == meanfield.speed_jump_size(cfg.market, float(sol.xi[k - 1])) \
+            == cfg.market.gamma * sol.xi[k - 1] / (cfg.market.lam_h + 2.0 * cfg.market.eta)
+        assert float(row[3]) == abs(r.jump_aggregate[k - 1])
+        assert float(row[4]) == np.max(np.abs(r.jump_by_state[k - 1]))
+    assert meta.endswith(f" terminal={r.terminal!r} initial={r.initial!r} "
+                         f"condition_number={r.condition_number!r}")
+
+
 def test_solve_partial_rejects_overall_config(config_file, tmp_path):
     rc = run(["solve-partial", "--config", config_file(base_raw("overall")),
               "--out", str(tmp_path / "x")])

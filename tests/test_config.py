@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from hftmfg import presets
 from hftmfg.config import (ConfigError, apply_env_overrides, config_from_dict,
                            config_hash, load_config, serialize_config,
                            validate_schedule_feasibility)
@@ -163,3 +165,19 @@ def test_config_section_must_be_an_object(section, value):
 def test_top_level_must_be_an_object():
     with pytest.raises(ConfigError, match="top level must be an object"):
         config_from_dict([base_raw()])
+
+
+@pytest.mark.parametrize("settings", [
+    {"shooting_tolerance": float("inf")}, {"shooting_tolerance": float("nan")},
+    {"shooting_tolerance": 0.0}, {"shooting_tolerance": "1e-6"},
+    {"grid_steps_per_unit_time": 3}, {"integrator": "rk5"},
+], ids=["infinite-tolerance", "nan-tolerance", "zero-tolerance", "string-tolerance",
+        "coarse-grid", "rk5"])
+def test_with_solver_validates_the_settings(settings):
+    # an infinite tolerance would let any residual through the solver's gate
+    cfg = presets.partial_single_type(2.0, 10.0, grid=200)
+    with pytest.raises(ConfigError, match="^solver\\."):
+        cfg.with_solver(**settings)
+    with pytest.raises(ConfigError, match="^solver\\."):
+        replace(cfg.solver, **settings).validate()
+

@@ -9,8 +9,7 @@ from hftmfg.config import config_from_dict
 from hftmfg.errors import SolverError
 from hftmfg.grid import sup_diff
 from hftmfg.meanfield import (MeanFieldEngine, assemble_A_batch, closed_form_n1,
-                              closed_form_q0, jump_conditions_report, solve_partial,
-                              speed_jump_size)
+                              closed_form_q0, solve_partial, speed_jump_size)
 from hftmfg.validate import SWEEP
 from conftest import base_raw
 
@@ -133,12 +132,11 @@ def test_repeated_root_branch_matches_perturbed_distinct_roots():
 def test_jump_conditions_baseline(baseline_eq):
     cfg, eq = baseline_eq
     assert speed_jump_size(cfg.market, 1.0) == 5.0
-    rows = jump_conditions_report(eq, cfg)
-    assert len(rows) == 9
-    for row in rows:
-        assert row.expected == 5.0
-        assert row.residual_aggregate <= 1e-6
-        assert row.residual_state_max <= 1e-6
+    assert [speed_jump_size(cfg.market, float(x)) for x in eq.xi] == [5.0] * 9
+    assert eq.residuals.jump_aggregate.shape == (9,)
+    assert eq.residuals.jump_by_state.shape == (9, 1)
+    assert np.max(np.abs(eq.residuals.jump_aggregate)) <= 1e-6
+    assert np.max(np.abs(eq.residuals.jump_by_state)) <= 1e-6
     for k in range(1, 10):
         drop = (eq.mu_agg.left_at(k) - eq.mu_agg.right_at(k))[0]
         assert drop == pytest.approx(5.0, abs=1e-6)
@@ -294,17 +292,19 @@ def test_closed_form_oracle_goes_through_the_residual_gate():
 
 
 def test_solution_exposes_fundamental_matrices(baseline_eq):
+    # the engine's fundamental matrices, re-anchored at each trade time, map the
+    # solution's segment-start states ends[:, 0] to the curves
     cfg, eq = baseline_eq
-    assert len(eq.U) == eq.grid.n_segments
-    # re-anchored at each trade time
-    for Un in eq.U:
+    U = MeanFieldEngine(cfg)._U_nodes
+    assert len(U) == eq.grid.n_segments
+    for Un in U:
         assert np.array_equal(Un[0], np.eye(2))
-    # reconstruction consistency at segment starts: [mu; E] = U c
     for s in range(eq.grid.n_segments):
         state = np.concatenate([eq.mu_by_state.right_at(s) if s else eq.mu_by_state.initial(),
                                 eq.E_by_state.right_at(s) if s else eq.E_by_state.initial()])
-        assert np.max(np.abs(eq.U[s][0] @ eq.c_segments[s] - state)) < 1e-12
-    assert np.array_equal(eq.c0[1:], cfg.population.E0)
+        assert np.max(np.abs(U[s][0] @ eq.ends[s, 0] - state)) < 1e-12
+        assert np.max(np.abs(U[s][-1] @ eq.ends[s, 0] - eq.ends[s, 1])) < 1e-12
+    assert np.array_equal(eq.ends[0, 0, 1:], cfg.population.E0)
 
 
 def test_curve_eval_rejects_times_outside_horizon(baseline_eq):

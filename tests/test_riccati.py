@@ -9,8 +9,7 @@ from hftmfg.errors import SolverError
 from hftmfg.grid import PiecewiseCurve, make_grid
 from hftmfg.meanfield import default_grid, solve_partial
 from hftmfg.riccati import (RiccatiSolution, _check_box, compute_h0, feedback_control,
-                            feedback_control_deviation_form, h2_box_bound,
-                            integrate_h1_backward, recover_h1, solve_h2,
+                            h2_box_bound, integrate_h1_backward, recover_h1, solve_h2,
                             value_function)
 from conftest import base_raw
 
@@ -336,24 +335,7 @@ def test_h0_zero_when_everything_vanishes():
 def _riccati_solution(cfg, eq):
     h1, _ = recover_h1(eq, eq.h2, cfg.market)
     h0 = compute_h0(h1, eq.h2, eq.mu_agg, cfg.aversion, cfg.market)
-    return RiccatiSolution(eq.h2, h1, h0, cfg.market, cfg.aversion)
-
-
-def test_feedback_forms_agree_at_stored_nodes(stiff_eq):
-    cfg, eq = stiff_eq
-    rs = _riccati_solution(cfg, eq)
-    rng = np.random.default_rng(11)
-    worst = 0.0
-    for _ in range(1000):
-        s = rng.integers(0, eq.grid.n_segments)
-        node = rng.integers(0, len(eq.grid.fine_times[s]))
-        t = float(eq.grid.fine_times[s][node])
-        side = "left" if (node == 0 and s > 0) else "right"
-        x = float(rng.uniform(-2.0, 2.0))
-        v1 = feedback_control(t, x, 0, rs, eq.mu_agg, side=side)
-        v2 = feedback_control_deviation_form(t, x, 0, eq, eq.h2, cfg.market, side=side)
-        worst = max(worst, abs(v1 - v2))
-    assert worst < 1e-8
+    return RiccatiSolution(eq.h2, h1, h0, cfg.market)
 
 
 def test_feedback_at_mean_returns_mean_speed(stiff_eq):
@@ -401,7 +383,7 @@ def test_value_function_matches_realized_payoff(Gamma, phi, x0):
     eq = solve_partial(cfg)
     h1, _ = recover_h1(eq, eq.h2, cfg.market)
     h0 = compute_h0(h1, eq.h2, eq.mu_agg, cfg.aversion, cfg.market)
-    rs = RiccatiSolution(eq.h2, h1, h0, cfg.market, cfg.aversion)
+    rs = RiccatiSolution(eq.h2, h1, h0, cfg.market)
     r = deviation_gain_vs_mean_field(cfg, eq, x_init=x0, control_cells_per_segment=50)
     v = value_function(0.0, x0, 0.0, 0, rs)
     assert abs(r.j_mfg - v) < 2e-4 * max(abs(v), 1.0)
@@ -435,17 +417,6 @@ def test_h2_box_invariant_random_generators():
         for seg in h2.segments:
             assert seg.min() >= -C - 1e-8
             assert seg.max() <= 1e-12
-
-
-def test_matrix_views(twostate_eq):
-    cfg, eq = twostate_eq
-    rs = RiccatiSolution(eq.h2, None, None, cfg.market, cfg.aversion)
-    t = 0.37
-    h2 = eq.h2.eval(t)
-    assert np.array_equal(rs.H(t), np.diag(h2))
-    Q = np.asarray(cfg.aversion.Q)
-    expect = np.diag(np.asarray(cfg.aversion.phi) - Q @ h2)
-    assert np.max(np.abs(rs.Phi(t) - expect)) == 0.0
 
 
 def test_value_function_terminal_and_zero_inventory(baseline_eq):

@@ -23,12 +23,14 @@ def overall_two():
 
 def test_deterministic_single_type_metrics_vanish(stiff_eq):
     cfg, eq = stiff_eq
-    traj, met = simulate_population(cfg, eq, M=40, seed=3, init_spread=0.0)
+    traj, met = simulate_population(cfg, eq, M=40, seed=3, init_spread=0.0, record_paths=True)
     assert met.theta_dev == 0.0
     assert met.Z_dev == 0.0
     assert met.vbar_l2 == 0.0
-    # every agent sits exactly on the mean path
-    assert np.max(np.abs(traj.final.X - eq.E_by_state.terminal()[0])) == 0.0
+    # every agent sits exactly on the mean path, at every node
+    for X, E in zip(traj.paths_X, eq.E_by_state.segments):
+        assert np.array_equal(X, np.broadcast_to(E[0::2], X.shape))
+    assert np.array_equal(traj.paths_X[-1][-1], np.full(40, eq.E_by_state.terminal()[0]))
 
 
 def test_identical_runs_are_bitwise_identical(twostate_eq):
@@ -321,6 +323,13 @@ def test_price_paths_sigma_zero_exact(baseline_eq):
     ref = lt_profit(cfg, eq.xi, eq).profit_with_hft
     assert np.all(out.revenues == ref)
     assert out.std_error == 0.0
+
+
+@pytest.mark.parametrize("replications", [0, -3])
+def test_price_paths_need_at_least_one_replication(baseline_eq, replications):
+    cfg, eq = baseline_eq
+    with pytest.raises(ValueError, match="replications must be at least 1"):
+        sample_price_paths(cfg, eq.xi, eq, replications=replications, seed=3)
 
 
 def test_price_paths_no_trades_zero_revenue():
