@@ -7,7 +7,7 @@ from .config import (AversionSpec, LTSchedule, MarketParams, ModelConfig,
                      serialize_config, validate_schedule_feasibility)
 from .errors import ConfigError, SimulationError, SolverError
 from .grid import PiecewiseCurve, TimeGrid, make_grid
-from .chain import ChainSolution, solve_chain
+from .chain import solve_chain
 from .riccati import (RiccatiSolution, compute_h0, feedback_control,
                       integrate_h1_backward, recover_h1, solve_h2, value_function)
 from .meanfield import (MeanFieldEngine, MeanFieldSolution, closed_form_n1, closed_form_q0,

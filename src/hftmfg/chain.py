@@ -10,8 +10,6 @@ dE_i/dt = mu_i + (p_Q E)_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .affine import step_maps, trajectory
@@ -23,32 +21,21 @@ POSITIVITY_FLOOR = 1e-10
 CONSERVATION_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class ChainSolution:
-    p: PiecewiseCurve   # (n, N) probabilities on the fine mesh, smooth on [0, T]
-    Q: np.ndarray
-
-
-def solve_chain(aversion: AversionSpec, grid: TimeGrid, method: str = "rk4") -> ChainSolution:
-    """Integrate the forward equation on the grid's fine mesh."""
+def solve_chain(aversion: AversionSpec, grid: TimeGrid, method: str = "rk4") -> PiecewiseCurve:
+    """Probabilities (n, N) on the grid's fine mesh, from the forward equation."""
     Q = np.asarray(aversion.Q, dtype=float)
     N = aversion.n_states
     cur = np.array(aversion.p0, dtype=float)
     segs = []
-    static = not np.any(Q)
     for s in range(grid.n_segments):
-        m2 = 2 * grid.steps[s]
-        if static:
-            out = np.tile(cur, (m2 + 1, 1))
-        else:
-            # each fine sample is a step node, so the stage samples are twice as fine
-            A = np.broadcast_to(Q.T, (2 * m2 + 1, N, N))
-            out = trajectory(cur, step_maps(A, grid.step_width(s) / 2.0, method)[0])
+        # each fine sample is a step node, so the stage samples are twice as fine
+        A = np.broadcast_to(Q.T, (4 * grid.steps[s] + 1, N, N))
+        out = trajectory(cur, step_maps(A, grid.step_width(s) / 2.0, method)[0])
         cur = out[-1]
         segs.append(out)
     curve = PiecewiseCurve(grid, tuple(segs))
     _check_chain(curve)
-    return ChainSolution(curve, Q)
+    return curve
 
 
 def _check_chain(curve: PiecewiseCurve) -> None:

@@ -93,7 +93,8 @@ def _load(args, mode: str | None = None) -> ModelConfig:
     if overrides:
         cfg = cfg.with_solver(**overrides)
     if mode is not None and cfg.mode != mode:
-        raise ConfigError(f"this command requires a {mode}-mode configuration")
+        article = "an" if mode == "overall" else "a"
+        raise ConfigError(f"this command requires {article} {mode}-mode configuration")
     return cfg
 
 
@@ -305,6 +306,8 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             if args.seeds < 1:
                 parser.error(f"--seeds must be at least 1, got {args.seeds}")
+            if min(args.M) < 1:
+                parser.error(f"--M values must be at least 1, got {args.M}")
             if len(set(args.M)) < len(args.M):
                 parser.error(f"--M values must be distinct, got {args.M}")
     except SystemExit as exc:

@@ -45,7 +45,7 @@ from functools import partial
 import numpy as np
 
 from .affine import rk_step, step_maps, trajectory
-from .chain import ChainSolution, pq_batch, solve_chain
+from .chain import pq_batch, solve_chain
 from .config import AversionSpec, MarketParams, ModelConfig
 from .errors import SolverError
 from .grid import PiecewiseCurve, TimeGrid, make_grid, trade_values, weighted_aggregate
@@ -181,7 +181,7 @@ class MeanFieldSolution:
     """
 
     grid: TimeGrid
-    chain: ChainSolution
+    p: PiecewiseCurve                         # the chain's state probabilities
     h2: PiecewiseCurve
     xi: np.ndarray
     E0: np.ndarray
@@ -218,7 +218,7 @@ class MeanFieldSolution:
         return float(self.agg_ends[0, 0, 1])
 
 
-def _solution(grid: TimeGrid, chain: ChainSolution, h2: PiecewiseCurve, xi: np.ndarray,
+def _solution(grid: TimeGrid, p: PiecewiseCurve, h2: PiecewiseCurve, xi: np.ndarray,
               E0: np.ndarray, ends: np.ndarray, p_ends: np.ndarray, fine, B_T: np.ndarray,
               Gamma, jumps: np.ndarray, condition_number: float, tol: float) -> MeanFieldSolution:
     """Check the boundary values ``ends`` and wrap them with the curve builder ``fine``.
@@ -232,8 +232,8 @@ def _solution(grid: TimeGrid, chain: ChainSolution, h2: PiecewiseCurve, xi: np.n
                          np.sum(p_ends * ends[..., N:], axis=-1)], axis=-1)
     residuals = _residual_report(B_T, Gamma, jumps, E0, ends, agg_ends, condition_number, tol)
     return MeanFieldSolution(
-        grid=grid, chain=chain, h2=h2, xi=xi.copy(), E0=E0.copy(), residuals=residuals,
-        ends=ends, agg_ends=agg_ends, _curves=_Curves(grid, chain.p, fine))
+        grid=grid, p=p, h2=h2, xi=xi.copy(), E0=E0.copy(), residuals=residuals,
+        ends=ends, agg_ends=agg_ends, _curves=_Curves(grid, p, fine))
 
 
 def _segment_ends(segments) -> np.ndarray:
@@ -293,15 +293,15 @@ class MeanFieldEngine:
         av = cfg.aversion
         on_grid = (cfg.schedule.T, _bits(cfg.schedule.times),
                    cfg.solver.grid_steps_per_unit_time, method)
-        self.chain = _reuse(cache, ("chain", _bits(av.Q, av.p0)) + on_grid,
-                            lambda: solve_chain(av, self.grid, method))
+        self.p = _reuse(cache, ("chain", _bits(av.Q, av.p0)) + on_grid,
+                        lambda: solve_chain(av, self.grid, method))
         self.h2 = _reuse(cache, ("h2", _bits(av.Gamma, av.phi, av.Q), cfg.market.eta) + on_grid,
                          lambda: solve_h2(av, cfg.market, self.grid, method))
         N = cfg.n_states
         self._N = N
         U_nodes, U_mid = [], []
         for s in range(self.grid.n_segments):
-            A = assemble_A_batch(self.chain.p.segments[s], self.h2.segments[s],
+            A = assemble_A_batch(self.p.segments[s], self.h2.segments[s],
                                  cfg.aversion, cfg.market)
             h = self.grid.step_width(s)
             Un = trajectory(np.eye(2 * N), step_maps(A, h, method)[0])
@@ -309,13 +309,13 @@ class MeanFieldEngine:
             U_mid.append(self._midpoint_states(Un, A, h, method))
         self._U_nodes, self._U_mid = tuple(U_nodes), tuple(U_mid)
         self._U_ends = np.stack([Un[[0, -1]] for Un in U_nodes])    # I and V_s per segment
-        self._p_ends = _segment_ends(self.chain.p.segments)
+        self._p_ends = _segment_ends(self.p.segments)
 
         # unknowns: the segment-start states z_s = [mu; E](t_s), with E(z_0) = E0
         # substituted exactly.  Rows: z_{s+1} - V_s z_s = -jump_s [1; 0] at each
         # trade, then the terminal coupling C V_{S-1} z_{S-1} = 0.
         S, n = self.grid.n_segments, 2 * N
-        pT = self.chain.p.terminal()
+        pT = self.p.terminal()
         self._B_T = 2.0 * cfg.market.eta * np.eye(N) + cfg.market.lam_h * np.outer(np.ones(N), pT)
         C = np.hstack([self._B_T, 2.0 * np.diag(cfg.aversion.Gamma)])
         G = np.zeros((n * S - N, n * S))
@@ -362,7 +362,7 @@ class MeanFieldEngine:
 
         # [mu; E] at both ends of every segment, as the curves would sample them
         ends = (self._U_ends @ starts[:, None, :, None])[..., 0]
-        return _solution(self.grid, self.chain, self.h2, xi, E0, ends, self._p_ends,
+        return _solution(self.grid, self.p, self.h2, xi, E0, ends, self._p_ends,
                          partial(_fine_states, self._U_nodes, self._U_mid, starts),
                          self._B_T, cfg.aversion.Gamma, jumps, self.condition_number,
                          cfg.solver.shooting_tolerance)
@@ -435,10 +435,10 @@ def closed_form_q0(cfg: ModelConfig, xi=None) -> MeanFieldSolution:
     c = np.linalg.solve(G, rhs).reshape(S, n)
 
     fine = [(modes(s, t) @ c[s]).real for s, t in enumerate(grid.fine_times)]
-    chain = solve_chain(av, grid, cfg.solver.integrator)
+    p = solve_chain(av, grid, cfg.solver.integrator)
     h2 = solve_h2(av, mkt, grid, cfg.solver.integrator)
-    return _solution(grid, chain, h2, xi, cfg.population.E0, _segment_ends(fine),
-                     _segment_ends(chain.p.segments), lambda: fine, B, av.Gamma, jumps,
+    return _solution(grid, p, h2, xi, cfg.population.E0, _segment_ends(fine),
+                     _segment_ends(p.segments), lambda: fine, B, av.Gamma, jumps,
                      cond, cfg.solver.shooting_tolerance)
 
 

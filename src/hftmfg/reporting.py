@@ -86,9 +86,7 @@ def write_keyvalue_csv(path, pairs: dict, cfg: ModelConfig | None = None, **extr
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
-    """About five ticks at 1, 2, 2.5 or 5 times a power of ten."""
-    if hi <= lo:
-        hi = lo + 1.0
+    """About five ticks at 1, 2, 2.5 or 5 times a power of ten; needs hi > lo."""
     raw = (hi - lo) / 5
     mag = 10.0 ** np.floor(np.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):

@@ -126,7 +126,6 @@ class SegmentRecord:
 @dataclass(frozen=True)
 class PopulationTrajectory:
     segments: tuple[SegmentRecord, ...]
-    max_abs_X: np.ndarray
     agent0_events: tuple[tuple[float, int], ...]
     agent0_initial_state: int
     agent0_initial_inventory: float
@@ -150,60 +149,49 @@ def _segment_coeffs(cfg: ModelConfig, eq: MeanFieldSolution):
     Q = np.asarray(cfg.aversion.Q, dtype=float)
     a_segs, b_segs = [], []
     for s in range(eq.grid.n_segments):
-        P = eq.chain.p.segments[s]
+        P = eq.p.segments[s]
         E = eq.E_by_state.segments[s]
         a_segs.append(eq.h2.segments[s] / eta)
         b_segs.append(-np.einsum("nij,nj->ni", pq_batch(P, Q), E))
     return a_segs, b_segs
 
 
-@dataclass(frozen=True)
-class _StateColumns:
-    """One segment's coefficients as contiguous (N, 2m+1) rows, one per state."""
-    ft: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    E: np.ndarray
-
-    @classmethod
-    def build(cls, ft, a_seg, b_seg, E_seg) -> "_StateColumns":
-        return cls(ft, *(np.ascontiguousarray(x.T) for x in (a_seg, b_seg, E_seg)))
-
-
 def _interp_by_state(t: np.ndarray, y: np.ndarray, ft: np.ndarray,
                      *tables: np.ndarray) -> list[np.ndarray]:
-    """For each (N, len(ft)) table, table[y_j] interpolated at t_j for every j."""
+    """For each (len(ft), N) table, column y_j interpolated at t_j for every j."""
     outs = [np.empty(len(t)) for _ in tables]
-    for k in range(len(tables[0])):
+    for k in range(tables[0].shape[1]):
         sel = y == k
         tk = t[sel]
         for out, table in zip(outs, tables):
-            out[sel] = np.interp(tk, ft, table[k])
+            out[sel] = np.interp(tk, ft, table[:, k])
     return outs
 
 
 def _sub_step(D: np.ndarray, ta: np.ndarray, tb: np.ndarray, y: np.ndarray,
-              cols: _StateColumns, method: str) -> np.ndarray:
+              ft: np.ndarray, a_seg: np.ndarray, b_seg: np.ndarray, method: str) -> np.ndarray:
     """One integrator step of each agent's deviation ODE on [ta_j, tb_j] in state y_j.
 
     Coefficients are interpolated off the fine mesh, so the step may start and
     end anywhere; where tb <= ta it is a no-op.
     """
     a, b = (x.reshape(3, -1) for x in _interp_by_state(
-        np.concatenate((ta, 0.5 * (ta + tb), tb)), np.tile(y, 3), cols.ft, cols.a, cols.b))
+        np.concatenate((ta, 0.5 * (ta + tb), tb)), np.tile(y, 3), ft, a_seg, b_seg))
     return np.where(tb <= ta, D, rk_step(lambda c, d: a[c] * d + b[c], D, tb - ta, method))
 
 
 def _through_switches(D: np.ndarray, Y: np.ndarray, t0: float, t2: float,
                       grp: np.ndarray, rank: np.ndarray, te: np.ndarray,
-                      ynew: np.ndarray, cols: _StateColumns, method: str):
+                      ynew: np.ndarray, ft: np.ndarray, a_seg: np.ndarray,
+                      b_seg: np.ndarray, E_seg: np.ndarray, method: str):
     """Carry switching agents across one level-0 step [t0, t2] through their events.
 
     D, Y hold the agents' deviations and states at t0.  Event e moves agent
     grp[e] to state ynew[e] at time te[e] and is that agent's rank[e]-th event
     in the step.  All events of one rank are integrated together, so every
-    agent takes the same sub-steps and jumps as it would alone.  Returns the
-    deviations and states at t2.
+    agent takes the same sub-steps and jumps as it would alone.  a_seg, b_seg
+    and E_seg are the segment's (len(ft), N) arrays.  Returns the deviations
+    and states at t2.
     """
     D = D.copy()
     Y = Y.copy()
@@ -212,14 +200,14 @@ def _through_switches(D: np.ndarray, Y: np.ndarray, t0: float, t2: float,
         sel = rank == r
         g = grp[sel]
         t, yn, y = te[sel], ynew[sel], Y[g]
-        d = _sub_step(D[g], ta[g], t, y, cols, method)
+        d = _sub_step(D[g], ta[g], t, y, ft, a_seg, b_seg, method)
         # inventory is continuous, so the deviation moves by E_old - E_new
-        (E_old,) = _interp_by_state(t, y, cols.ft, cols.E)
-        (E_new,) = _interp_by_state(t, yn, cols.ft, cols.E)
+        (E_old,) = _interp_by_state(t, y, ft, E_seg)
+        (E_new,) = _interp_by_state(t, yn, ft, E_seg)
         D[g] = d + (E_old - E_new)
         Y[g] = yn
         ta[g] = t
-    return _sub_step(D, ta, np.full(len(D), t2), Y, cols, method), Y
+    return _sub_step(D, ta, np.full(len(D), t2), Y, ft, a_seg, b_seg, method), Y
 
 
 def simulate_population(cfg: ModelConfig, eq: MeanFieldSolution, M: int, seed: int,
@@ -251,7 +239,6 @@ def _run_agents(cfg: ModelConfig, eq: MeanFieldSolution, X0: np.ndarray, Y0: np.
     a_segs, b_segs = _segment_coeffs(cfg, eq)
 
     D = X0 - eq.E_by_state.initial()[Y]
-    max_abs = np.abs(X0)
     agent0_events = [(float(t), int(s)) for t, s, a in zip(ev_t, ev_state, ev_agent) if a == 0]
 
     records = []
@@ -265,7 +252,6 @@ def _run_agents(cfg: ModelConfig, eq: MeanFieldSolution, X0: np.ndarray, Y0: np.
         a_seg, b_seg = a_segs[s], b_segs[s]
         mu_seg = eq.mu_by_state.segments[s]
         E_seg = eq.E_by_state.segments[s]
-        cols = _StateColumns.build(ft, a_seg, b_seg, E_seg)
         # the integrator's scalar step map D -> alpha D + beta, per (step, state)
         Phi, beta = step_maps(a_seg[:, :, None] * np.eye(N), h, method, b_seg)
         alpha = np.diagonal(Phi, axis1=1, axis2=2)
@@ -291,12 +277,10 @@ def _run_agents(cfg: ModelConfig, eq: MeanFieldSolution, X0: np.ndarray, Y0: np.
             adev = av[Y] * D
             vbar[node] = th @ muv + adev.mean()
             Xbar[node] = th @ Ev + D.mean()
-            X = Ev[Y] + D
-            np.maximum(max_abs, np.abs(X), out=max_abs)
             v0[node] = muv[Y[0]] + adev[0]
-            X0a[node] = X[0]
+            X0a[node] = Ev[Y[0]] + D[0]
             if record_paths:
-                seg_X[node] = X
+                seg_X[node] = Ev[Y] + D
                 seg_Y[node] = Y
 
         record(0, 0)
@@ -314,7 +298,7 @@ def _run_agents(cfg: ModelConfig, eq: MeanFieldSolution, X0: np.ndarray, Y0: np.
                 J = agents[first]
                 D_J, Y_J = _through_switches(
                     D[J], Y[J], t0, t2, grp, rank, ev_t[ptr:end][order],
-                    ev_state[ptr:end][order], cols, method)
+                    ev_state[ptr:end][order], ft, a_seg, b_seg, E_seg, method)
 
             D = alpha[i, Y] * D + beta[i, Y]
             if end > ptr:
@@ -331,7 +315,6 @@ def _run_agents(cfg: ModelConfig, eq: MeanFieldSolution, X0: np.ndarray, Y0: np.
 
     return PopulationTrajectory(
         segments=tuple(records),
-        max_abs_X=max_abs,
         agent0_events=tuple(agent0_events),
         agent0_initial_state=int(Y0[0]),
         agent0_initial_inventory=float(X0[0]),
@@ -345,7 +328,7 @@ def _metrics(cfg: ModelConfig, eq: MeanFieldSolution, traj: PopulationTrajectory
     z_dev = 0.0
     vbar_l2 = 0.0
     for s, rec in enumerate(traj.segments):
-        p = eq.chain.p.node_values(s)
+        p = eq.p.node_values(s)
         E = eq.E_by_state.node_values(s)
         mu = eq.mu_agg.node_values(s)[:, 0]
         theta_dev = max(theta_dev, float(np.max(np.sum((rec.theta - p) ** 2, axis=1))))
@@ -476,12 +459,9 @@ def _deviator_quadratic(cfg: ModelConfig, eq: MeanFieldSolution, delta: float,
     g += -m.lam_h * (1.0 - delta) * V
 
     # price shifts of the schedule trades
-    tk = grid.trade_times
-    if len(tk):
-        xi = np.asarray(eq.xi, dtype=float)
-        psik = psi(tk)
-        g += m.gamma * (psik.T @ xi)
-        const += m.gamma * float(np.sum(xi)) * x_init
+    xi = np.asarray(eq.xi, dtype=float)
+    g += m.gamma * (psi(grid.trade_times).T @ xi)
+    const += m.gamma * float(np.sum(xi)) * x_init
 
     # running aversion along the agent's own state path: the level-0 steps cut
     # at the events, each piece in the state after every event up to its start
@@ -491,16 +471,15 @@ def _deviator_quadratic(cfg: ModelConfig, eq: MeanFieldSolution, delta: float,
     RHO = np.asarray(cfg.aversion.phi, dtype=float)[state[np.searchsorted(ev_t, TA, "right")]]
     keep = RHO != 0.0
     TA, TB, RHO = TA[keep], TB[keep], RHO[keep]
-    if len(TA):
-        om = RHO * (TB - TA) / 3.0
-        PA = psi(TA)
-        PB = psi(TB)
-        quad = PA.T @ (om[:, None] * PA) + PB.T @ (om[:, None] * PB)
-        cross = PA.T @ (om[:, None] * PB)
-        quad += 0.5 * (cross + cross.T)
-        P += 2.0 * quad
-        g += -3.0 * x_init * ((PA + PB).T @ om)
-        const += -3.0 * x_init * x_init * float(np.sum(om))
+    om = RHO * (TB - TA) / 3.0
+    PA = psi(TA)
+    PB = psi(TB)
+    quad = PA.T @ (om[:, None] * PA) + PB.T @ (om[:, None] * PB)
+    cross = PA.T @ (om[:, None] * PB)
+    quad += 0.5 * (cross + cross.T)
+    P += 2.0 * quad
+    g += -3.0 * x_init * ((PA + PB).T @ om)
+    const += -3.0 * x_init * x_init * float(np.sum(om))
 
     return _Quadratic(edges, widths, P, g, const)
 
@@ -627,19 +606,14 @@ def sample_price_paths(cfg: ModelConfig, xi, solution: MeanFieldSolution,
     xi = np.asarray(xi, dtype=float)
     m = cfg.market
     K = len(xi)
-    tk = solution.grid.trade_times
     det_revenue = lt_profit(cfg, xi, solution).profit_with_hft
     revenues = np.empty(replications)
-    if K == 0 or m.sigma == 0.0:
-        revenues[:] = det_revenue
-    else:
-        dt = np.diff(np.concatenate(([0.0], tk)))
-        sq = np.sqrt(dt)
-        g = _new_stream()
-        for r in range(replications):
-            _rekey(g, seed, _PURPOSE_PRICE, r, 0)
-            W = np.cumsum(sq * g.standard_normal(K))
-            revenues[r] = det_revenue + m.sigma * float(np.sum(-xi * W))
+    sq = np.sqrt(np.diff(solution.grid.trade_times, prepend=0.0))
+    g = _new_stream()
+    for r in range(replications):
+        _rekey(g, seed, _PURPOSE_PRICE, r, 0)
+        W = np.cumsum(sq * g.standard_normal(K))
+        revenues[r] = det_revenue + m.sigma * float(np.sum(-xi * W))
     mean = float(revenues.mean())
     std_error = float(revenues.std(ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0
     return LTPathOutcome(revenues, mean, std_error)

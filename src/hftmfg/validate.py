@@ -52,12 +52,12 @@ def _chain_closed_form_error(steps: int, method: str, x: float = 2.0, y: float =
     # switch rates fast enough that truncation dominates the rounding floor
     raw = presets.partial_two_type(x=x, y=y, grid=max(steps, 100)).aversion
     grid = make_grid(1.0, [k / 10 for k in range(1, 10)], steps)
-    sol = solve_chain(raw, grid, method)
+    p = solve_chain(raw, grid, method)
     worst = 0.0
     for s in range(grid.n_segments):
         t = grid.level0_times(s)
         exact = (y + (x - y) / 2 * np.exp(-(x + y) * t)) / (x + y)
-        worst = max(worst, float(np.max(np.abs(sol.p.node_values(s)[:, 0] - exact))))
+        worst = max(worst, float(np.max(np.abs(p.node_values(s)[:, 0] - exact))))
     return worst
 
 
@@ -84,10 +84,10 @@ def check_config_roundtrip(grid: int, method: str) -> str:
 def check_chain_invariants(grid: int, method: str) -> str:
     cfg = presets.partial_two_type(x=0.2, y=0.8, grid=grid, integrator=method)
     g = make_grid(1.0, cfg.schedule.times, grid)
-    sol = solve_chain(cfg.aversion, g, method)
+    p = solve_chain(cfg.aversion, g, method)
     worst_sum = worst_pq = 0.0
     for s in range(g.n_segments):
-        seg = sol.p.segments[s]
+        seg = p.segments[s]
         worst_sum = max(worst_sum, float(np.max(np.abs(seg.sum(axis=1) - 1.0))))
         pq = pq_batch(seg, cfg.aversion.Q)
         worst_pq = max(worst_pq, float(np.max(np.abs(pq.sum(axis=2)))))
@@ -211,7 +211,7 @@ def check_derivative_identities(grid: int, method: str) -> str:
         h = t[1] - t[0]
         Es = sol.E_by_state.node_values(s)
         ms = sol.mu_by_state.node_values(s)
-        src = np.einsum("nij,nj->ni", pq_batch(sol.chain.p.node_values(s), Q), Es)
+        src = np.einsum("nij,nj->ni", pq_batch(sol.p.node_values(s), Q), Es)
         worst_state = max(worst_state, float(
             np.max(np.abs((Es[2:] - Es[:-2]) / (2 * h) - ms[1:-1] - src[1:-1]))))
     _need(worst_state <= 1e-6, f"per-state identity {worst_state:.3e} > 1e-6")

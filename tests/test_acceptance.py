@@ -10,6 +10,7 @@ import functools
 import json
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,7 +164,7 @@ def test_c11_byte_identical_csvs_across_workers(tmp_path):
         rc = cli_main(["simulate", "--config", str(cfg_path), "--out", out,
                        "--M", "40", "80", "--seeds", "3", "--workers", str(workers)])
         assert rc == 0
-        blobs.append({n: open(os.path.join(out, n), "rb").read()
+        blobs.append({n: Path(out, n).read_bytes()
                       for n in sorted(os.listdir(out))})
     assert blobs[0] == blobs[1] == blobs[2]
     report("C11 PASS: simulate CSVs byte-identical under 1, 4 and 16 workers")

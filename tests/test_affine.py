@@ -76,7 +76,7 @@ def test_fundamental_matrices_match_stage_by_stage_loop(method):
     cfg = presets.partial_two_type(grid=2000).with_solver(integrator=method)
     engine = MeanFieldEngine(cfg)
     for s, Un in enumerate(engine._U_nodes):
-        A = assemble_A_batch(engine.chain.p.segments[s], engine.h2.segments[s],
+        A = assemble_A_batch(engine.p.segments[s], engine.h2.segments[s],
                              cfg.aversion, cfg.market)
         h = engine.grid.step_width(s)
         U = np.eye(4)

@@ -36,7 +36,7 @@ def _reconstructed(engine, sol):
         E_segs.append(fine[:, N:])
 
     def agg(segs):
-        return [np.sum(w * c, axis=1, keepdims=True) for w, c in zip(sol.chain.p.segments, segs)]
+        return [np.sum(w * c, axis=1, keepdims=True) for w, c in zip(sol.p.segments, segs)]
 
     return {"E_by_state": E_segs, "mu_by_state": mu_segs,
             "E_agg": agg(E_segs), "mu_agg": agg(mu_segs)}
@@ -79,7 +79,7 @@ def _residuals_from_curves(cfg, sol):
     """The residual report as read back from the curves."""
     m = cfg.market
     N = cfg.n_states
-    B_T = 2.0 * m.eta * np.eye(N) + m.lam_h * np.outer(np.ones(N), sol.chain.p.terminal())
+    B_T = 2.0 * m.eta * np.eye(N) + m.lam_h * np.outer(np.ones(N), sol.p.terminal())
     jumps = m.gamma / (m.lam_h + 2.0 * m.eta) * sol.xi
     K = len(jumps)
     term = B_T @ sol.mu_by_state.terminal() \

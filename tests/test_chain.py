@@ -25,34 +25,34 @@ def closed_form_p1(x, y, t):
 
 def test_symmetric_chain_is_stationary():
     grid = make_grid(1.0, TRADES, 200)
-    sol = solve_chain(two_state(0.5, 0.5), grid)
-    for seg in sol.p.segments:
+    p = solve_chain(two_state(0.5, 0.5), grid)
+    for seg in p.segments:
         assert np.max(np.abs(seg - 0.5)) < 1e-12
 
 
 def test_zero_generator_keeps_p0():
     grid = make_grid(1.0, TRADES, 200)
-    sol = solve_chain(two_state(0.0, 0.0, p0=(0.3, 0.7)), grid)
-    for seg in sol.p.segments:
+    p = solve_chain(two_state(0.0, 0.0, p0=(0.3, 0.7)), grid)
+    for seg in p.segments:
         assert np.array_equal(seg, np.broadcast_to([0.3, 0.7], seg.shape))
 
 
 def test_asymmetric_chain_matches_closed_form():
     # derived: p1(t) = (y + (x-y)/2 e^{-(x+y)t}) / (x+y), here 0.8 - 0.3 e^{-t}
     grid = make_grid(1.0, TRADES, 400)
-    sol = solve_chain(two_state(0.2, 0.8), grid)
+    p = solve_chain(two_state(0.2, 0.8), grid)
     expected = 0.8 - 0.3 * np.exp(-1.0)
-    assert sol.p.terminal()[0] == pytest.approx(expected, abs=1e-10)
+    assert p.terminal()[0] == pytest.approx(expected, abs=1e-10)
     assert expected == pytest.approx(0.689636, abs=1e-6)
     for s in range(grid.n_segments):
         t = grid.level0_times(s)
-        assert np.max(np.abs(sol.p.node_values(s)[:, 0] - closed_form_p1(0.2, 0.8, t))) < 1e-10
+        assert np.max(np.abs(p.node_values(s)[:, 0] - closed_form_p1(0.2, 0.8, t))) < 1e-10
 
 
 def test_conservation_at_every_node():
     grid = make_grid(1.0, TRADES, 300)
-    sol = solve_chain(two_state(0.8, 0.2), grid)
-    for seg in sol.p.segments:
+    p = solve_chain(two_state(0.8, 0.2), grid)
+    for seg in p.segments:
         assert np.max(np.abs(seg.sum(axis=1) - 1.0)) <= 1e-10
 
 

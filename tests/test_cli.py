@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,7 +174,8 @@ def test_workers_below_one_is_usage_error(config_file, raw_config, tmp_path, wor
 @pytest.mark.parametrize("args,flag", [
     (["--M", "20", "40", "--seeds", "0"], "--seeds"),   # no seed: NaN medians and slope
     (["--M", "50", "50"], "--M"),                       # a slope through one repeated M
-], ids=["no-seeds", "repeated-M"])
+    (["--M", "0"], "--M"),                              # no agent to simulate
+], ids=["no-seeds", "repeated-M", "zero-M"])
 def test_simulate_rejects_degenerate_sample_flags(config_file, raw_config, tmp_path, capsys,
                                                   args, flag):
     out = tmp_path / "o"
@@ -193,7 +195,7 @@ def test_simulate_byte_identical_across_worker_counts(config_file, tmp_path):
         rc = run(["simulate", "--config", cfgp, "--out", out,
                   "--M", "40", "80", "--seeds", "3", "--workers", str(workers)])
         assert rc == 0
-        blobs.append({name: open(os.path.join(out, name), "rb").read()
+        blobs.append({name: Path(out, name).read_bytes()
                       for name in sorted(os.listdir(out))})
     assert blobs[0] == blobs[1]
 
@@ -330,7 +332,7 @@ def test_figures_scan_has_sign_change(tmp_path):
     signs = np.sign(diffs)
     assert diffs[0] < 0.0 < diffs[-1]
     assert int(np.sum(signs[1:] != signs[:-1])) == 1
-    svg = open(os.path.join(out, "F03a.svg")).read()
+    svg = Path(out, "F03a.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
 
 
@@ -341,8 +343,8 @@ def test_figures_panel_files_stable(tmp_path):
     names = sorted(os.listdir(out1))
     assert names == ["F01a.csv", "F01a.svg", "F01b.csv", "F01b.svg", "F01c.csv", "F01c.svg"]
     for n in names:
-        assert open(os.path.join(out1, n), "rb").read() == \
-            open(os.path.join(out2, n), "rb").read()
+        assert Path(out1, n).read_bytes() == \
+            Path(out2, n).read_bytes()
 
 
 def test_env_override_applies(config_file, raw_config, tmp_path, monkeypatch):
@@ -368,8 +370,8 @@ def test_rerun_byte_identical(config_file, raw_config, tmp_path):
     for out in (out1, out2):
         assert run(["solve-partial", "--config", config_file(raw_config), "--out", out]) == 0
     for name in os.listdir(out1):
-        assert open(os.path.join(out1, name), "rb").read() == \
-            open(os.path.join(out2, name), "rb").read()
+        assert Path(out1, name).read_bytes() == \
+            Path(out2, name).read_bytes()
 
 
 
@@ -382,8 +384,8 @@ def test_verbose_logs_condition_number_to_stderr_only(config_file, raw_config, t
     assert "condition number" in capsys.readouterr().err
     assert sorted(os.listdir(quiet)) == sorted(os.listdir(loud))
     for name in os.listdir(quiet):
-        assert open(os.path.join(quiet, name), "rb").read() == \
-            open(os.path.join(loud, name), "rb").read()
+        assert Path(quiet, name).read_bytes() == \
+            Path(loud, name).read_bytes()
 
 
 def test_solve_partial_exits_1_on_singular_boundary_system(config_file, tmp_path, capsys):
@@ -424,7 +426,7 @@ def test_validate_fresh_checkout_passes(tmp_path):
     out = str(tmp_path / "v")
     rc = run(["validate", "--out", out, "--grid", "4000"])
     assert rc == 0
-    report = json.load(open(os.path.join(out, "validation.json")))
+    report = json.loads(Path(out, "validation.json").read_text())
     assert report["passed"] is True
     assert all(c["passed"] for c in report["checks"])
 
@@ -443,7 +445,7 @@ def test_validate_fault_injection(config_file, tmp_path):
     raw["aversion"]["Q"] = [[-0.5]]  # row sum fault
     out = str(tmp_path / "v")
     rc = run(["validate", "--out", out, "--config", config_file(raw), "--grid", "1000"])
-    report = json.load(open(os.path.join(out, "validation.json")))
+    report = json.loads(Path(out, "validation.json").read_text())
     byname = {c["name"]: c for c in report["checks"]}
     assert not byname["config-load"]["passed"]
     assert "Q row sum" in byname["config-load"]["detail"]
@@ -454,7 +456,7 @@ def test_validate_detects_coarse_grid(tmp_path):
     # oracle equivalence degrades visibly when the grid is coarsened 100x
     out = str(tmp_path / "v")
     rc = run(["validate", "--out", out, "--grid", "100"])
-    report = json.load(open(os.path.join(out, "validation.json")))
+    report = json.loads(Path(out, "validation.json").read_text())
     byname = {c["name"]: c for c in report["checks"]}
     assert not byname["oracle-equivalence"]["passed"]
     assert "sup error" in byname["oracle-equivalence"]["detail"]

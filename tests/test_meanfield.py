@@ -16,7 +16,7 @@ from conftest import base_raw
 
 def test_assemble_A_single_state_structure(baseline_eq):
     cfg, eq = baseline_eq
-    A = assemble_A_batch(eq.chain.p.eval(0.3)[None], eq.h2.eval(0.3)[None],
+    A = assemble_A_batch(eq.p.eval(0.3)[None], eq.h2.eval(0.3)[None],
                          cfg.aversion, cfg.market)[0]
     denom = cfg.market.lam_h + 2 * cfg.market.eta
     # derived by substituting one state into the block form: the speed row is
@@ -29,7 +29,7 @@ def test_assemble_A_single_state_structure(baseline_eq):
 
 def test_assemble_A_single_state_with_running_aversion(stiff_eq):
     cfg, eq = stiff_eq
-    A = assemble_A_batch(eq.chain.p.eval(0.0)[None], eq.h2.eval(0.0)[None],
+    A = assemble_A_batch(eq.p.eval(0.0)[None], eq.h2.eval(0.0)[None],
                          cfg.aversion, cfg.market)[0]
     assert A[0, 1] == pytest.approx(2 * 10.0 / 0.2, abs=1e-10)
 
@@ -38,16 +38,16 @@ def test_assemble_A_zero_sources_block():
     cfg = config_from_dict(base_raw())
     # Gamma = phi = 0 with no switching: the inventory-feedback block vanishes
     eq = solve_partial(cfg.with_solver(grid_steps_per_unit_time=200), xi=np.zeros(9))
-    A = assemble_A_batch(eq.chain.p.eval(0.5)[None], eq.h2.eval(0.5)[None],
+    A = assemble_A_batch(eq.p.eval(0.5)[None], eq.h2.eval(0.5)[None],
                          cfg.aversion, cfg.market)[0]
     assert A[0, 1] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_assemble_A_bottom_blocks_two_state(twostate_eq):
     cfg, eq = twostate_eq
-    A = assemble_A_batch(eq.chain.p.eval(0.4)[None], eq.h2.eval(0.4)[None],
+    A = assemble_A_batch(eq.p.eval(0.4)[None], eq.h2.eval(0.4)[None],
                          cfg.aversion, cfg.market)[0]
-    p = eq.chain.p.eval(0.4)
+    p = eq.p.eval(0.4)
     pq = pq_batch(p[None, :], cfg.aversion.Q)[0]
     assert np.array_equal(A[2:, :2], np.eye(2))
     assert np.max(np.abs(A[2:, 2:] - pq)) < 1e-14
@@ -191,7 +191,7 @@ def test_derivative_identities(baseline_eq):
         worst_agg = max(worst_agg, np.max(np.abs((E[2:] - E[:-2]) / (2 * h) - mu[1:-1])))
         Es = eq.E_by_state.node_values(s)
         ms = eq.mu_by_state.node_values(s)
-        src = np.einsum("nij,nj->ni", pq_batch(eq.chain.p.node_values(s), Q), Es)
+        src = np.einsum("nij,nj->ni", pq_batch(eq.p.node_values(s), Q), Es)
         worst_state = max(worst_state, np.max(
             np.abs((Es[2:] - Es[:-2]) / (2 * h) - ms[1:-1] - src[1:-1])))
     assert worst_agg < 1e-4
@@ -344,7 +344,7 @@ def test_engine_cache_shares_chain_and_h2_by_key(changes, same_h2, same_chain):
     cfg = _two_type(**changes)
     engine = MeanFieldEngine(cfg, cache)
     assert (engine.h2 is first.h2) == same_h2
-    assert (engine.chain is first.chain) == same_chain
+    assert (engine.p is first.p) == same_chain
     cached, fresh = (e.solve(cfg.population.E0, cfg.schedule.quantities)
                      for e in (engine, MeanFieldEngine(cfg)))
     for name in ("E_agg", "mu_agg", "h2"):

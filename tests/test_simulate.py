@@ -11,7 +11,7 @@ from hftmfg.simulate import (default_init_spread, deviation_gain,
                              lt_deviation_gain, sample_price_paths,
                              simulate_population, _deviator_quadratic, _draw_agents,
                              _cell_projected_controls, _new_stream, _rekey, _run_agents,
-                             _segment_coeffs, _StateColumns, _through_switches)
+                             _segment_coeffs, _through_switches)
 from hftmfg.strategy import lt_profit, solve_overall
 
 
@@ -74,11 +74,11 @@ def test_initial_inventories_respect_bound(twostate_eq):
 
 def test_inventory_growth_bound_holds(twostate_eq):
     cfg, eq = twostate_eq
-    traj, _ = simulate_population(cfg, eq, M=500, seed=2)
+    traj, _ = simulate_population(cfg, eq, M=500, seed=2, record_paths=True)
     C2 = inventory_growth_bound(cfg, eq)
     X0, *_ = _draw_agents(cfg, 500, 2, 0, default_init_spread(cfg))
     bound = (np.abs(X0) + C2) * np.exp(C2 * cfg.schedule.T)
-    assert np.all(traj.max_abs_X <= bound)
+    assert np.all(np.abs(np.vstack(traj.paths_X)).max(axis=0) <= bound)
 
 
 def test_vbar_error_decreases_like_one_over_M(stiff_eq):
@@ -164,7 +164,6 @@ def _switch_stepped_inventory(cfg, eq, x_init, y_init, events):
     ptr, out = 0, []
     for s in range(eq.grid.n_segments):
         ft, E = eq.grid.fine_times[s], eq.E_by_state.segments[s]
-        cols = _StateColumns.build(ft, a_segs[s], b_segs[s], E)
         xs = [E[0, Y[0]] + D[0]]
         for i in range(eq.grid.steps[s]):
             t2 = ft[2 * i + 2]
@@ -172,7 +171,7 @@ def _switch_stepped_inventory(cfg, eq, x_init, y_init, events):
             n = end - ptr
             D, Y = _through_switches(D, Y, ft[2 * i], t2, np.zeros(n, dtype=np.int64),
                                      np.arange(n), ev_t[ptr:end], ev_state[ptr:end],
-                                     cols, method)
+                                     ft, a_segs[s], b_segs[s], E, method)
             ptr = end
             xs.append(E[2 * i + 2, Y[0]] + D[0])
         out.append(np.array(xs))
@@ -336,6 +335,19 @@ def test_price_paths_no_trades_zero_revenue():
     cfg = presets.partial_single_type(2.0, 0.0, grid=300, sigma=1.0)
     eq = solve_partial(cfg, xi=np.zeros(9))
     out = sample_price_paths(cfg, np.zeros(9), eq, replications=50, seed=3)
+    assert np.all(out.revenues == 0.0)
+
+
+@pytest.mark.parametrize("cfg", [
+    presets.partial_single_type(2.0, 10.0, grid=200, sigma=1.0),
+    presets.partial_two_type(grid=200, market_overrides={"sigma": 1.0}),
+], ids=["single", "two"])
+def test_schedule_without_trades(cfg):
+    cfg = replace(cfg, schedule=replace(cfg.schedule, times=np.zeros(0), quantities=np.zeros(0)))
+    eq = solve_partial(cfg)
+    traj, _ = simulate_population(cfg, eq, M=50, seed=1)
+    assert deviation_gain(cfg, eq, traj).gain >= -1e-10
+    out = sample_price_paths(cfg, np.zeros(0), eq, replications=20, seed=3)
     assert np.all(out.revenues == 0.0)
 
 
