@@ -11,6 +11,18 @@ This is the same feedback control written against the per-state mean; it
 keeps the degenerate single-state deterministic population exactly on the
 mean field, so all convergence metrics vanish identically there.
 
+Agents do not interact, and between its own switches every agent in state i
+takes the same integrator step D <- alpha_i D + beta_i.  So a population is
+stepped as per-state counts n_i and sums S_i of D, S_i <- alpha_i S_i +
+n_i beta_i, which give every aggregate the metrics and deviation tests read.
+An agent is touched only at its own switching steps, the r-th of every agent
+in one vectorised round r: its D is carried from its last touch by a
+binary-lifting table of composed step maps (O(log m) per lookup, and no
+ratio of cumulative products, which cancels on stiff, long segments), taken
+through its events in exact sub-steps, and its net change moves between the
+sums.  Every agent is carried to each segment's end, and to every level-0
+node only when paths are recorded.
+
 Randomness is drawn from counter-based streams keyed by
 (seed, purpose, replication, agent), so results are independent of scheduling
 and worker counts.
@@ -24,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affine import rk_step, step_maps
+from .affine import rk_step, step_maps, trajectory
 from .chain import pq_batch
 from .config import ModelConfig
 from .errors import SimulationError
@@ -180,18 +192,18 @@ def _sub_step(D: np.ndarray, ta: np.ndarray, tb: np.ndarray, y: np.ndarray,
     return np.where(tb <= ta, D, rk_step(lambda c, d: a[c] * d + b[c], D, tb - ta, method))
 
 
-def _through_switches(D: np.ndarray, Y: np.ndarray, t0: float, t2: float,
-                      grp: np.ndarray, rank: np.ndarray, te: np.ndarray,
-                      ynew: np.ndarray, ft: np.ndarray, a_seg: np.ndarray,
+def _through_switches(D: np.ndarray, Y: np.ndarray, t0: float | np.ndarray,
+                      t2: float | np.ndarray, grp: np.ndarray, rank: np.ndarray,
+                      te: np.ndarray, ynew: np.ndarray, ft: np.ndarray, a_seg: np.ndarray,
                       b_seg: np.ndarray, E_seg: np.ndarray, method: str):
-    """Carry switching agents across one level-0 step [t0, t2] through their events.
+    """Carry switching agents across level-0 steps [t0, t2] through their events.
 
-    D, Y hold the agents' deviations and states at t0.  Event e moves agent
-    grp[e] to state ynew[e] at time te[e] and is that agent's rank[e]-th event
-    in the step.  All events of one rank are integrated together, so every
-    agent takes the same sub-steps and jumps as it would alone.  a_seg, b_seg
-    and E_seg are the segment's (len(ft), N) arrays.  Returns the deviations
-    and states at t2.
+    D, Y hold the agents' deviations and states at t0; the step bounds t0 and
+    t2 are shared or per agent.  Event e moves agent grp[e] to state ynew[e]
+    at time te[e] and is that agent's rank[e]-th event in its step.  All
+    events of one rank are integrated together, so every agent takes the same
+    sub-steps and jumps as it would alone.  a_seg, b_seg and E_seg are the
+    segment's (len(ft), N) arrays.  Returns the deviations and states at t2.
     """
     D = D.copy()
     Y = Y.copy()
@@ -208,6 +220,69 @@ def _through_switches(D: np.ndarray, Y: np.ndarray, t0: float, t2: float,
         Y[g] = yn
         ta[g] = t
     return _sub_step(D, ta, np.full(len(D), t2), Y, ft, a_seg, b_seg, method), Y
+
+
+def _lift_table(alpha: np.ndarray, beta: np.ndarray):
+    """Binary-lifting table of a segment's composed step maps, per state.
+
+    alpha, beta (m, N) are the step maps D_{n+1} = alpha_n D_n + beta_n.
+    Level l maps node n over 2^l steps, D_{n+2^l} = A[l, n] D_n + B[l, n],
+    for every n with n + 2^l <= m; the other rows are the identity.  Returns
+    A, B of shape (levels, m+1, N).
+    """
+    m = len(alpha)
+    A = np.ones((max(m.bit_length(), 1), m + 1, alpha.shape[1]))
+    B = np.zeros_like(A)
+    A[0, :m], B[0, :m] = alpha, beta
+    for l in range(1, len(A)):
+        w = 1 << (l - 1)
+        n = m + 1 - 2 * w
+        A[l, :n] = A[l - 1, w:w + n] * A[l - 1, :n]
+        B[l, :n] = A[l - 1, w:w + n] * B[l - 1, :n] + B[l - 1, w:w + n]
+    return A, B
+
+
+def _lift(A: np.ndarray, B: np.ndarray, k, n, y, D):
+    """Deviations D in states y at nodes k, carried forward to nodes n >= k.
+
+    One table map per set bit of the gap n - k: O(log m) per agent.
+    """
+    N = A.shape[2]
+    gap = n - k
+    at = k * N + y                      # flat (node, state) index into a level
+    for l, (a, b) in enumerate(zip(A.reshape(len(A), -1), B.reshape(len(B), -1))):
+        bit = (gap >> l) & 1
+        D = np.where(bit == 1, a[at] * D + b[at], D)
+        at = at + (bit << l) * N
+    return D
+
+
+def _run_starts(key: np.ndarray) -> np.ndarray:
+    """Flags the elements where a run of equal ``key`` values starts."""
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    return first
+
+
+def _run_positions(first: np.ndarray) -> np.ndarray:
+    """Each element's position within its run; ``first`` flags the run starts."""
+    return np.arange(len(first)) - np.flatnonzero(first)[np.cumsum(first) - 1]
+
+
+def _node_states(touches, n_agents: int, m: int, A: np.ndarray, B: np.ndarray):
+    """(m+1, n_agents) deviations and states of agents 0 .. n_agents-1 at every node.
+
+    ``touches`` lists (agent, node, D, Y) arrays, one entry wherever those
+    agents' states were set: node 0 and the end of each switching step.
+    Every node is lifted forward from the agent's last touch at or before it.
+    """
+    ag, nd, d, y = (np.concatenate(x) for x in zip(*touches))
+    key = ag * (m + 1) + nd
+    order = np.argsort(key)
+    nodes = np.arange(m + 1)[:, None]
+    last = order[key[order].searchsorted(np.arange(n_agents) * (m + 1) + nodes,
+                                         side="right") - 1]
+    return _lift(A, B, nd[last], nodes, y[last], d[last]), y[last]
 
 
 def simulate_population(cfg: ModelConfig, eq: MeanFieldSolution, M: int, seed: int,
@@ -230,6 +305,8 @@ def _run_agents(cfg: ModelConfig, eq: MeanFieldSolution, X0: np.ndarray, Y0: np.
     Event e moves agent ev_agent[e] to state ev_state[e] at time ev_t[e].  The
     agents do not interact: each plays its feedback law against the frozen
     mean field, so an agent stepped alone takes exactly its path in a crowd.
+    Each segment steps the per-state counts and sums and takes the agents'
+    switching steps in rounds, as the module docstring sets out.
     """
     grid = eq.grid
     N = cfg.n_states
@@ -239,83 +316,95 @@ def _run_agents(cfg: ModelConfig, eq: MeanFieldSolution, X0: np.ndarray, Y0: np.
     a_segs, b_segs = _segment_coeffs(cfg, eq)
 
     D = X0 - eq.E_by_state.initial()[Y]
-    agent0_events = [(float(t), int(s)) for t, s, a in zip(ev_t, ev_state, ev_agent) if a == 0]
+    # agents rebuilt at every node: agent 0 for the deviation tests, or all
+    watched = M if record_paths else 1
+    mine = ev_agent == 0
+    agent0_events = tuple(zip(ev_t[mine].tolist(), ev_state[mine].tolist()))
+    # each event's level-0 step, numbered across segments: the first step that
+    # ends at or after it
+    ev_step = np.concatenate([grid.level0_times(s)[1:] for s in range(grid.n_segments)]
+                             ).searchsorted(ev_t, side="left")
 
     records = []
     paths_X: list[np.ndarray] = []
     paths_Y: list[np.ndarray] = []
-    ptr = 0
+    first_step = 0
     for s in range(grid.n_segments):
         ft = grid.fine_times[s]
+        L = grid.level0_times(s)
         m = grid.steps[s]
-        h = grid.step_width(s)
         a_seg, b_seg = a_segs[s], b_segs[s]
-        mu_seg = eq.mu_by_state.segments[s]
         E_seg = eq.E_by_state.segments[s]
         # the integrator's scalar step map D -> alpha D + beta, per (step, state)
-        Phi, beta = step_maps(a_seg[:, :, None] * np.eye(N), h, method, b_seg)
+        Phi, beta = step_maps(a_seg[:, :, None] * np.eye(N), grid.step_width(s), method, b_seg)
         alpha = np.diagonal(Phi, axis1=1, axis2=2)
-        vbar = np.empty(m + 1)
-        Xbar = np.empty(m + 1)
-        theta = np.empty((m + 1, N))
-        Z = np.empty((m + 1, N))
-        v0 = np.empty(m + 1)
-        X0a = np.empty(m + 1)
+        A, B = _lift_table(alpha, beta)
+
+        # the segment's events by agent, in time order within each agent;
+        # rank numbers them within their (agent, step) pair, and an agent's
+        # r-th pair is its switching step in round r
+        lo, hi = ev_step.searchsorted([first_step, first_step + m])
+        order = lo + np.argsort(ev_agent[lo:hi], kind="stable")
+        agent, step = ev_agent[order], ev_step[order] - first_step
+        first_step += m
+        new_pair = _run_starts(agent * m + step)
+        pair = np.cumsum(new_pair) - 1
+        rank = _run_positions(new_pair)
+        p_agent, p_step = agent[new_pair], step[new_pair]
+        p_round = _run_positions(_run_starts(p_agent))
+
+        # the counts at node 0, then their changes per node until the cumsum
+        counts = np.zeros((m + 1, N), dtype=np.int64)
+        counts[0] = np.bincount(Y, minlength=N)
+        S0 = np.bincount(Y, weights=D, minlength=N)
+        jumps = np.zeros((m + 1, N))
+        k = np.zeros(M, dtype=np.int64)        # node of each agent's last touch
+        touches = [(np.arange(watched), np.zeros(watched, dtype=np.int64),
+                    D[:watched].copy(), Y[:watched].copy())]
+        for r in range(int(p_round.max(initial=-1)) + 1):
+            sel = p_round == r
+            J, i = p_agent[sel], p_step[sel]
+            ev = sel[pair]
+            y = Y[J]
+            d = _lift(A, B, k[J], i, y, D[J])
+            dn, yn = _through_switches(d, y, L[i], L[i + 1], (np.cumsum(sel) - 1)[pair[ev]],
+                                       rank[ev], ev_t[order[ev]], ev_state[order[ev]],
+                                       ft, a_seg, b_seg, E_seg, method)
+            # the sums step d as if it stayed in state y; at node i+1 the
+            # agent's real end in state yn replaces that
+            np.add.at(counts, (i + 1, y), -1)
+            np.add.at(counts, (i + 1, yn), 1)
+            np.add.at(jumps, (i + 1, y), -(alpha[i, y] * d + beta[i, y]))
+            np.add.at(jumps, (i + 1, yn), dn)
+            D[J], Y[J], k[J] = dn, yn, i + 1
+            w = J < watched
+            touches.append((J[w], i[w] + 1, dn[w], yn[w]))
+        counts = np.cumsum(counts, axis=0)
+        S = trajectory(S0, alpha[:, :, None] * np.eye(N), counts[:-1] * beta + jumps[1:])
+
+        Ev = E_seg[::2]
+        muv = eq.mu_by_state.segments[s][::2]
+        av = a_seg[::2]
+        theta = counts / M
+        Dw, Yw = _node_states(touches, watched, m, A, B)
+        d0, y0 = Dw[:, 0], Yw[:, 0]
+        nodes = np.arange(m + 1)
+        records.append(SegmentRecord(
+            L.copy(),
+            vbar=np.sum(theta * muv, axis=1) + np.sum(av * S, axis=1) / M,
+            Xbar=np.sum(theta * Ev, axis=1) + S.sum(axis=1) / M,
+            theta=theta,
+            Z=theta * Ev + S / M,
+            v_agent0=muv[nodes, y0] + av[nodes, y0] * d0,
+            X_agent0=Ev[nodes, y0] + d0))
         if record_paths:
-            seg_X = np.empty((m + 1, M))
-            seg_Y = np.empty((m + 1, M), dtype=np.int64)
-
-        def record(node: int, fine_idx: int):
-            av = a_seg[fine_idx]
-            muv = mu_seg[fine_idx]
-            Ev = E_seg[fine_idx]
-            counts = np.bincount(Y, minlength=N)
-            th = counts / M
-            sumD = np.bincount(Y, weights=D, minlength=N)
-            theta[node] = th
-            Z[node] = th * Ev + sumD / M
-            adev = av[Y] * D
-            vbar[node] = th @ muv + adev.mean()
-            Xbar[node] = th @ Ev + D.mean()
-            v0[node] = muv[Y[0]] + adev[0]
-            X0a[node] = Ev[Y[0]] + D[0]
-            if record_paths:
-                seg_X[node] = Ev[Y] + D
-                seg_Y[node] = Y
-
-        record(0, 0)
-        for i in range(m):
-            t0 = ft[2 * i]
-            t2 = ft[2 * i + 2]
-            end = int(ev_t.searchsorted(t2, side="right"))
-            if end > ptr:
-                # the step's events by agent, numbered within each agent
-                order = np.argsort(ev_agent[ptr:end], kind="stable")
-                agents = ev_agent[ptr:end][order]
-                first = np.concatenate(([True], agents[1:] != agents[:-1]))
-                grp = np.cumsum(first) - 1
-                rank = np.arange(len(agents)) - np.flatnonzero(first)[grp]
-                J = agents[first]
-                D_J, Y_J = _through_switches(
-                    D[J], Y[J], t0, t2, grp, rank, ev_t[ptr:end][order],
-                    ev_state[ptr:end][order], ft, a_seg, b_seg, E_seg, method)
-
-            D = alpha[i, Y] * D + beta[i, Y]
-            if end > ptr:
-                D[J] = D_J
-                Y[J] = Y_J
-                ptr = end
-            record(i + 1, 2 * i + 2)
-
-        records.append(SegmentRecord(grid.level0_times(s).copy(), vbar, Xbar,
-                                     theta, Z, v0, X0a))
-        if record_paths:
-            paths_X.append(seg_X)
-            paths_Y.append(seg_Y)
+            paths_X.append(np.take_along_axis(Ev, Yw, axis=1) + Dw)
+            paths_Y.append(Yw)
+        D = _lift(A, B, k, m, Y, D)
 
     return PopulationTrajectory(
         segments=tuple(records),
-        agent0_events=tuple(agent0_events),
+        agent0_events=agent0_events,
         agent0_initial_state=int(Y0[0]),
         agent0_initial_inventory=float(X0[0]),
         M=M, seed=seed,

@@ -6,12 +6,13 @@ import pytest
 from hftmfg import presets
 from hftmfg.errors import SimulationError
 from hftmfg.meanfield import solve_partial
+from hftmfg.affine import step_maps
 from hftmfg.simulate import (default_init_spread, deviation_gain,
                              deviation_gain_vs_mean_field, inventory_growth_bound,
                              lt_deviation_gain, sample_price_paths,
                              simulate_population, _deviator_quadratic, _draw_agents,
-                             _cell_projected_controls, _new_stream, _rekey, _run_agents,
-                             _segment_coeffs, _through_switches)
+                             _cell_projected_controls, _lift, _lift_table, _new_stream,
+                             _rekey, _run_agents, _segment_coeffs, _through_switches)
 from hftmfg.strategy import lt_profit, solve_overall
 
 
@@ -214,6 +215,106 @@ def test_multi_switch_steps_match_single_agent_integration():
             assert np.max(np.abs(traj.paths_X[s][:, j] - x)) <= 1e-12
             assert np.array_equal(alone.paths_X[s][:, 0], traj.paths_X[s][:, j])
             assert np.max(np.abs(alone.paths_X[s][:, 0] - ref[s])) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["multi-switch", "overall-two"])
+def test_segment_records_match_recorded_paths(case, overall_two):
+    # the per-state sums and counts give the same aggregates as summing the
+    # agents' recorded inventories node by node
+    if case == "multi-switch":
+        cfg = presets.partial_two_type(x=10.0, y=10.0, grid=100)
+        eq = solve_partial(cfg)
+    else:
+        cfg, eq = overall_two[0], overall_two[1].mean_field
+    M = 300
+    traj, _ = simulate_population(cfg, eq, M, seed=1, record_paths=True)
+    for s, rec in enumerate(traj.segments):
+        X, Y = traj.paths_X[s], traj.paths_Y[s]
+        nodes = np.arange(len(X))[:, None]
+        E = eq.E_by_state.segments[s][::2]
+        mu = eq.mu_by_state.segments[s][::2]
+        a = eq.h2.segments[s][::2] / cfg.market.eta
+        D = X - E[nodes, Y]
+        v = mu[nodes, Y] + a[nodes, Y] * D
+        in_state = Y[:, None, :] == np.arange(cfg.n_states)[None, :, None]
+        assert np.array_equal(rec.theta, in_state.sum(axis=2) / M)
+        assert np.max(np.abs(rec.Z - (in_state * X[:, None, :]).sum(axis=2) / M)) <= 1e-12
+        assert np.max(np.abs(rec.Xbar - X.mean(axis=1))) <= 1e-12
+        assert np.max(np.abs(rec.vbar - v.mean(axis=1))) <= 1e-12
+        assert np.max(np.abs(rec.v_agent0 - v[:, 0])) <= 1e-12
+        assert np.max(np.abs(rec.X_agent0 - X[:, 0])) <= 1e-12
+
+
+def test_switching_steps_at_edge_times_match_single_agent_integration():
+    cfg = presets.partial_two_type(grid=200)
+    eq = solve_partial(cfg)
+    grid = eq.grid
+    h = grid.step_width(0)
+    trade = float(grid.trade_times[4])                  # a segment bound
+    node = float(grid.level0_times(3)[7])               # an interior level-0 node
+    L2, L6, L7 = (grid.level0_times(s) for s in (2, 6, 7))
+    first, last = L2[0] + 0.5 * h, L2[-1] - 0.5 * h     # a segment's first and last step
+    pair = (L6[4] + 0.3 * h, L6[4] + 0.7 * h)           # two events in one step
+    adjacent = (L7[10] + 0.5 * h, L7[11] + 0.5 * h)     # events in consecutive steps
+    schedules = [
+        (0, [(trade, 1)]),
+        (1, [(node, 0)]),
+        (0, [(first, 1), (last, 0)]),
+        (1, [(pair[0], 0), (pair[1], 1)]),
+        (0, [(0.4321, 1), (0.4321, 0)]),
+        (0, [(adjacent[0], 1), (adjacent[1], 0)]),
+        (1, []),
+        (0, list(zip(sorted([trade, node, first, last, *pair, *adjacent]), [1, 0] * 4))),
+    ]
+    # segment 8 holds no event of any agent
+    assert all(not 0.8 <= t <= 0.9 for _, evs in schedules for t, _ in evs)
+    x_init = [0.3 - 0.1 * j for j in range(len(schedules))]
+    ev = sorted(((t, j, y) for j, (_, evs) in enumerate(schedules) for t, y in evs),
+                key=lambda e: e[0])
+    crowd = _run_agents(cfg, eq, np.array(x_init), np.array([y for y, _ in schedules]),
+                        np.array([t for t, _, _ in ev]), np.array([j for _, j, _ in ev]),
+                        np.array([y for _, _, y in ev]), seed=0, record_paths=True)
+    for j, (y_init, events) in enumerate(schedules):
+        ref = _scalar_inventory(cfg, eq, x_init[j], y_init, events)
+        alone = _lone_agent(cfg, eq, x_init[j], y_init, [t for t, _ in events],
+                            [y for _, y in events], record_paths=True)
+        for s in range(grid.n_segments):
+            assert np.max(np.abs(alone.paths_X[s][:, 0] - ref[s])) <= 1e-12, (j, s)
+            assert np.array_equal(alone.segments[s].X_agent0, alone.paths_X[s][:, 0])
+            assert np.array_equal(alone.paths_X[s][:, 0], crowd.paths_X[s][:, j])
+            assert np.array_equal(alone.paths_Y[s][:, 0], crowd.paths_Y[s][:, j])
+
+
+@pytest.mark.parametrize("cfg", [
+    # h * max|h2| / eta is 0.1 for every preset with a Gamma = 2 type at grid
+    # 400 (0.004 at grid 1e4); of these, this one's step maps contract the
+    # most over a segment (product of alpha down to 0.13)
+    presets.partial_single_type(2.0, 10.0, grid=400),
+    presets.partial_two_type(grid=400),
+], ids=["stiffest", "two"])
+def test_lifted_step_maps_match_sequential_steps(cfg):
+    eq = solve_partial(cfg)
+    a_segs, b_segs = _segment_coeffs(cfg, eq)
+    N = cfg.n_states
+    for s in range(eq.grid.n_segments):
+        m = eq.grid.steps[s]
+        Phi, beta = step_maps(a_segs[s][:, :, None] * np.eye(N), eq.grid.step_width(s),
+                              cfg.solver.integrator, b_segs[s])
+        alpha = np.diagonal(Phi, axis1=1, axis2=2)
+        A, B = _lift_table(alpha, beta)
+        k, n = np.triu_indices(m + 1)                   # every gap k -> n
+        for d0 in (0.0, 1.0, -0.7):
+            seq = np.empty((m + 1, m + 1, N))
+            for start in range(m + 1):
+                d = np.full(N, d0)
+                for node in range(start, m + 1):
+                    seq[start, node] = d
+                    if node < m:
+                        d = alpha[node] * d + beta[node]
+            for y in range(N):
+                got = _lift(A, B, k, n, np.full(len(k), y), np.full(len(k), d0))
+                ref = seq[k, n, y]
+                assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref)), (s, d0, y)
 
 
 def test_deviation_gain_nonnegative_and_shrinks(stiff_eq):
