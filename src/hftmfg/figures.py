@@ -23,7 +23,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-
 from . import presets
 from .config import ModelConfig
 from .meanfield import solve_partial

@@ -23,15 +23,17 @@ through its events in exact sub-steps, and its net change moves between the
 sums.  Every agent is carried to each segment's end, and to every level-0
 node only when paths are recorded.
 
-Randomness is drawn from counter-based streams keyed by
+Randomness is drawn from counter-based Philox4x64-10 streams keyed by
 (seed, purpose, replication, agent), so results are independent of scheduling
-and worker counts.
+and worker counts.  ``_philox`` computes the blocks of many streams at once
+in uint64 array arithmetic, bit for bit numpy's ``Philox.random_raw``; agents
+draw their r-th switch together in round r, and price noise is Box-Muller on
+each replication's stream, so no Python loop runs per agent or replication.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,76 +47,121 @@ from .meanfield import MeanFieldSolution
 from .strategy import best_response_values, lt_profit, profit_from_aggregates
 
 _MASK64 = (1 << 64) - 1
+_LO32 = 0xFFFFFFFF
 _PURPOSE_AGENT = 0
 _PURPOSE_PRICE = 1
+_FIELD_BITS = 28        # bits of the rep and agent fields of a stream key
 _MAX_EVENTS_PER_AGENT = 100_000
+# Philox4x64 multipliers and Weyl key increments (Salmon et al., SC'11)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 
 
-def _new_stream() -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(0))
+def _stream_keys(seed: int, purpose: int, rep, agent) -> tuple[int, np.ndarray]:
+    """Philox key (key0, key1) of the streams (seed, purpose, rep, agent).
 
-
-_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
-
-
-def _rekey(g: np.random.Generator, seed: int, purpose: int, rep: int, agent: int) -> None:
-    """Point g's Philox at the stream keyed by (seed, purpose, rep, agent).
-
-    A zero counter and an empty buffer make the draws identical to those of a
-    fresh ``Philox(key=...)``, for a tenth of the cost of building one.
+    rep and agent are indices or index arrays, broadcast together; key1
+    packs purpose into bits 56-63, rep into 28-55 and agent into 0-27.  An
+    index that does not fit its field would silently share another's
+    stream, so it raises: ``SimulationError`` for agents, ``ValueError``
+    for replications.
     """
-    key0 = (int(seed) ^ 0x9E3779B97F4A7C15) & _MASK64
-    key1 = ((purpose & 0xFF) << 56) | ((rep & 0xFFFFFFF) << 28) | (agent & 0xFFFFFFF)
-    g.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZERO_COUNTER, "key": (key0, key1)},
-        "buffer": _ZERO_COUNTER, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    rep = np.asarray(rep, dtype=np.int64)
+    agent = np.asarray(agent, dtype=np.int64)
+    for idx, name, err in ((agent, "agent", SimulationError), (rep, "replication", ValueError)):
+        bad = (idx < 0) | (idx >= 1 << _FIELD_BITS)
+        if np.any(bad):
+            raise err(f"{name} index {idx[bad].flat[0]} does not fit a "
+                      f"{_FIELD_BITS}-bit stream key field")
+    key1 = (purpose << 56) | (rep << _FIELD_BITS) | agent
+    return (int(seed) ^ 0x9E3779B97F4A7C15) & _MASK64, np.atleast_1d(key1).astype(np.uint64)
+
+
+def _mulhilo(a: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the products a * x, from 32-bit halves."""
+    a_lo, a_hi = a & _LO32, a >> 32
+    x_lo, x_hi = x & _LO32, x >> 32
+    p01 = x_lo * a_hi
+    p10 = x_hi * a_lo
+    mid = ((x_lo * a_lo) >> 32) + (p01 & _LO32) + (p10 & _LO32)
+    return x_hi * a_hi + (p01 >> 32) + (p10 >> 32) + (mid >> 32), x * a
+
+
+def _philox(key0: int, key1: np.ndarray, block) -> np.ndarray:
+    """Philox4x64-10 output blocks of many streams at once.
+
+    key1 (uint64) and the block indices broadcast together; the stream with
+    key (key0, key1) and counter block + 1 gives word w, so [w, ...] is
+    lane 4 * block + w of ``np.random.Philox(key=(key0, key1)).random_raw()``.
+    All arithmetic is on uint64 arrays, which wrap silently.  Returns
+    (4, *broadcast shape) uint64.
+    """
+    c0, k1 = np.broadcast_arrays(np.asarray(block, dtype=np.uint64), key1)
+    zero = np.zeros(c0.shape, dtype=np.uint64)
+    x0, x1, x2, x3 = c0 + 1, zero, zero, zero
+    k0 = key0
+    for r in range(10):
+        if r:
+            k0 = (k0 + _PHILOX_W[0]) & _MASK64
+            k1 = k1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
+        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+    return np.stack((x0, x1, x2, x3))
+
+
+def _uniform(x: np.ndarray) -> np.ndarray:
+    """Doubles in [0, 1) from u64 words, as numpy's ``Generator.random`` makes them."""
+    return (x >> 11) * 2.0 ** -53
 
 
 def _draw_agents(cfg: ModelConfig, M: int, seed: int, rep: int, spread: float):
-    """Initial states plus every agent's exact switch schedule on [0, T]."""
+    """Initial states plus every agent's exact switch schedule on [0, T].
+
+    Agent j reads the stream keyed (seed, agent purpose, rep, j): lanes 0
+    and 1 give its initial state and inventory; its r-th holding time
+    -log1p(-u) / rate comes from lane 2 + 2r and the state it then switches
+    to from lane 3 + 2r.  The r-th switches of all agents still switching
+    are drawn together in round r, so an agent's draws do not depend on M.
+    Returns X0, Y0 and the events sorted by (time, agent).
+    """
     N = cfg.n_states
     E0 = np.asarray(cfg.population.E0, dtype=float)
     Q = np.asarray(cfg.aversion.Q, dtype=float)
     T = cfg.schedule.T
-    p0cum = np.cumsum(cfg.aversion.p0).tolist()
-    rates = [float(-Q[y, y]) for y in range(N)]
-    jump_cdfs = []       # per state: CDF of the state it switches to
-    for y in range(N):
-        row = Q[y].copy()
-        row[y] = 0.0
-        jump_cdfs.append((np.cumsum(row) / rates[y]).tolist() if rates[y] > 0.0 else None)
-    X0 = np.empty(M)
-    Y0 = np.empty(M, dtype=np.int64)
-    ev_t: list[float] = []
-    ev_agent: list[int] = []
-    ev_state: list[int] = []
-    g = _new_stream()
-    for j in range(M):
-        _rekey(g, seed, _PURPOSE_AGENT, rep, j)
-        u_state, u_spread = g.random(2).tolist()
-        y = min(bisect_right(p0cum, u_state), N - 1)
-        X0[j] = E0[y] + spread * (2.0 * u_spread - 1.0)
-        Y0[j] = y
-        t = 0.0
-        for _ in range(_MAX_EVENTS_PER_AGENT):
-            rate = rates[y]
-            if rate <= 0.0:
-                break
-            t += g.exponential(1.0 / rate)
-            if t >= T:
-                break
-            y = min(bisect_right(jump_cdfs[y], g.random()), N - 1)
-            ev_t.append(t)
-            ev_agent.append(j)
-            ev_state.append(y)
-        else:
-            raise SimulationError(f"agent {j} exceeded {_MAX_EVENTS_PER_AGENT} switches")
-    order = np.argsort(np.asarray(ev_t), kind="stable")
-    return (X0, Y0,
-            np.asarray(ev_t, dtype=float)[order],
-            np.asarray(ev_agent, dtype=np.int64)[order],
-            np.asarray(ev_state, dtype=np.int64)[order])
+    rates = -np.diagonal(Q)
+    # per state: CDF of the state it switches to (rows of absorbing states unused)
+    off = Q - np.diag(np.diagonal(Q))
+    jump_cdf = np.cumsum(off, axis=1) / np.where(rates > 0.0, rates, 1.0)[:, None]
+    key0, key1 = _stream_keys(seed, _PURPOSE_AGENT, rep, np.arange(M))
+    words = _philox(key0, key1, 0)
+    u_state, u_spread = _uniform(words[:2])
+    Y0 = np.minimum(np.searchsorted(np.cumsum(cfg.aversion.p0), u_state, side="right"), N - 1)
+    X0 = E0[Y0] + spread * (2.0 * u_spread - 1.0)
+
+    # the agents still switching, with their clocks, states and current block
+    live = rates[Y0] > 0.0
+    agent, t, y, words = np.flatnonzero(live), np.zeros(live.sum()), Y0[live], words[:, live]
+    rounds = [(np.zeros(0), agent[:0], y[:0])]       # each round's (time, agent, state)
+    r = 0
+    while len(agent):
+        if r == _MAX_EVENTS_PER_AGENT:
+            raise SimulationError(f"agent {agent[0]} exceeded {_MAX_EVENTS_PER_AGENT} switches")
+        lane = 2 + 2 * r
+        if lane % 4 == 0:
+            words = _philox(key0, key1[agent], lane // 4)
+        w = lane % 4
+        t = t - np.log1p(-_uniform(words[w])) / rates[y]
+        keep = t < T
+        agent, t, y, words = agent[keep], t[keep], y[keep], words[:, keep]
+        y = np.minimum(np.sum(jump_cdf[y] <= _uniform(words[w + 1])[:, None], axis=1), N - 1)
+        rounds.append((t, agent, y))
+        keep = rates[y] > 0.0
+        agent, t, y, words = agent[keep], t[keep], y[keep], words[:, keep]
+        r += 1
+    ev_t, ev_agent, ev_state = (np.concatenate(c) for c in zip(*rounds))
+    order = np.lexsort((ev_agent, ev_t))
+    return X0, Y0, ev_t[order], ev_agent[order], ev_state[order]
 
 
 @dataclass(frozen=True)
@@ -680,6 +727,21 @@ class LTPathOutcome:
     std_error: float
 
 
+def _normals(seed: int, replications: int, K: int) -> np.ndarray:
+    """(replications, K) standard normals, row r from the price stream of rep r.
+
+    Box-Muller on lane pairs: lanes 2i and 2i + 1 give normals 2i and 2i + 1.
+    """
+    key0, key1 = _stream_keys(seed, _PURPOSE_PRICE, np.arange(replications), 0)
+    pairs = (K + 1) // 2
+    words = _philox(key0, key1[:, None], np.arange((pairs + 1) // 2))
+    u = _uniform(np.moveaxis(words, 0, -1).reshape(replications, -1)[:, :2 * pairs])
+    radius = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
+    angle = 2.0 * np.pi * u[:, 1::2]
+    z = np.stack((radius * np.cos(angle), radius * np.sin(angle)), axis=2)
+    return z.reshape(replications, -1)[:, :K]
+
+
 def sample_price_paths(cfg: ModelConfig, xi, solution: MeanFieldSolution,
                        replications: int, seed: int) -> LTPathOutcome:
     """Realized trader revenue under sampled price noise.
@@ -696,13 +758,9 @@ def sample_price_paths(cfg: ModelConfig, xi, solution: MeanFieldSolution,
     m = cfg.market
     K = len(xi)
     det_revenue = lt_profit(cfg, xi, solution).profit_with_hft
-    revenues = np.empty(replications)
     sq = np.sqrt(np.diff(solution.grid.trade_times, prepend=0.0))
-    g = _new_stream()
-    for r in range(replications):
-        _rekey(g, seed, _PURPOSE_PRICE, r, 0)
-        W = np.cumsum(sq * g.standard_normal(K))
-        revenues[r] = det_revenue + m.sigma * float(np.sum(-xi * W))
+    W = np.cumsum(sq * _normals(seed, replications, K), axis=1)
+    revenues = det_revenue + m.sigma * np.sum(-xi * W, axis=1)
     mean = float(revenues.mean())
     std_error = float(revenues.std(ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0
     return LTPathOutcome(revenues, mean, std_error)

@@ -1,9 +1,11 @@
+from bisect import bisect_right
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hftmfg import presets
+from hftmfg import presets, simulate
+from hftmfg.config import config_from_dict
 from hftmfg.errors import SimulationError
 from hftmfg.meanfield import solve_partial
 from hftmfg.affine import step_maps
@@ -11,9 +13,12 @@ from hftmfg.simulate import (default_init_spread, deviation_gain,
                              deviation_gain_vs_mean_field, inventory_growth_bound,
                              lt_deviation_gain, sample_price_paths,
                              simulate_population, _deviator_quadratic, _draw_agents,
-                             _cell_projected_controls, _lift, _lift_table, _new_stream,
-                             _rekey, _run_agents, _segment_coeffs, _through_switches)
+                             _cell_projected_controls, _lift, _lift_table, _normals,
+                             _philox, _run_agents, _segment_coeffs, _stream_keys,
+                             _through_switches, _uniform)
 from hftmfg.strategy import lt_profit, solve_overall
+
+from conftest import base_raw
 
 
 @pytest.fixture(scope="module")
@@ -92,19 +97,117 @@ def test_vbar_error_decreases_like_one_over_M(stiff_eq):
     assert 3.0 <= ratio <= 33.0
 
 
-def test_rekeyed_stream_matches_fresh_philox():
-    # one re-keyed generator must draw exactly what a new Philox per key draws
-    g = _new_stream()
-    g.random(3)     # leave the counter and buffer mid-way
-    for seed, purpose, rep, agent in [(0, 0, 0, 0), (2**64 - 1, 1, 5, 9),
-                                      (123456789, 0, 2**28 - 1, 2**28 - 1)]:
-        key0 = (seed ^ 0x9E3779B97F4A7C15) & (2**64 - 1)
-        key1 = (purpose << 56) | (rep << 28) | agent
-        fresh = np.random.Generator(np.random.Philox(key=np.array([key0, key1], dtype=np.uint64)))
-        _rekey(g, seed, purpose, rep, agent)
-        for draw in (lambda r: r.random(2), lambda r: r.exponential(0.7),
-                     lambda r: r.standard_normal(5), lambda r: r.random()):
-            assert np.array_equal(draw(g), draw(fresh))
+@pytest.mark.parametrize("seed, purpose, rep, agent", [
+    (0, 0, 0, 0), (2**64 - 1, 1, 5, 9), (123456789, 0, 2**28 - 1, 2**28 - 1),
+    (2**64 - 1, 1, 2**28 - 1, 2**28 - 1), (-3, 0, 0, 2**27)],
+    ids=["zero", "max-seed", "max-fields", "all-max", "negative-seed"])
+def test_philox_matches_numpy_random_raw(seed, purpose, rep, agent):
+    # lanes 0-13 span four blocks, the last one part-read
+    key0 = (seed ^ 0x9E3779B97F4A7C15) & (2**64 - 1)
+    key1 = (purpose << 56) | (rep << 28) | agent
+    k0, k1 = _stream_keys(seed, purpose, rep, agent)
+    assert k0 == key0 and k1.tolist() == [key1]
+    fresh = np.random.Philox(key=np.array([key0, key1], dtype=np.uint64)).random_raw(14)
+    words = _philox(key0, np.array([key1], dtype=np.uint64), np.arange(4)[:, None])
+    assert np.array_equal(words[:, :, 0].T.reshape(-1)[:14], fresh)
+    # the doubles are the ones numpy's Generator makes from the same words
+    g = np.random.Generator(np.random.Philox(key=np.array([key0, key1], dtype=np.uint64)))
+    assert np.array_equal(_uniform(fresh), g.random(14))
+
+
+def test_stream_keys_reject_indices_that_do_not_fit():
+    edge = np.array([0, 2**28 - 1])
+    assert len(_stream_keys(1, 0, 0, edge)[1]) == 2
+    assert len(_stream_keys(1, 1, edge, 0)[1]) == 2
+    for bad in (2**28, -1):
+        with pytest.raises(SimulationError, match=f"agent index {bad} does not fit"):
+            _stream_keys(1, 0, 0, np.array([5, bad, 7]))
+        with pytest.raises(ValueError, match=f"replication index {bad} does not fit"):
+            _stream_keys(1, 1, np.array([bad, 3]), 0)
+
+
+def _reference_draws(cfg, M, seed, spread):
+    """Reference for _draw_agents: one agent at a time, one lane at a time."""
+    N = cfg.n_states
+    Q = np.asarray(cfg.aversion.Q, dtype=float)
+    T = cfg.schedule.T
+    X0, Y0, events = np.empty(M), np.empty(M, dtype=np.int64), []
+    for j in range(M):
+        key0, key1 = _stream_keys(seed, 0, 0, j)
+
+        def u(lane):
+            return float(_uniform(_philox(key0, key1, lane // 4)[lane % 4])[0])
+
+        y = min(bisect_right(np.cumsum(cfg.aversion.p0).tolist(), u(0)), N - 1)
+        X0[j] = cfg.population.E0[y] + spread * (2.0 * u(1) - 1.0)
+        Y0[j] = y
+        t, lane = 0.0, 2
+        while -Q[y, y] > 0.0:
+            rate = -Q[y, y]
+            t += float(-np.log1p(-np.array([u(lane)]))[0] / rate)
+            if t >= T:
+                break
+            row = Q[y].copy()
+            row[y] = 0.0
+            y = min(bisect_right((np.cumsum(row) / rate).tolist(), u(lane + 1)), N - 1)
+            events.append((t, j, y))
+            lane += 2
+    events.sort()
+    ev_t, ev_agent, ev_state = (np.array(c) for c in zip(*events))
+    return X0, Y0, ev_t, ev_agent, ev_state
+
+
+def _three_state(Q, p0):
+    raw = base_raw()
+    raw["aversion"] = {"Gamma": [2.0, 0.0, 1.0], "phi": [0.0, 10.0, 5.0],
+                       "Q": Q, "p0": p0}
+    raw["population"]["E0"] = [0.0, 0.1, -0.2]
+    return config_from_dict(raw)
+
+
+# two states switch to the other one; three states also draw the target, and
+# the absorbing third state stops an agent's rounds early
+ROUND_CASES = {
+    "two-state": presets.partial_two_type(x=7.0, y=3.0, grid=200),
+    "three-state": _three_state([[-3.0, 1.0, 2.0], [4.0, -5.0, 1.0], [0.5, 2.5, -3.0]],
+                                [0.2, 0.5, 0.3]),
+    "absorbing": _three_state([[-3.0, 1.0, 2.0], [4.0, -5.0, 1.0], [0.0, 0.0, 0.0]],
+                              [0.6, 0.3, 0.1]),
+}
+
+
+@pytest.mark.parametrize("case", ROUND_CASES)
+def test_round_schedule_matches_one_agent_reference(case):
+    cfg = ROUND_CASES[case]
+    got = _draw_agents(cfg, 120, 21, 0, 0.4)
+    for a, b in zip(got, _reference_draws(cfg, 120, 21, 0.4)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_event_cap_names_the_agent(monkeypatch):
+    cfg = presets.partial_two_type(x=40.0, y=40.0, grid=200)
+    ref = _reference_draws(cfg, 30, 4, 0.0)
+    counts = np.bincount(ref[3], minlength=30)
+    # the cap is a count of switches: at the most any agent makes, that
+    # agent (the first of them) is named; one more and nothing is capped
+    monkeypatch.setattr(simulate, "_MAX_EVENTS_PER_AGENT", int(counts.max()))
+    with pytest.raises(SimulationError,
+                       match=f"agent {np.argmax(counts)} exceeded {counts.max()} switches"):
+        _draw_agents(cfg, 30, 4, 0, 0.0)
+    monkeypatch.setattr(simulate, "_MAX_EVENTS_PER_AGENT", int(counts.max()) + 1)
+    for a, b in zip(_draw_agents(cfg, 30, 4, 0, 0.0), ref):
+        assert np.array_equal(a, b)
+
+
+def test_agent_draws_do_not_depend_on_M(twostate_eq):
+    cfg, _ = twostate_eq
+    small = _draw_agents(cfg, 40, 6, 0, 0.5)
+    large = _draw_agents(cfg, 400, 6, 0, 0.5)
+    assert np.array_equal(small[0], large[0][:40])
+    assert np.array_equal(small[1], large[1][:40])
+    mine = large[3] < 40
+    for a, b in zip(small[2:], large[2:]):
+        assert np.array_equal(a, b[mine])
 
 
 def test_exact_switch_times_respected(twostate_eq):
@@ -468,6 +571,26 @@ def test_price_paths_deterministic_per_seed(baseline_eq):
     a = sample_price_paths(cfg_noise, eq_n.xi, eq_n, 64, seed=5)
     b = sample_price_paths(cfg_noise, eq_n.xi, eq_n, 64, seed=5)
     assert np.array_equal(a.revenues, b.revenues)
+
+
+def test_price_paths_replication_does_not_depend_on_count():
+    cfg = presets.partial_single_type(2.0, 0.0, grid=300, sigma=0.7)
+    eq = solve_partial(cfg)
+    a = sample_price_paths(cfg, eq.xi, eq, 50, seed=5)
+    b = sample_price_paths(cfg, eq.xi, eq, 64, seed=5)
+    assert np.array_equal(a.revenues, b.revenues[:50])
+    assert len(np.unique(b.revenues)) == 64
+
+
+def test_price_normals_are_standard():
+    z = _normals(8, 2000, 10)
+    # an odd count is the same draws, cut
+    assert np.array_equal(_normals(8, 2000, 9), z[:, :9])
+    n = z.size
+    assert abs(z.mean()) < 4.0 / np.sqrt(n)
+    assert abs(z.var() - 1.0) < 4.0 * np.sqrt(2.0 / n)
+    # cosine and sine halves of a pair are uncorrelated
+    assert abs(np.mean(z[:, 0::2] * z[:, 1::2])) < 4.0 / np.sqrt(n / 2)
 
 
 def _running_aversion_by_walk(cfg, eq, quad, x_init, y_init, events):
