@@ -225,7 +225,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_figures(args) -> int:
-    from .figures import figure_specs, render_panel
+    from .figures import figure_specs, panel_groups, render_group
     specs = figure_specs()
     ids = list(args.ids)
     unknown = [fid for fid in ids if fid not in specs]
@@ -233,18 +233,23 @@ def cmd_figures(args) -> int:
         print(f"unknown figure id(s): {unknown}; known: {sorted(specs)}", file=sys.stderr)
         return 2
     panels = [p for fid in ids for p in specs[fid].panels]
-    cache = {}       # chains and h2 shared by this invocation's panels
+    # chains and h2 shared by this invocation's panels; each group's engines
+    # only while the group renders
+    cache = {}
 
-    def run(panel):
-        return render_panel(panel, args.out, cache)
+    def run(group):
+        members, keys = group
+        return zip(members, render_group(members, keys, args.out, cache))
 
+    groups = panel_groups(panels)
     if args.workers > 1:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            written = list(pool.map(run, panels))
+            written = list(pool.map(run, groups))
     else:
-        written = [run(p) for p in panels]
-    for paths in written:
-        for path in paths:
+        written = [run(g) for g in groups]
+    paths = {panel.name: files for group in written for panel, files in group}
+    for panel in panels:
+        for path in paths[panel.name]:
             print(f"wrote {path}")
     return 0
 

@@ -25,12 +25,13 @@ from dataclasses import dataclass
 
 from . import presets
 from .config import ModelConfig
-from .meanfield import solve_partial
+from .meanfield import engine_key, solve_partial
 from .reporting import (plot_columns_from_csv, write_csv, write_equilibrium_csv)
 from .strategy import lt_profit, solve_overall
 
 XY_GRID = ((0.0, 0.0), (0.2, 0.8), (0.5, 0.5), (0.8, 0.2))
 SCAN_GAMMA, SCAN_PHI = 2.0, 10.0     # the crowd of the lambdaH scans
+SCAN_GRID = 1000
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,13 @@ def figure_specs(grid: int = 2000) -> dict[str, FigureSpec]:
     return specs
 
 
-def profit_difference_scan(mode: str, lam_values, grid: int = 1000, cache: dict | None = None):
+def _scan_cfg(mode: str, lam_h, grid: int) -> ModelConfig:
+    make = presets.partial_single_type if mode == "partial" else presets.overall_single_type
+    return make(SCAN_GAMMA, SCAN_PHI, grid=grid, market_overrides={"lambdaH": float(lam_h)})
+
+
+def profit_difference_scan(mode: str, lam_values, grid: int = SCAN_GRID,
+                           cache: dict | None = None):
     """Profit with/without the crowd across temporary-impact values.
 
     The crowd (Gamma = 2, phi = 10) is the same at every lambdaH, so the scan
@@ -127,18 +134,49 @@ def profit_difference_scan(mode: str, lam_values, grid: int = 1000, cache: dict 
     cache = {} if cache is None else cache
     rows = []
     for lam_h in lam_values:
+        cfg = _scan_cfg(mode, lam_h, grid)
         if mode == "partial":
-            cfg = presets.partial_single_type(SCAN_GAMMA, SCAN_PHI, grid=grid,
-                                              market_overrides={"lambdaH": float(lam_h)})
             sol = solve_partial(cfg, cache=cache)
             rep = lt_profit(cfg, cfg.schedule.quantities, sol)
         else:
-            cfg = presets.overall_single_type(SCAN_GAMMA, SCAN_PHI, grid=grid,
-                                              market_overrides={"lambdaH": float(lam_h)})
             eq = solve_overall(cfg, cache)
             rep = lt_profit(cfg, eq.xi_star, eq.mean_field)
         rows.append([float(lam_h), rep.profit_no_hft, rep.profit_with_hft, rep.difference])
     return rows
+
+
+def panel_engine_keys(panel: PanelSpec) -> set:
+    """The ``engine_key`` of every crowd the panel solves."""
+    if panel.kind == "scan_lamH":
+        mode, lam_values = panel.scan
+        return {engine_key(_scan_cfg(mode, lam_h, SCAN_GRID)) for lam_h in lam_values}
+    return {engine_key(panel.cfg)}
+
+
+def panel_groups(panels) -> list[tuple[list[PanelSpec], set]]:
+    """(panels, engine keys) per group, in the order of each group's first
+    panel; a panel joins the first group it shares an engine key with."""
+    groups = []
+    for panel in panels:
+        keys = panel_engine_keys(panel)
+        group = next((g for g in groups if g[1] & keys), None)
+        if group is None:
+            groups.append(([panel], keys))
+        else:
+            group[0].append(panel)
+            group[1].update(keys)
+    return groups
+
+
+def render_group(panels: list[PanelSpec], keys: set, out_dir: str,
+                 cache: dict) -> list[list[str]]:
+    """``render_panel`` for each of ``panels``, then drop the engines under
+    ``keys`` from ``cache``; the chains and h2 stay for other groups."""
+    try:
+        return [render_panel(panel, out_dir, cache) for panel in panels]
+    finally:
+        for key in keys:
+            cache.pop(key, None)
 
 
 def render_panel(panel: PanelSpec, out_dir: str, cache: dict | None = None) -> list[str]:

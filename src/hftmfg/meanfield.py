@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import logging
 import threading
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from functools import partial
 
 import numpy as np
@@ -257,6 +257,24 @@ def _bits(*arrays) -> tuple[bytes, ...]:
     return tuple(np.asarray(a, dtype=float).tobytes() for a in arrays)
 
 
+def _on_grid(cfg: ModelConfig) -> tuple:
+    """The horizon, trade times, grid resolution and integrator."""
+    return (cfg.schedule.T, _bits(cfg.schedule.times), cfg.solver.grid_steps_per_unit_time,
+            cfg.solver.integrator)
+
+
+def engine_key(cfg: ModelConfig) -> tuple:
+    """Exactly the config values ``MeanFieldEngine`` reads: the aversion, the
+    market, the horizon, trade times, grid, integrator and shooting tolerance.
+
+    Not the mode, trade sizes, xi0 or E0, which ``solve`` takes as arguments,
+    so configs with equal keys give bit-identical engines.
+    """
+    av = cfg.aversion
+    return (("engine", _bits(av.Gamma, av.phi, av.Q, av.p0), _bits(astuple(cfg.market)))
+            + _on_grid(cfg) + (cfg.solver.shooting_tolerance,))
+
+
 def _reuse(cache: dict | None, key: tuple, build):
     """``build()``, or the value ``cache`` already holds under ``key``.
 
@@ -280,10 +298,13 @@ class MeanFieldEngine:
     (N (2S - 1))-square system and one product per segment end.  The curves
     are reconstructed only when a caller reads them.
 
-    The chain depends only on (Q, p0) and the grid, h2 only on (Gamma, phi,
-    Q, eta) and the grid.  Engines built with one ``cache`` dict, which a
-    caller creates for one request, integrate each distinct chain and h2
-    once and share the results.
+    The engine reads only the config values in ``engine_key``.  The chain
+    depends only on (Q, p0) and the grid, h2 only on (Gamma, phi, Q, eta) and
+    the grid.  Engines built with one ``cache`` dict, which a caller creates
+    for one request, integrate each distinct chain and h2 once and share the
+    results.  ``shared_engine(cfg, cache)`` keeps the engine itself in that
+    dict under ``engine_key(cfg)``, for the next solve of the same crowd;
+    the caller pops the key once it is done with the crowd.
     """
 
     def __init__(self, cfg: ModelConfig, cache: dict | None = None):
@@ -291,8 +312,7 @@ class MeanFieldEngine:
         self.grid = default_grid(cfg)
         method = cfg.solver.integrator
         av = cfg.aversion
-        on_grid = (cfg.schedule.T, _bits(cfg.schedule.times),
-                   cfg.solver.grid_steps_per_unit_time, method)
+        on_grid = _on_grid(cfg)
         self.p = _reuse(cache, ("chain", _bits(av.Q, av.p0)) + on_grid,
                         lambda: solve_chain(av, self.grid, method))
         self.h2 = _reuse(cache, ("h2", _bits(av.Gamma, av.phi, av.Q), cfg.market.eta) + on_grid,
@@ -368,11 +388,16 @@ class MeanFieldEngine:
                          cfg.solver.shooting_tolerance)
 
 
+def shared_engine(cfg: ModelConfig, cache: dict | None = None) -> MeanFieldEngine:
+    """The engine ``cache`` holds under ``engine_key(cfg)``, built there on a miss."""
+    return _reuse(cache, engine_key(cfg), lambda: MeanFieldEngine(cfg, cache))
+
+
 def solve_partial(cfg: ModelConfig, xi=None, cache: dict | None = None) -> MeanFieldSolution:
     """Crowd equilibrium for a fixed trade schedule; ``cache`` as in ``MeanFieldEngine``."""
     if xi is None:
         xi = np.zeros(cfg.schedule.K) if cfg.schedule.quantities is None else cfg.schedule.quantities
-    return MeanFieldEngine(cfg, cache).solve(cfg.population.E0, xi)
+    return shared_engine(cfg, cache).solve(cfg.population.E0, xi)
 
 
 def closed_form_q0(cfg: ModelConfig, xi=None) -> MeanFieldSolution:

@@ -9,7 +9,6 @@ from solver internals.
 
 from __future__ import annotations
 
-import csv
 import os
 import threading
 
@@ -44,15 +43,6 @@ def write_csv(path, header: list[str], rows, cfg: ModelConfig | None = None, **e
     lines = [meta_line(cfg, **extra) + "\n", ",".join(header) + "\n"]
     lines += [",".join(v if isinstance(v, str) else repr(v) for v in row) + "\n" for row in rows]
     _atomic_write(str(path), lines)
-
-
-def read_csv(path) -> tuple[str, list[str], list[list[str]]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        meta = fh.readline().rstrip("\n")
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [row for row in reader]
-    return meta, header, rows
 
 
 def equilibrium_rows(sol: MeanFieldSolution) -> tuple[list[str], list[list]]:
@@ -100,6 +90,35 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
         ticks.append(float(t))
         t += step
     return ticks
+
+
+# the strings of whole pixels below 1000 and of hundredths, trailing zeros
+# dropped as repr drops them
+_WHOLE = np.array([str(k) for k in range(1000)])
+_HUNDREDTHS = np.array([".0"] + [f".{k:02d}".rstrip("0") for k in range(1, 100)])
+
+
+def _fmt_hundredths(values) -> np.ndarray:
+    """``repr(round(float(x), 2))`` for every x, byte for byte.
+
+    Python rounds the exact binary value, half to even.  ``rint(x * 100)``
+    agrees wherever x * 100 is not within 1e-6 of a half, which the product's
+    rounding error (below 1e-11 here) cannot cross.  Those values, and values
+    that do not round into [0, 1000), go through Python's ``round``.
+    """
+    x = np.asarray(values, dtype=float)
+    v = x * 100.0
+    bulk = ~np.signbit(v) & (v < 100.0 * len(_WHOLE) - 0.5)       # NaN fails too
+    safe = np.where(bulk, v, 0.0)
+    bulk &= np.abs(safe - np.floor(safe) - 0.5) > 1e-6
+    n = np.rint(safe).astype(np.int64)
+    out = np.strings.add(_WHOLE[n // 100], _HUNDREDTHS[n % 100])
+    slow = np.flatnonzero(~bulk)
+    if slow.size:
+        rest = np.array([repr(round(float(x[i]), 2)) for i in slow])
+        out = out.astype(np.result_type(out, rest))
+        out[slow] = rest
+    return out
 
 
 def _fmt_tick(v: float) -> str:
@@ -170,11 +189,10 @@ def svg_plot(path, series, title: str = "", xlabel: str = "", ylabel: str = "",
     else:
         for idx, (label, sx, sy) in enumerate(series):
             color = PALETTE[idx % len(PALETTE)]
-            # X and Y on whole arrays do the scalar operations in the same order;
-            # Python's round on Python floats, not numpy's, keeps the halfway cases
-            px = X(np.asarray(sx, dtype=float))
-            py = Y(np.asarray(sy, dtype=float))
-            pts = " ".join(f"{round(float(a), 2)},{round(float(b), 2)}" for a, b in zip(px, py))
+            # X and Y on whole arrays do the scalar operations in the same order
+            px = _fmt_hundredths(X(np.asarray(sx, dtype=float)))
+            py = _fmt_hundredths(Y(np.asarray(sy, dtype=float)))
+            pts = " ".join(np.strings.add(np.strings.add(px, ","), py).tolist())
             out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                        f'stroke-width="1.6"/>')
         lx, ly = ml + 10, mt + 16
@@ -202,12 +220,12 @@ def svg_plot(path, series, title: str = "", xlabel: str = "", ylabel: str = "",
 
 def plot_columns_from_csv(csv_path, svg_path, xcol: str, ycols: list[str],
                           title: str = "", kind: str = "line") -> None:
-    _, header, rows = read_csv(csv_path)
-    xi = header.index(xcol)
-    x = np.array([float(r[xi]) for r in rows])
-    series = []
-    for col in ycols:
-        ci = header.index(col)
-        series.append((col, x, np.array([float(r[ci]) for r in rows])))
+    """Plot columns of a CSV written by ``write_csv``; only those columns are parsed."""
+    with open(csv_path, "r", encoding="utf-8") as fh:
+        fh.readline()                                    # metadata
+        header = fh.readline().rstrip("\n").split(",")
+        cols = [header.index(c) for c in [xcol, *ycols]]
+        data = np.loadtxt(fh, delimiter=",", usecols=cols, ndmin=2)
+    series = [(col, data[:, 0], data[:, j]) for j, col in enumerate(ycols, 1)]
     svg_plot(svg_path, series, title=title, xlabel=xcol,
              ylabel=ycols[0] if len(ycols) == 1 else "", kind=kind)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import ModelConfig
 from .errors import SolverError
-from .meanfield import COND_ABORT, MeanFieldEngine, MeanFieldSolution
+from .meanfield import COND_ABORT, MeanFieldSolution, shared_engine
 
 logger = logging.getLogger(__name__)
 
@@ -144,7 +144,7 @@ def solve_overall(cfg: ModelConfig, cache: dict | None = None) -> OverallEquilib
     """
     if cfg.mode != "overall":
         raise ValueError("solve_overall requires an overall-mode configuration")
-    engine = MeanFieldEngine(cfg, cache)
+    engine = shared_engine(cfg, cache)
     N = cfg.n_states
     K = cfg.schedule.K
     xi0 = float(cfg.schedule.xi0)

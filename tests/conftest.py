@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -14,6 +15,16 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def read_csv(path) -> tuple[str, list[str], list[list[str]]]:
+    """The metadata line, the header and the rows of a CSV the CLI wrote."""
+    with open(path, "r", encoding="utf-8") as fh:
+        meta = fh.readline().rstrip("\n")
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = [row for row in reader]
+    return meta, header, rows
 
 
 def base_raw(mode="partial"):

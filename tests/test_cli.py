@@ -10,14 +10,15 @@ import pytest
 
 import hftmfg
 import hftmfg.cli as cli
+import hftmfg.figures as figures
 import hftmfg.meanfield as meanfield
 from hftmfg import presets
 from hftmfg.cli import main
 from hftmfg.config import load_config, serialize_config
-from hftmfg.reporting import read_csv, write_csv
+from hftmfg.reporting import write_csv
 from hftmfg.simulate import deviation_gain, lt_deviation_gain
 from hftmfg.strategy import solve_overall
-from conftest import base_raw
+from conftest import base_raw, read_csv
 
 
 def run(args):
@@ -293,21 +294,51 @@ def test_figures_integrate_each_chain_and_h2_once_per_request(tmp_path, monkeypa
         assert calls == {"solve_h2": 4 * n, "solve_chain": 4 * n}
 
 
+def test_figures_build_each_engine_once_per_request(tmp_path, monkeypatch):
+    builds = []
+    init = meanfield.MeanFieldEngine.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(meanfield.MeanFieldEngine, "__init__", counted)
+    # F5 fixes the schedule of four crowds, F11 and F12 plot their joint equilibrium
+    for n in (1, 2):
+        assert run(["figures", "--ids", "F5", "F11", "F12", "--out", str(tmp_path / f"f{n}")]) == 0
+        assert len(builds) == 4 * n
+
+
+def test_figure_groups_share_engines_and_drop_them(tmp_path):
+    specs = figures.figure_specs(grid=400)
+    groups = figures.panel_groups([p for fid in ("F3", "F5", "F9", "F11", "F12")
+                                   for p in specs[fid].panels])
+    assert [[p.name for p in members] for members, _ in groups] == [
+        ["F03a", "F09a"]] + [[f"F05{c}", f"F11{c}", f"F12{c}"] for c in "abcd"]
+    assert [len(keys) for _, keys in groups] == [25, 1, 1, 1, 1]
+    cache = {}
+    members, keys = groups[1]
+    figures.render_group(members, keys, str(tmp_path), cache)
+    assert not keys & cache.keys()
+    assert {key[0] for key in cache} == {"chain", "h2"}
+
+
 def test_figures_byte_identical_across_worker_counts(tmp_path):
-    # the panels of F5, F11 and F12 share chains and h2, which worker threads may
-    # build at the same time; a short switch interval makes such races likely
+    # the F1 and F2 panels form five groups that share the single-type chain, which
+    # worker threads may build at the same time; a short switch interval makes such
+    # races likely.  F5, F11 and F12 form four groups of three panels each
     blobs = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         for workers in (1, 4):
             out = tmp_path / f"w{workers}"
-            assert run(["figures", "--ids", "F5", "F11", "F12", "--out", str(out),
+            assert run(["figures", "--ids", "F1", "F2", "F5", "F11", "F12", "--out", str(out),
                         "--workers", str(workers)]) == 0
             blobs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     finally:
         sys.setswitchinterval(interval)
-    assert len(blobs[0]) == 24
+    assert len(blobs[0]) == 36
     assert blobs[0] == blobs[1]
 
 

@@ -9,7 +9,7 @@ from hftmfg.config import config_from_dict
 from hftmfg.errors import SolverError
 from hftmfg.grid import sup_diff
 from hftmfg.meanfield import (MeanFieldEngine, assemble_A_batch, closed_form_n1,
-                              closed_form_q0, solve_partial, speed_jump_size)
+                              closed_form_q0, engine_key, solve_partial, speed_jump_size)
 from hftmfg.validate import SWEEP
 from conftest import base_raw
 
@@ -350,6 +350,32 @@ def test_engine_cache_shares_chain_and_h2_by_key(changes, same_h2, same_chain):
     for name in ("E_agg", "mu_agg", "h2"):
         a, b = getattr(cached, name).segments, getattr(fresh, name).segments
         assert len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b)), name
+
+
+@pytest.mark.parametrize("Gamma,phi", [(0.0, 0.0), (0.1, 0.0), (2.0, 0.0), (0.0, 5.0)])
+def test_engine_key_ignores_mode_trades_xi0_and_E0(Gamma, phi):
+    partial = presets.partial_single_type(Gamma, phi, quantities=np.arange(9.0))
+    overall = presets.overall_single_type(Gamma, phi, xi0=-3.0)
+    assert engine_key(partial) == engine_key(overall)
+    shifted = replace(partial, population=replace(partial.population, E0=np.array([0.5])))
+    assert engine_key(shifted) == engine_key(partial)
+
+
+def _moved_trades(cfg):
+    times = np.asarray(cfg.schedule.times) + 0.01
+    return replace(cfg, schedule=replace(cfg.schedule, times=times))
+
+
+@pytest.mark.parametrize("change", [
+    lambda c: _two_type(market_overrides={"lambdaH": 0.3}),
+    lambda c: c.with_solver(shooting_tolerance=1e-7),
+    lambda c: c.with_solver(integrator="euler"),
+    lambda c: c.with_solver(grid_steps_per_unit_time=500),
+    _moved_trades,
+], ids=["lambdaH", "shooting_tolerance", "integrator", "grid", "trade_times"])
+def test_engine_key_tells_apart_what_the_engine_reads(change):
+    cfg = _two_type()
+    assert engine_key(change(cfg)) != engine_key(cfg)
 
 
 def _unswitched(N, T=1.0, grid=2000, **market):
