@@ -55,25 +55,32 @@ def step_maps(A: np.ndarray, h: float, method: str, b: np.ndarray | None = None)
 
 
 def compose_prefix(Phi: np.ndarray, psi: np.ndarray | None = None):
-    """Inclusive prefix compositions (P_n, q_n) with y_{n+1} = P_n y_0 + q_n."""
+    """Inclusive prefix compositions (P_n, q_n) with y_{n+1} = P_n y_0 + q_n.
+
+    ``psi`` is (m, n), or (m, n, k) for k columns y_0 stepped by the same Phi.
+    """
     P = np.array(Phi, dtype=float)
     q = None if psi is None else np.array(psi, dtype=float)
+    cols = None if q is None else q.reshape(len(q), P.shape[1], -1)
     d = 1
     while d < len(P):
-        if q is not None:
-            q[d:] += (P[d:] @ q[:-d, :, None])[..., 0]
+        if cols is not None:
+            cols[d:] += P[d:] @ cols[:-d]
         P[d:] = P[d:] @ P[:-d]
         d *= 2
     return P, q
 
 
 def trajectory(y0, Phi: np.ndarray, psi: np.ndarray | None = None) -> np.ndarray:
-    """States y_0 .. y_m of y_{n+1} = Phi_n y_n + psi_n; y0 may be a vector or a matrix."""
+    """States y_0 .. y_m of y_{n+1} = Phi_n y_n + psi_n; y0 may be a vector or a matrix.
+
+    For a matrix y0, psi_n is one vector for every column or one per column.
+    """
     y0 = np.asarray(y0, dtype=float)
     P, q = compose_prefix(Phi, psi)
     out = np.empty((len(P) + 1,) + y0.shape)
     out[0] = y0
     out[1:] = P @ y0
     if q is not None:
-        out[1:] += q if y0.ndim == 1 else q[..., None]
+        out[1:] += q if q.ndim == out.ndim else q[..., None]
     return out

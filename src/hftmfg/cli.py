@@ -153,7 +153,6 @@ def cmd_simulate(args) -> int:
 
     Ms = list(args.M)
     seeds = [args.seed + i for i in range(args.seeds)]
-    tasks = [(M, seed) for M in Ms for seed in seeds]
 
     if args.dump_trajectories:
         nodes = eq.grid.total_level0_nodes()
@@ -163,30 +162,33 @@ def cmd_simulate(args) -> int:
                   file=sys.stderr)
             return 1
 
-    def run(task):
-        M, seed = task
-        traj, met = simulate_population(cfg, eq, M, seed,
-                                        record_paths=args.dump_trajectories)
-        row = {"metrics": [M, seed, met.theta_dev, met.Z_dev, met.vbar_l2]}
-        if not args.skip_deviation:
-            dev = deviation_gain(cfg, eq, traj)
-            row["hft"] = [M, seed, dev.j_mfg, dev.j_best, dev.gain]
-            if overall is not None:
-                lt = lt_deviation_gain(cfg, overall, traj)
-                row["lt"] = [M, seed, lt.psi_mfg, lt.psi_best, lt.gain]
-        if args.dump_trajectories:
-            row["traj"] = (M, seed, traj)
-        return row
+    def run(M):
+        # every seed of one M runs as one stacked population
+        rows = []
+        for seed, (traj, met) in zip(seeds, simulate_population(
+                cfg, eq, M, seeds, record_paths=args.dump_trajectories)):
+            row = {"metrics": [M, seed, met.theta_dev, met.Z_dev, met.vbar_l2]}
+            if not args.skip_deviation:
+                dev = deviation_gain(cfg, eq, traj)
+                row["hft"] = [M, seed, dev.j_mfg, dev.j_best, dev.gain]
+                if overall is not None:
+                    lt = lt_deviation_gain(cfg, overall, traj)
+                    row["lt"] = [M, seed, lt.psi_mfg, lt.psi_best, lt.gain]
+            if args.dump_trajectories:
+                row["traj"] = (M, seed, traj)
+            rows.append(row)
+        return rows
 
     try:
         if args.workers > 1:
             with ThreadPoolExecutor(max_workers=args.workers) as pool:
-                results = list(pool.map(run, tasks))
+                groups = list(pool.map(run, Ms))
         else:
-            results = [run(t) for t in tasks]
+            groups = [run(M) for M in Ms]
     except (SimulationError, SolverError) as exc:
         print(f"simulation aborted: {exc}", file=sys.stderr)
         return 1
+    results = [row for rows in groups for row in rows]
 
     write_csv(os.path.join(args.out, "metrics.csv"),
               ["M", "seed", "theta_dev", "Z_dev", "vbar_l2"],
@@ -220,7 +222,7 @@ def cmd_simulate(args) -> int:
                     rows.extend([t, j, x, y] for j, (x, y) in enumerate(zip(X, Y)))
             write_csv(os.path.join(args.out, f"trajectory_M{M}_seed{seed}.csv"),
                       ["time", "agent", "X", "Y"], rows, cfg)
-    print(f"wrote simulation outputs for {len(tasks)} runs to {args.out}")
+    print(f"wrote simulation outputs for {len(results)} runs to {args.out}")
     return 0
 
 
@@ -311,6 +313,9 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             if args.seeds < 1:
                 parser.error(f"--seeds must be at least 1, got {args.seeds}")
+            if args.seed < 0 or args.seed + args.seeds > 1 << 64:
+                parser.error("--seed through --seed + --seeds - 1 must lie in [0, 2^64), "
+                             f"got {args.seed} through {args.seed + args.seeds - 1}")
             if min(args.M) < 1:
                 parser.error(f"--M values must be at least 1, got {args.M}")
             if len(set(args.M)) < len(args.M):

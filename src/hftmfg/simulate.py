@@ -23,12 +23,20 @@ through its events in exact sub-steps, and its net change moves between the
 sums.  Every agent is carried to each segment's end, and to every level-0
 node only when paths are recorded.
 
+Several seeds of one M run as one population of R*M agents, replication r
+holding agents r*M .. r*M + M - 1 (the replication axis).  The counts and
+sums gain an axis, n_{r,i} and S_{r,i}, and every record is cut per
+replication from them; each replication's sums add its agents in the same
+order as a run of that seed alone, and the step maps are the same, so a
+stacked run returns, bit for bit, what the seeds give one at a time.
+
 Randomness is drawn from counter-based Philox4x64-10 streams keyed by
-(seed, purpose, replication, agent), so results are independent of scheduling
-and worker counts.  ``_philox`` computes the blocks of many streams at once
-in uint64 array arithmetic, bit for bit numpy's ``Philox.random_raw``; agents
-draw their r-th switch together in round r, and price noise is Box-Muller on
-each replication's stream, so no Python loop runs per agent or replication.
+(seed, purpose, replication, agent), so results are independent of scheduling,
+worker counts and what a population is stacked with.  ``_philox`` computes
+the blocks of many streams at once in uint64 array arithmetic, bit for bit
+numpy's ``Philox.random_raw``; the agents of every seed draw their r-th
+switch together in round r, and price noise is Box-Muller on each
+replication's stream, so no Python loop runs per agent or replication.
 """
 
 from __future__ import annotations
@@ -46,7 +54,6 @@ from .grid import trade_values
 from .meanfield import MeanFieldSolution
 from .strategy import best_response_values, lt_profit, profit_from_aggregates
 
-_MASK64 = (1 << 64) - 1
 _LO32 = 0xFFFFFFFF
 _PURPOSE_AGENT = 0
 _PURPOSE_PRICE = 1
@@ -57,15 +64,21 @@ _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 
 
-def _stream_keys(seed: int, purpose: int, rep, agent) -> tuple[int, np.ndarray]:
+def _stream_keys(seed, purpose: int, rep, agent) -> tuple[int | np.ndarray, np.ndarray]:
     """Philox key (key0, key1) of the streams (seed, purpose, rep, agent).
 
-    rep and agent are indices or index arrays, broadcast together; key1
-    packs purpose into bits 56-63, rep into 28-55 and agent into 0-27.  An
-    index that does not fit its field would silently share another's
-    stream, so it raises: ``SimulationError`` for agents, ``ValueError``
-    for replications.
+    seed is an int, or a sequence of ints for a uint64 key0 per seed.  rep
+    and agent are indices or index arrays, broadcast together; key1 packs
+    purpose into bits 56-63, rep into 28-55 and agent into 0-27.  A seed
+    outside [0, 2^64) or an index that does not fit its field would silently
+    share another's stream, so it raises: ``SimulationError`` for agents,
+    ``ValueError`` for seeds and replications.
     """
+    seeds = [int(s) for s in ([seed] if np.ndim(seed) == 0 else seed)]
+    for s in seeds:
+        if not 0 <= s < 1 << 64:
+            raise ValueError(f"seed {s} does not fit a 64-bit stream key")
+    key0 = [s ^ 0x9E3779B97F4A7C15 for s in seeds]
     rep = np.asarray(rep, dtype=np.int64)
     agent = np.asarray(agent, dtype=np.int64)
     for idx, name, err in ((agent, "agent", SimulationError), (rep, "replication", ValueError)):
@@ -74,7 +87,8 @@ def _stream_keys(seed: int, purpose: int, rep, agent) -> tuple[int, np.ndarray]:
             raise err(f"{name} index {idx[bad].flat[0]} does not fit a "
                       f"{_FIELD_BITS}-bit stream key field")
     key1 = (purpose << 56) | (rep << _FIELD_BITS) | agent
-    return (int(seed) ^ 0x9E3779B97F4A7C15) & _MASK64, np.atleast_1d(key1).astype(np.uint64)
+    return (key0[0] if np.ndim(seed) == 0 else np.array(key0, dtype=np.uint64),
+            np.atleast_1d(key1).astype(np.uint64))
 
 
 def _mulhilo(a: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -87,22 +101,23 @@ def _mulhilo(a: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x_hi * a_hi + (p01 >> 32) + (p10 >> 32) + (mid >> 32), x * a
 
 
-def _philox(key0: int, key1: np.ndarray, block) -> np.ndarray:
+def _philox(key0, key1: np.ndarray, block) -> np.ndarray:
     """Philox4x64-10 output blocks of many streams at once.
 
-    key1 (uint64) and the block indices broadcast together; the stream with
-    key (key0, key1) and counter block + 1 gives word w, so [w, ...] is
-    lane 4 * block + w of ``np.random.Philox(key=(key0, key1)).random_raw()``.
-    All arithmetic is on uint64 arrays, which wrap silently.  Returns
-    (4, *broadcast shape) uint64.
+    key0 (an int or uint64 array), key1 (uint64) and the block indices
+    broadcast together; the stream with key (key0, key1) and counter
+    block + 1 gives word w, so [w, ...] is lane 4 * block + w of
+    ``np.random.Philox(key=(key0, key1)).random_raw()``.  All arithmetic is
+    on uint64 arrays, which wrap silently.  Returns (4, *broadcast shape)
+    uint64.
     """
     c0, k1 = np.broadcast_arrays(np.asarray(block, dtype=np.uint64), key1)
     zero = np.zeros(c0.shape, dtype=np.uint64)
     x0, x1, x2, x3 = c0 + 1, zero, zero, zero
-    k0 = key0
+    k0 = np.atleast_1d(np.asarray(key0, dtype=np.uint64))
     for r in range(10):
         if r:
-            k0 = (k0 + _PHILOX_W[0]) & _MASK64
+            k0 = k0 + _PHILOX_W[0]
             k1 = k1 + _PHILOX_W[1]
         hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
         hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
@@ -115,15 +130,17 @@ def _uniform(x: np.ndarray) -> np.ndarray:
     return (x >> 11) * 2.0 ** -53
 
 
-def _draw_agents(cfg: ModelConfig, M: int, seed: int, rep: int, spread: float):
+def _draw_agents(cfg: ModelConfig, M: int, seeds, spread: float):
     """Initial states plus every agent's exact switch schedule on [0, T].
 
-    Agent j reads the stream keyed (seed, agent purpose, rep, j): lanes 0
-    and 1 give its initial state and inventory; its r-th holding time
+    M agents are drawn per seed; agent r*M + j is agent j of seeds[r] and
+    reads the stream keyed (seeds[r], agent purpose, 0, j): lanes 0 and 1
+    give its initial state and inventory; its r-th holding time
     -log1p(-u) / rate comes from lane 2 + 2r and the state it then switches
     to from lane 3 + 2r.  The r-th switches of all agents still switching
-    are drawn together in round r, so an agent's draws do not depend on M.
-    Returns X0, Y0 and the events sorted by (time, agent).
+    are drawn together in round r, so an agent's draws depend on neither M
+    nor the other seeds.  Returns X0, Y0 and the events sorted by (time,
+    agent).
     """
     N = cfg.n_states
     E0 = np.asarray(cfg.population.E0, dtype=float)
@@ -133,8 +150,10 @@ def _draw_agents(cfg: ModelConfig, M: int, seed: int, rep: int, spread: float):
     # per state: CDF of the state it switches to (rows of absorbing states unused)
     off = Q - np.diag(np.diagonal(Q))
     jump_cdf = np.cumsum(off, axis=1) / np.where(rates > 0.0, rates, 1.0)[:, None]
-    key0, key1 = _stream_keys(seed, _PURPOSE_AGENT, rep, np.arange(M))
-    words = _philox(key0, key1, 0)
+    key0, key1 = _stream_keys(seeds, _PURPOSE_AGENT, 0, np.arange(M))
+    # lanes 0-3 one seed at a time, so the Philox temporaries stay at M agents;
+    # later blocks are drawn only for the agents still switching
+    words = np.concatenate([_philox(k0, key1, 0) for k0 in key0], axis=1)
     u_state, u_spread = _uniform(words[:2])
     Y0 = np.minimum(np.searchsorted(np.cumsum(cfg.aversion.p0), u_state, side="right"), N - 1)
     X0 = E0[Y0] + spread * (2.0 * u_spread - 1.0)
@@ -146,10 +165,11 @@ def _draw_agents(cfg: ModelConfig, M: int, seed: int, rep: int, spread: float):
     r = 0
     while len(agent):
         if r == _MAX_EVENTS_PER_AGENT:
-            raise SimulationError(f"agent {agent[0]} exceeded {_MAX_EVENTS_PER_AGENT} switches")
+            raise SimulationError(f"agent {agent[0] % M} exceeded {_MAX_EVENTS_PER_AGENT} "
+                                  f"switches (seed {seeds[agent[0] // M]})")
         lane = 2 + 2 * r
         if lane % 4 == 0:
-            words = _philox(key0, key1[agent], lane // 4)
+            words = _philox(key0[agent // M], key1[agent % M], lane // 4)
         w = lane % 4
         t = t - np.log1p(-_uniform(words[w])) / rates[y]
         keep = t < T
@@ -292,13 +312,16 @@ def _lift_table(alpha: np.ndarray, beta: np.ndarray):
 def _lift(A: np.ndarray, B: np.ndarray, k, n, y, D):
     """Deviations D in states y at nodes k, carried forward to nodes n >= k.
 
-    One table map per set bit of the gap n - k: O(log m) per agent.
+    One table map per set bit of the gap n - k: O(log m) per agent.  A gap
+    shared by every agent (scalar k and n) skips the levels of its clear bits.
     """
     N = A.shape[2]
     gap = n - k
     at = k * N + y                      # flat (node, state) index into a level
     for l, (a, b) in enumerate(zip(A.reshape(len(A), -1), B.reshape(len(B), -1))):
         bit = (gap >> l) & 1
+        if np.ndim(bit) == 0 and not bit:
+            continue
         D = np.where(bit == 1, a[at] * D + b[at], D)
         at = at + (bit << l) * N
     return D
@@ -332,49 +355,68 @@ def _node_states(touches, n_agents: int, m: int, A: np.ndarray, B: np.ndarray):
     return _lift(A, B, nd[last], nodes, y[last], d[last]), y[last]
 
 
-def simulate_population(cfg: ModelConfig, eq: MeanFieldSolution, M: int, seed: int,
+def simulate_population(cfg: ModelConfig, eq: MeanFieldSolution, M: int, seed,
                         *, init_spread: float | None = None, record_paths: bool = False
-                        ) -> tuple[PopulationTrajectory, ConvergenceMetrics]:
-    """Simulate M agents under the feedback law and measure mean-field gaps."""
+                        ) -> (tuple[PopulationTrajectory, ConvergenceMetrics]
+                              | list[tuple[PopulationTrajectory, ConvergenceMetrics]]):
+    """Simulate M agents under the feedback law and measure mean-field gaps.
+
+    ``seed`` is an int, or a sequence of seeds run as one population of
+    len(seed) * M agents; then the result is a list with one (trajectory,
+    metrics) pair per seed, in order, each bit for bit the int seed's result.
+    """
     if M < 1:
         raise SimulationError("need at least one agent")
+    seeds = [seed] if np.ndim(seed) == 0 else list(seed)
+    if not seeds:
+        raise ValueError("need at least one seed")
     spread = default_init_spread(cfg) if init_spread is None else float(init_spread)
-    traj = _run_agents(cfg, eq, *_draw_agents(cfg, M, seed, 0, spread),
-                       seed=seed, record_paths=record_paths)
-    return traj, _metrics(cfg, eq, traj)
+    trajs = _run_agents(cfg, eq, *_draw_agents(cfg, M, seeds, spread),
+                        seeds=seeds, record_paths=record_paths)
+    runs = [(traj, _metrics(cfg, eq, traj)) for traj in trajs]
+    return runs[0] if np.ndim(seed) == 0 else runs
 
 
 def _run_agents(cfg: ModelConfig, eq: MeanFieldSolution, X0: np.ndarray, Y0: np.ndarray,
                 ev_t: np.ndarray, ev_agent: np.ndarray, ev_state: np.ndarray,
-                *, seed: int, record_paths: bool) -> PopulationTrajectory:
+                *, seeds, record_paths: bool) -> list[PopulationTrajectory]:
     """Step agents from (X0, Y0) through their time-sorted switch events.
 
     Event e moves agent ev_agent[e] to state ev_state[e] at time ev_t[e].  The
     agents do not interact: each plays its feedback law against the frozen
     mean field, so an agent stepped alone takes exactly its path in a crowd.
-    Each segment steps the per-state counts and sums and takes the agents'
-    switching steps in rounds, as the module docstring sets out.
+    Agents r*M .. r*M + M - 1 are the population of seeds[r], and one
+    trajectory is returned per seed.  Each segment steps the per-replication
+    counts and sums and takes the agents' switching steps in rounds, as the
+    module docstring sets out.
     """
     grid = eq.grid
     N = cfg.n_states
-    M = len(X0)
+    R = len(seeds)
+    M = len(X0) // R
     method = cfg.solver.integrator
     Y = np.array(Y0, dtype=np.int64)
+    rep = np.arange(R * M) // M
     a_segs, b_segs = _segment_coeffs(cfg, eq)
 
     D = X0 - eq.E_by_state.initial()[Y]
-    # agents rebuilt at every node: agent 0 for the deviation tests, or all
-    watched = M if record_paths else 1
-    mine = ev_agent == 0
-    agent0_events = tuple(zip(ev_t[mine].tolist(), ev_state[mine].tolist()))
+    # agents rebuilt at every node: agent 0 of every replication for the
+    # deviation tests, or all; agent j of replication r is watched as r*per + j
+    per = M if record_paths else 1
+    watched = (np.arange(R)[:, None] * M + np.arange(per)).ravel()
+    agent0_events = [[] for _ in range(R)]
+    mine = ev_agent % M == 0
+    for t, r, y in zip(ev_t[mine].tolist(), (ev_agent[mine] // M).tolist(),
+                       ev_state[mine].tolist()):
+        agent0_events[r].append((t, y))
     # each event's level-0 step, numbered across segments: the first step that
     # ends at or after it
     ev_step = np.concatenate([grid.level0_times(s)[1:] for s in range(grid.n_segments)]
                              ).searchsorted(ev_t, side="left")
 
-    records = []
-    paths_X: list[np.ndarray] = []
-    paths_Y: list[np.ndarray] = []
+    records = [[] for _ in range(R)]
+    paths_X = [[] for _ in range(R)]
+    paths_Y = [[] for _ in range(R)]
     first_step = 0
     for s in range(grid.n_segments):
         ft = grid.fine_times[s]
@@ -400,63 +442,76 @@ def _run_agents(cfg: ModelConfig, eq: MeanFieldSolution, X0: np.ndarray, Y0: np.
         p_agent, p_step = agent[new_pair], step[new_pair]
         p_round = _run_positions(_run_starts(p_agent))
 
-        # the counts at node 0, then their changes per node until the cumsum
-        counts = np.zeros((m + 1, N), dtype=np.int64)
-        counts[0] = np.bincount(Y, minlength=N)
-        S0 = np.bincount(Y, weights=D, minlength=N)
-        jumps = np.zeros((m + 1, N))
-        k = np.zeros(M, dtype=np.int64)        # node of each agent's last touch
-        touches = [(np.arange(watched), np.zeros(watched, dtype=np.int64),
-                    D[:watched].copy(), Y[:watched].copy())]
+        # per replication: the counts at node 0, then their changes per node
+        # until the cumsum
+        cell = rep * N + Y
+        counts = np.zeros((R, m + 1, N), dtype=np.int64)
+        counts[:, 0] = np.bincount(cell, minlength=R * N).reshape(R, N)
+        S0 = np.bincount(cell, weights=D, minlength=R * N).reshape(R, N)
+        jumps = np.zeros((R, m + 1, N))
+        k = np.zeros(R * M, dtype=np.int64)    # node of each agent's last touch
+        touches = [(np.arange(len(watched)), np.zeros(len(watched), dtype=np.int64),
+                    D[watched], Y[watched])]
         for r in range(int(p_round.max(initial=-1)) + 1):
             sel = p_round == r
             J, i = p_agent[sel], p_step[sel]
             ev = sel[pair]
-            y = Y[J]
+            y, rj = Y[J], rep[J]
             d = _lift(A, B, k[J], i, y, D[J])
             dn, yn = _through_switches(d, y, L[i], L[i + 1], (np.cumsum(sel) - 1)[pair[ev]],
                                        rank[ev], ev_t[order[ev]], ev_state[order[ev]],
                                        ft, a_seg, b_seg, E_seg, method)
             # the sums step d as if it stayed in state y; at node i+1 the
             # agent's real end in state yn replaces that
-            np.add.at(counts, (i + 1, y), -1)
-            np.add.at(counts, (i + 1, yn), 1)
-            np.add.at(jumps, (i + 1, y), -(alpha[i, y] * d + beta[i, y]))
-            np.add.at(jumps, (i + 1, yn), dn)
+            np.add.at(counts, (rj, i + 1, y), -1)
+            np.add.at(counts, (rj, i + 1, yn), 1)
+            np.add.at(jumps, (rj, i + 1, y), -(alpha[i, y] * d + beta[i, y]))
+            np.add.at(jumps, (rj, i + 1, yn), dn)
             D[J], Y[J], k[J] = dn, yn, i + 1
-            w = J < watched
-            touches.append((J[w], i[w] + 1, dn[w], yn[w]))
-        counts = np.cumsum(counts, axis=0)
-        S = trajectory(S0, alpha[:, :, None] * np.eye(N), counts[:-1] * beta + jumps[1:])
+            w = J % M < per
+            touches.append((rj[w] * per + J[w] % M, i[w] + 1, dn[w], yn[w]))
+        counts = np.cumsum(counts, axis=1)
+        # one column of sums per replication, stepped by the same maps
+        S = trajectory(S0.T, alpha[:, :, None] * np.eye(N),
+                       (counts[:, :-1] * beta + jumps[:, 1:]).transpose(1, 2, 0))
+        S = np.ascontiguousarray(S.transpose(2, 0, 1))
 
         Ev = E_seg[::2]
         muv = eq.mu_by_state.segments[s][::2]
         av = a_seg[::2]
         theta = counts / M
-        Dw, Yw = _node_states(touches, watched, m, A, B)
-        d0, y0 = Dw[:, 0], Yw[:, 0]
+        vbar = np.sum(theta * muv, axis=2) + np.sum(av * S, axis=2) / M
+        Xbar = np.sum(theta * Ev, axis=2) + S.sum(axis=2) / M
+        Z = theta * Ev + S / M
+        Dw, Yw = _node_states(touches, len(watched), m, A, B)
         nodes = np.arange(m + 1)
-        records.append(SegmentRecord(
-            L.copy(),
-            vbar=np.sum(theta * muv, axis=1) + np.sum(av * S, axis=1) / M,
-            Xbar=np.sum(theta * Ev, axis=1) + S.sum(axis=1) / M,
-            theta=theta,
-            Z=theta * Ev + S / M,
-            v_agent0=muv[nodes, y0] + av[nodes, y0] * d0,
-            X_agent0=Ev[nodes, y0] + d0))
+        d0, y0 = np.ascontiguousarray(Dw[:, ::per].T), Yw[:, ::per].T
+        v0 = muv[nodes, y0] + av[nodes, y0] * d0
+        x0 = Ev[nodes, y0] + d0
+        times = L.copy()
+        for r in range(R):
+            records[r].append(SegmentRecord(times, vbar=vbar[r], Xbar=Xbar[r], theta=theta[r],
+                                            Z=Z[r], v_agent0=v0[r], X_agent0=x0[r]))
         if record_paths:
-            paths_X.append(np.take_along_axis(Ev, Yw, axis=1) + Dw)
-            paths_Y.append(Yw)
-        D = _lift(A, B, k, m, Y, D)
+            Xw = np.take_along_axis(Ev, Yw, axis=1) + Dw
+            for r in range(R):
+                paths_X[r].append(Xw[:, r * M:(r + 1) * M])
+                paths_Y[r].append(Yw[:, r * M:(r + 1) * M])
+        # every agent to the segment's end; most were not touched in it and
+        # share the gap m
+        moved = np.flatnonzero(k)
+        D_end = _lift(A, B, 0, m, Y, D)
+        D_end[moved] = _lift(A, B, k[moved], m, Y[moved], D[moved])
+        D = D_end
 
-    return PopulationTrajectory(
-        segments=tuple(records),
-        agent0_events=agent0_events,
-        agent0_initial_state=int(Y0[0]),
-        agent0_initial_inventory=float(X0[0]),
-        M=M, seed=seed,
-        paths_X=tuple(paths_X) if record_paths else None,
-        paths_Y=tuple(paths_Y) if record_paths else None)
+    return [PopulationTrajectory(
+        segments=tuple(records[r]),
+        agent0_events=tuple(agent0_events[r]),
+        agent0_initial_state=int(Y0[r * M]),
+        agent0_initial_inventory=float(X0[r * M]),
+        M=M, seed=seeds[r],
+        paths_X=tuple(paths_X[r]) if record_paths else None,
+        paths_Y=tuple(paths_Y[r]) if record_paths else None) for r in range(R)]
 
 
 def _metrics(cfg: ModelConfig, eq: MeanFieldSolution, traj: PopulationTrajectory) -> ConvergenceMetrics:
@@ -656,11 +711,11 @@ def deviation_gain_vs_mean_field(cfg: ModelConfig, eq: MeanFieldSolution, x_init
                                  control_cells_per_segment: int = 20) -> DeviationResult:
     """Limiting deviation test with the rest of the crowd replaced by the mean field."""
     events = list(events)
-    traj = _run_agents(cfg, eq, np.array([float(x_init)]), np.array([y_init]),
-                       np.array([t for t, _ in events], dtype=float),
-                       np.zeros(len(events), dtype=np.int64),
-                       np.array([y for _, y in events], dtype=np.int64),
-                       seed=0, record_paths=False)
+    (traj,) = _run_agents(cfg, eq, np.array([float(x_init)]), np.array([y_init]),
+                          np.array([t for t, _ in events], dtype=float),
+                          np.zeros(len(events), dtype=np.int64),
+                          np.array([y for _, y in events], dtype=np.int64),
+                          seeds=[0], record_paths=False)
     vbar = [eq.mu_agg.node_values(s)[:, 0] for s in range(eq.grid.n_segments)]
     return _deviation_result(cfg, eq, 0.0, vbar, traj, control_cells_per_segment, 0, 0)
 

@@ -101,11 +101,14 @@ def test_c09_epsilon_nash_convergence():
     t_start = time.perf_counter()
     Ms = (100, 1000, 10000)
     seeds = range(30)
+    # every seed of one M is one stacked population
+
     # population-average speed converges at the O(1/M) rate (two-type crowd)
     cfg2 = presets.partial_two_type(grid=400).with_solver(shooting_tolerance=1e-3)
     eq2 = solve_partial(cfg2)
-    med_v = [float(np.median([simulate_population(cfg2, eq2, M, s)[1].vbar_l2
-                              for s in seeds])) for M in Ms]
+    med_v = [float(np.median([met.vbar_l2
+                              for _, met in simulate_population(cfg2, eq2, M, seeds)]))
+             for M in Ms]
     slope = float(np.polyfit(np.log(Ms), np.log(med_v), 1)[0])
     assert -1.35 <= slope <= -0.65, f"slope {slope:.3f}"
 
@@ -115,8 +118,8 @@ def test_c09_epsilon_nash_convergence():
     eq1 = solve_partial(cfg1)
     med_g, med_j = [], []
     for M in Ms:
-        res = [deviation_gain(cfg1, eq1, simulate_population(cfg1, eq1, M, s)[0])
-               for s in seeds]
+        res = [deviation_gain(cfg1, eq1, traj)
+               for traj, _ in simulate_population(cfg1, eq1, M, seeds)]
         assert all(r.gain >= -1e-10 for r in res)
         med_g.append(float(np.median([r.gain for r in res])))
         med_j.append(float(np.median([abs(r.j_mfg) for r in res])))
@@ -130,9 +133,8 @@ def test_c09_epsilon_nash_convergence():
     pi0 = abs(lt_profit(cfgo, eqo.xi_star, eqo.mean_field).profit_no_hft)
     med_lt = []
     for M in Ms:
-        vals = [lt_deviation_gain(cfgo, eqo,
-                                  simulate_population(cfgo, eqo.mean_field, M, s)[0]).gain
-                for s in seeds]
+        vals = [lt_deviation_gain(cfgo, eqo, traj).gain
+                for traj, _ in simulate_population(cfgo, eqo.mean_field, M, seeds)]
         assert all(v >= -1e-10 for v in vals)
         med_lt.append(float(np.median(vals)))
     assert med_lt[0] > med_lt[1] > med_lt[2], f"gains {med_lt}"

@@ -36,6 +36,27 @@ def test_trajectory_matches_sequential_composition(m, matrix_y0, affine):
     assert rel_err(ys, sequential(y0, Phi, psi)) <= 1e-13
 
 
+@pytest.mark.parametrize("diagonal", [False, True])
+def test_trajectory_steps_one_psi_column_per_y0_column(diagonal):
+    # each column of a matrix y0 with its own psi column is its vector
+    # trajectory; bit for bit for diagonal maps, whose zeros add exactly
+    rng = np.random.default_rng(5)
+    m, n, k = 9, 3, 4
+    Phi = np.eye(n) + 0.02 * rng.standard_normal((m, n, n))
+    if diagonal:
+        Phi *= np.eye(n)
+    psi = 0.1 * rng.standard_normal((m, n, k))
+    y0 = rng.standard_normal((n, k))
+    ys = trajectory(y0, Phi, psi)
+    assert ys.shape == (m + 1, n, k)
+    for c in range(k):
+        ref = trajectory(y0[:, c], Phi, psi[:, :, c])
+        if diagonal:
+            assert np.array_equal(ys[:, :, c], ref)
+        else:
+            assert rel_err(ys[:, :, c], ref) <= 1e-14
+
+
 def stage_step(y, A, b, h, method):
     """One explicit step of y' = A y + b from samples at start, midpoint, end."""
     def f(k, v):

@@ -125,27 +125,29 @@ def test_simulate_runs_one_population_per_task(config_file, tmp_path, monkeypatc
     raw["population"]["E0"] = [0.0, 0.0]
     raw["solver"]["grid_steps_per_unit_time"] = 200
     path = config_file(raw)
-    trajs = {}
+    calls, trajs = [], {}
     simulate_population = cli.simulate_population
 
-    def counted(cfg, eq, M, seed, **kwargs):
-        traj, met = simulate_population(cfg, eq, M, seed, **kwargs)
-        trajs.setdefault((M, seed), []).append(traj)
-        return traj, met
+    def counted(cfg, eq, M, seeds, **kwargs):
+        runs = simulate_population(cfg, eq, M, seeds, **kwargs)
+        calls.append((M, tuple(seeds)))
+        for seed, (traj, _) in zip(seeds, runs):
+            trajs[(M, seed)] = traj
+        return runs
 
     monkeypatch.setattr(cli, "simulate_population", counted)
     out = tmp_path / "o"
     rc = run(["simulate", "--config", path, "--out", str(out),
               "--M", "30", "60", "--seeds", "2", "--seed", "4"])
     assert rc == 0
-    assert sorted(trajs) == [(30, 4), (30, 5), (60, 4), (60, 5)]
-    assert all(len(v) == 1 for v in trajs.values())
+    # one stacked population per M, carrying every seed
+    assert calls == [(30, (4, 5)), (60, (4, 5))]
 
     # the deviation files are exactly the deviation functions on those populations
     cfg = load_config(path)
     overall = solve_overall(cfg)
     hft, lt = [], []
-    for (M, seed), (traj,) in trajs.items():
+    for (M, seed), traj in trajs.items():
         d = deviation_gain(cfg, overall.mean_field, traj)
         hft.append([M, seed, d.j_mfg, d.j_best, d.gain])
         t = lt_deviation_gain(cfg, overall, traj)
@@ -176,7 +178,9 @@ def test_workers_below_one_is_usage_error(config_file, raw_config, tmp_path, wor
     (["--M", "20", "40", "--seeds", "0"], "--seeds"),   # no seed: NaN medians and slope
     (["--M", "50", "50"], "--M"),                       # a slope through one repeated M
     (["--M", "0"], "--M"),                              # no agent to simulate
-], ids=["no-seeds", "repeated-M", "zero-M"])
+    (["--M", "10", "--seed", "-1"], "--seed"),          # no 64-bit stream key
+    (["--M", "10", "--seed", str(2**64 - 2), "--seeds", "3"], "--seed"),
+], ids=["no-seeds", "repeated-M", "zero-M", "negative-seed", "seed-past-64-bits"])
 def test_simulate_rejects_degenerate_sample_flags(config_file, raw_config, tmp_path, capsys,
                                                   args, flag):
     out = tmp_path / "o"

@@ -1,5 +1,5 @@
 from bisect import bisect_right
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from hftmfg.config import config_from_dict
 from hftmfg.errors import SimulationError
 from hftmfg.meanfield import solve_partial
 from hftmfg.affine import step_maps
-from hftmfg.simulate import (default_init_spread, deviation_gain,
+from hftmfg.simulate import (SegmentRecord, default_init_spread, deviation_gain,
                              deviation_gain_vs_mean_field, inventory_growth_bound,
                              lt_deviation_gain, sample_price_paths,
                              simulate_population, _deviator_quadratic, _draw_agents,
@@ -73,7 +73,7 @@ def test_state_fraction_counts_conserved(twostate_eq):
 def test_initial_inventories_respect_bound(twostate_eq):
     cfg, eq = twostate_eq
     spread = default_init_spread(cfg)
-    X0, Y0, *_ = _draw_agents(cfg, 500, 11, 0, spread)
+    X0, Y0, *_ = _draw_agents(cfg, 500, [11], spread)
     assert np.max(np.abs(X0)) <= cfg.population.inventory_bound
     assert set(np.unique(Y0)) <= {0, 1}
 
@@ -82,7 +82,7 @@ def test_inventory_growth_bound_holds(twostate_eq):
     cfg, eq = twostate_eq
     traj, _ = simulate_population(cfg, eq, M=500, seed=2, record_paths=True)
     C2 = inventory_growth_bound(cfg, eq)
-    X0, *_ = _draw_agents(cfg, 500, 2, 0, default_init_spread(cfg))
+    X0, *_ = _draw_agents(cfg, 500, [2], default_init_spread(cfg))
     bound = (np.abs(X0) + C2) * np.exp(C2 * cfg.schedule.T)
     assert np.all(np.abs(np.vstack(traj.paths_X)).max(axis=0) <= bound)
 
@@ -99,8 +99,8 @@ def test_vbar_error_decreases_like_one_over_M(stiff_eq):
 
 @pytest.mark.parametrize("seed, purpose, rep, agent", [
     (0, 0, 0, 0), (2**64 - 1, 1, 5, 9), (123456789, 0, 2**28 - 1, 2**28 - 1),
-    (2**64 - 1, 1, 2**28 - 1, 2**28 - 1), (-3, 0, 0, 2**27)],
-    ids=["zero", "max-seed", "max-fields", "all-max", "negative-seed"])
+    (2**64 - 1, 1, 2**28 - 1, 2**28 - 1), (2**64 - 3, 0, 0, 2**27)],
+    ids=["zero", "max-seed", "max-fields", "all-max", "high-seed"])
 def test_philox_matches_numpy_random_raw(seed, purpose, rep, agent):
     # lanes 0-13 span four blocks, the last one part-read
     key0 = (seed ^ 0x9E3779B97F4A7C15) & (2**64 - 1)
@@ -124,6 +124,22 @@ def test_stream_keys_reject_indices_that_do_not_fit():
             _stream_keys(1, 0, 0, np.array([5, bad, 7]))
         with pytest.raises(ValueError, match=f"replication index {bad} does not fit"):
             _stream_keys(1, 1, np.array([bad, 3]), 0)
+
+
+def test_seeds_outside_64_bits_raise():
+    # masked to 64 bits, seed 2^64 read seed 0's streams and -1 those of 2^64 - 1
+    k0, _ = _stream_keys([0, 2**64 - 1], 0, 0, 0)
+    assert k0.dtype == np.uint64
+    assert k0.tolist() == [_stream_keys(0, 0, 0, 0)[0], _stream_keys(2**64 - 1, 0, 0, 0)[0]]
+    cfg = presets.partial_two_type(grid=100)
+    eq = solve_partial(cfg)
+    for bad in (2**64, -1):
+        with pytest.raises(ValueError, match=f"seed {bad} does not fit"):
+            _stream_keys(bad, 1, 0, 0)
+        with pytest.raises(ValueError, match=f"seed {bad} does not fit"):
+            simulate_population(cfg, eq, 50, bad)
+        with pytest.raises(ValueError, match=f"seed {bad} does not fit"):
+            simulate_population(cfg, eq, 50, [3, bad])
 
 
 def _reference_draws(cfg, M, seed, spread):
@@ -179,7 +195,7 @@ ROUND_CASES = {
 @pytest.mark.parametrize("case", ROUND_CASES)
 def test_round_schedule_matches_one_agent_reference(case):
     cfg = ROUND_CASES[case]
-    got = _draw_agents(cfg, 120, 21, 0, 0.4)
+    got = _draw_agents(cfg, 120, [21], 0.4)
     for a, b in zip(got, _reference_draws(cfg, 120, 21, 0.4)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
@@ -193,26 +209,33 @@ def test_event_cap_names_the_agent(monkeypatch):
     monkeypatch.setattr(simulate, "_MAX_EVENTS_PER_AGENT", int(counts.max()))
     with pytest.raises(SimulationError,
                        match=f"agent {np.argmax(counts)} exceeded {counts.max()} switches"):
-        _draw_agents(cfg, 30, 4, 0, 0.0)
+        _draw_agents(cfg, 30, [4], 0.0)
     monkeypatch.setattr(simulate, "_MAX_EVENTS_PER_AGENT", int(counts.max()) + 1)
-    for a, b in zip(_draw_agents(cfg, 30, 4, 0, 0.0), ref):
+    for a, b in zip(_draw_agents(cfg, 30, [4], 0.0), ref):
         assert np.array_equal(a, b)
 
 
 def test_agent_draws_do_not_depend_on_M(twostate_eq):
     cfg, _ = twostate_eq
-    small = _draw_agents(cfg, 40, 6, 0, 0.5)
-    large = _draw_agents(cfg, 400, 6, 0, 0.5)
+    small = _draw_agents(cfg, 40, [6], 0.5)
+    large = _draw_agents(cfg, 400, [6], 0.5)
     assert np.array_equal(small[0], large[0][:40])
     assert np.array_equal(small[1], large[1][:40])
     mine = large[3] < 40
     for a, b in zip(small[2:], large[2:]):
         assert np.array_equal(a, b[mine])
+    # nor on the seeds drawn with it: agent M + j of seeds (9, 6) is agent j of seed 6
+    both = _draw_agents(cfg, 40, [9, 6], 0.5)
+    assert np.array_equal(small[0], both[0][40:])
+    assert np.array_equal(small[1], both[1][40:])
+    mine = both[3] >= 40
+    for a, b in zip(small[2:], (both[2][mine], both[3][mine] - 40, both[4][mine])):
+        assert np.array_equal(a, b)
 
 
 def test_exact_switch_times_respected(twostate_eq):
     cfg, eq = twostate_eq
-    _, _, ev_t, ev_agent, ev_state = _draw_agents(cfg, 400, 8, 0, 0.5)
+    _, _, ev_t, ev_agent, ev_state = _draw_agents(cfg, 400, [8], 0.5)
     assert np.all(np.diff(ev_t) >= 0.0)
     assert np.all((ev_t > 0.0) & (ev_t < cfg.schedule.T))
     # switching rate 0.5 from each state: expect roughly 0.5 * M * T events
@@ -284,9 +307,11 @@ def _switch_stepped_inventory(cfg, eq, x_init, y_init, events):
 
 def _lone_agent(cfg, eq, x_init, y_init, ev_t, ev_state, record_paths=False):
     """One agent stepped on its own through the population's stepper."""
-    return _run_agents(cfg, eq, np.array([float(x_init)]), np.array([y_init]),
-                       np.asarray(ev_t, dtype=float), np.zeros(len(ev_t), dtype=np.int64),
-                       np.asarray(ev_state, dtype=np.int64), seed=0, record_paths=record_paths)
+    (traj,) = _run_agents(cfg, eq, np.array([float(x_init)]), np.array([y_init]),
+                          np.asarray(ev_t, dtype=float), np.zeros(len(ev_t), dtype=np.int64),
+                          np.asarray(ev_state, dtype=np.int64), seeds=[0],
+                          record_paths=record_paths)
+    return traj
 
 
 def test_multi_switch_steps_match_single_agent_integration():
@@ -297,7 +322,7 @@ def test_multi_switch_steps_match_single_agent_integration():
     eq = solve_partial(cfg)
     M, seed = 200, 1
     traj, _ = simulate_population(cfg, eq, M, seed, record_paths=True)
-    X0, Y0, ev_t, ev_agent, ev_state = _draw_agents(cfg, M, seed, 0, default_init_spread(cfg))
+    X0, Y0, ev_t, ev_agent, ev_state = _draw_agents(cfg, M, [seed], default_init_spread(cfg))
 
     step_ends = np.concatenate([eq.grid.level0_times(s)[1:]
                                 for s in range(eq.grid.n_segments)])
@@ -348,6 +373,59 @@ def test_segment_records_match_recorded_paths(case, overall_two):
         assert np.max(np.abs(rec.X_agent0 - X[:, 0])) <= 1e-12
 
 
+def _multi_switch():
+    return presets.partial_two_type(x=10.0, y=10.0, grid=100)
+
+
+# (config, M, seeds); None runs the joint equilibrium of overall_two
+STACK_CASES = {
+    "multi-switch": (_multi_switch, 40, (3, 9, 4)),      # several switches in one step
+    "one-seed": (_multi_switch, 40, (5,)),
+    "two-agents": (_multi_switch, 2, (0, 7, 8)),
+    "single-type": (lambda: presets.partial_single_type(2.0, 10.0, grid=200), 30, (1, 2, 3)),
+    "overall-two": (None, 30, (2, 5, 6)),
+}
+
+
+@pytest.mark.parametrize("case", STACK_CASES)
+def test_stacked_run_equals_separate_runs(case, overall_two):
+    # every seed of one M run as one population gives, bit for bit, each
+    # seed's own run
+    make, M, seeds = STACK_CASES[case]
+    if make is None:
+        cfg, overall = overall_two
+        eq = overall.mean_field
+    else:
+        cfg, overall = make(), None
+        eq = solve_partial(cfg)
+    for record_paths in (False, True):
+        stacked = simulate_population(cfg, eq, M, seeds, record_paths=record_paths)
+        assert len(stacked) == len(seeds)
+        for seed, (traj, met) in zip(seeds, stacked):
+            alone, alone_met = simulate_population(cfg, eq, M, seed, record_paths=record_paths)
+            assert met == alone_met
+            assert (traj.M, traj.seed) == (M, seed)
+            assert traj.agent0_events == alone.agent0_events
+            assert traj.agent0_initial_state == alone.agent0_initial_state
+            assert traj.agent0_initial_inventory == alone.agent0_initial_inventory
+            assert len(traj.segments) == len(alone.segments)
+            for a, b in zip(traj.segments, alone.segments):
+                for f in fields(SegmentRecord):
+                    assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+            if record_paths:
+                for got, ref in ((traj.paths_X, alone.paths_X), (traj.paths_Y, alone.paths_Y)):
+                    assert len(got) == len(ref)
+                    assert all(np.array_equal(x, y) for x, y in zip(got, ref))
+            else:
+                assert traj.paths_X is None and traj.paths_Y is None
+                assert deviation_gain(cfg, eq, traj) == deviation_gain(cfg, eq, alone)
+                if overall is not None:
+                    lt, lt_alone = (lt_deviation_gain(cfg, overall, t) for t in (traj, alone))
+                    assert (lt.psi_mfg, lt.psi_best, lt.gain) == (
+                        lt_alone.psi_mfg, lt_alone.psi_best, lt_alone.gain)
+                    assert np.array_equal(lt.xi_best, lt_alone.xi_best)
+
+
 def test_switching_steps_at_edge_times_match_single_agent_integration():
     cfg = presets.partial_two_type(grid=200)
     eq = solve_partial(cfg)
@@ -374,9 +452,9 @@ def test_switching_steps_at_edge_times_match_single_agent_integration():
     x_init = [0.3 - 0.1 * j for j in range(len(schedules))]
     ev = sorted(((t, j, y) for j, (_, evs) in enumerate(schedules) for t, y in evs),
                 key=lambda e: e[0])
-    crowd = _run_agents(cfg, eq, np.array(x_init), np.array([y for y, _ in schedules]),
-                        np.array([t for t, _, _ in ev]), np.array([j for _, j, _ in ev]),
-                        np.array([y for _, _, y in ev]), seed=0, record_paths=True)
+    (crowd,) = _run_agents(cfg, eq, np.array(x_init), np.array([y for y, _ in schedules]),
+                           np.array([t for t, _, _ in ev]), np.array([j for _, j, _ in ev]),
+                           np.array([y for _, _, y in ev]), seeds=[0], record_paths=True)
     for j, (y_init, events) in enumerate(schedules):
         ref = _scalar_inventory(cfg, eq, x_init[j], y_init, events)
         alone = _lone_agent(cfg, eq, x_init[j], y_init, [t for t, _ in events],
