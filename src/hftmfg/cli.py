@@ -27,7 +27,7 @@ from .config import ModelConfig, load_config
 from .errors import ConfigError, SimulationError, SolverError
 from .meanfield import solve_partial, speed_jump_size
 from .reporting import (plot_columns_from_csv, write_csv, write_equilibrium_csv,
-                        write_keyvalue_csv)
+                        write_keyvalue_csv, xi_star_rows)
 from . import simulate as _simulate
 from .simulate import deviation_gain, lt_deviation_gain
 from .strategy import lt_profit, solve_overall
@@ -124,9 +124,7 @@ def cmd_solve_overall(args) -> int:
     cfg = _load(args, "overall")
     os.makedirs(args.out, exist_ok=True)
     eq = solve_overall(cfg)
-    times = cfg.schedule.times
-    write_csv(os.path.join(args.out, "xi_star.csv"), ["k", "t_k", "xi_star_k"],
-              [[k + 1, float(times[k]), float(eq.xi_star[k])] for k in range(len(times))],
+    write_csv(os.path.join(args.out, "xi_star.csv"), *xi_star_rows(cfg.schedule.times, eq.xi_star),
               cfg, fixed_point_residual=repr(eq.fixed_point_residual))
     write_equilibrium_csv(os.path.join(args.out, "equilibrium.csv"), eq.mean_field, cfg)
     rep = lt_profit(cfg, eq.xi_star, eq.mean_field)
@@ -217,8 +215,9 @@ def cmd_simulate(args) -> int:
         for r in results:
             M, seed, traj = r["traj"]
             rows = []
-            for rec, segX, segY in zip(traj.segments, traj.paths_X, traj.paths_Y):
-                for t, X, Y in zip(rec.times.tolist(), segX.tolist(), segY.tolist()):
+            for s, (segX, segY) in enumerate(zip(traj.paths_X, traj.paths_Y)):
+                for t, X, Y in zip(eq.grid.level0_times(s).tolist(), segX.tolist(),
+                                   segY.tolist()):
                     rows.extend([t, j, x, y] for j, (x, y) in enumerate(zip(X, Y)))
             write_csv(os.path.join(args.out, f"trajectory_M{M}_seed{seed}.csv"),
                       ["time", "agent", "X", "Y"], rows, cfg)

@@ -116,8 +116,9 @@ class AversionSpec:
         if np.any(rows > ROW_SUM_TOL):
             k = int(np.argmax(rows))
             raise ConfigError(f"aversion.Q row sum must be 0 (row {k}: {self.Q.sum(axis=1)[k]:.3e})")
-        if np.any(self.p0 < 0):
-            raise ConfigError("aversion.p0 entries must be >= 0")
+        # the chain divides by p, so a state that starts empty aborts every solve
+        if np.any(self.p0 <= 0):
+            raise ConfigError("aversion.p0 entries must be > 0")
         if abs(self.p0.sum() - 1.0) > ROW_SUM_TOL:
             raise ConfigError(f"aversion.p0 sum must be 1 (got {self.p0.sum()!r})")
 
@@ -343,24 +344,28 @@ def apply_env_overrides(raw: dict, env=None) -> dict:
 
     ``HFTMFG_MARKET__GAMMA=2`` sets ``market.gamma``; path segments are joined
     with double underscores and matched case-insensitively against existing
-    keys.  Values are parsed as JSON when possible, else taken as strings.
+    keys, and the optional ``solver`` object is created when missing; a path
+    through any other object the config lacks raises ``ConfigError`` naming
+    the variable.  Values are parsed as JSON when possible, else as strings.
     """
     env = os.environ if env is None else env
     out = json.loads(json.dumps(raw))  # deep copy of plain JSON data
+    if not isinstance(out, dict):
+        return out                     # config_from_dict rejects it
     for key in sorted(env):
         if not key.startswith(ENV_PREFIX):
             continue
         path = key[len(ENV_PREFIX):].split("__")
         node = out
-        ok = True
         for seg in path[:-1]:
-            match = next((k for k in node if isinstance(node, dict) and k.lower() == seg.lower()), None)
-            if match is None or not isinstance(node.get(match), dict):
-                ok = False
-                break
+            match = next((k for k in node if k.lower() == seg.lower()), None)
+            if match is None and node is out and seg.lower() == "solver":
+                match = "solver"
+                out[match] = {}
+            if match is None or not isinstance(node[match], dict):
+                raise ConfigError(f"{key} overrides {seg.lower()!r}, which is not an "
+                                  "object of the config")
             node = node[match]
-        if not ok or not isinstance(node, dict):
-            continue
         leaf = next((k for k in node if k.lower() == path[-1].lower()), path[-1].lower())
         try:
             node[leaf] = json.loads(env[key])

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from . import presets
 from .config import ModelConfig
 from .meanfield import engine_key, solve_partial
-from .reporting import (plot_columns_from_csv, write_csv, write_equilibrium_csv)
+from .reporting import plot_columns_from_csv, write_csv, write_equilibrium_csv, xi_star_rows
 from .strategy import lt_profit, solve_overall
 
 XY_GRID = ((0.0, 0.0), (0.2, 0.8), (0.5, 0.5), (0.8, 0.2))
@@ -45,8 +45,6 @@ class PanelSpec:
 
 @dataclass(frozen=True)
 class FigureSpec:
-    fid: str
-    title: str
     panels: tuple[PanelSpec, ...]
 
 
@@ -66,52 +64,52 @@ def figure_specs(grid: int = 2000) -> dict[str, FigureSpec]:
     phi_sweep_lt = (0.0, 1.0, 5.0)
     specs = {}
 
-    specs["F1"] = FigureSpec("F1", "crowd inventory, phi=0", _panels(
+    specs["F1"] = FigureSpec(_panels(
         "F1", "partial_E",
         [presets.partial_single_type(g, 0.0, grid=grid) for g in gam_sweep],
         [f"Gamma={g}" for g in gam_sweep]))
-    specs["F2"] = FigureSpec("F2", "crowd inventory, Gamma=0", _panels(
+    specs["F2"] = FigureSpec(_panels(
         "F2", "partial_E",
         [presets.partial_single_type(0.0, p, grid=grid) for p in phi_sweep],
         [f"phi={p}" for p in phi_sweep]))
-    specs["F3"] = FigureSpec("F3", "profit difference vs lambdaH", (
+    specs["F3"] = FigureSpec((
         PanelSpec("F03a", "scan_lamH", None, "phi=10 Gamma=2",
                   ("partial", tuple(presets.lamH_scan_values()))),))
-    specs["F4"] = FigureSpec("F4", "crowd inventory, switching types (0,0)/(10,2)", _panels(
+    specs["F4"] = FigureSpec(_panels(
         "F4", "partial_E",
         [presets.partial_two_type(phi=(0.0, 10.0), Gamma=(0.0, 2.0), x=x, y=y, grid=grid)
          for x, y in XY_GRID],
         [f"x={x} y={y}" for x, y in XY_GRID]))
-    specs["F5"] = FigureSpec("F5", "crowd inventory, switching types (0,2)/(10,0)", _panels(
+    specs["F5"] = FigureSpec(_panels(
         "F5", "partial_E",
         [presets.partial_two_type(phi=(0.0, 10.0), Gamma=(2.0, 0.0), x=x, y=y, grid=grid)
          for x, y in XY_GRID],
         [f"x={x} y={y}" for x, y in XY_GRID]))
-    specs["F6"] = FigureSpec("F6", "trade schedule, phi=0", _panels(
+    specs["F6"] = FigureSpec(_panels(
         "F6", "overall_xi",
         [presets.overall_single_type(g, 0.0, grid=grid) for g in gam_sweep],
         [f"Gamma={g}" for g in gam_sweep]))
-    specs["F7"] = FigureSpec("F7", "trade schedule, Gamma=0", _panels(
+    specs["F7"] = FigureSpec(_panels(
         "F7", "overall_xi",
         [presets.overall_single_type(0.0, p, grid=grid) for p in phi_sweep_lt],
         [f"phi={p}" for p in phi_sweep_lt]))
-    specs["F8"] = FigureSpec("F8", "crowd inventory under joint equilibrium, phi=0", _panels(
+    specs["F8"] = FigureSpec(_panels(
         "F8", "overall_E",
         [presets.overall_single_type(g, 0.0, grid=grid) for g in gam_sweep],
         [f"Gamma={g}" for g in gam_sweep]))
-    specs["F9"] = FigureSpec("F9", "profit difference vs lambdaH, joint equilibrium", (
+    specs["F9"] = FigureSpec((
         PanelSpec("F09a", "scan_lamH", None, "phi=10 Gamma=2",
                   ("overall", tuple(presets.lamH_scan_values()))),))
-    specs["F10"] = FigureSpec("F10", "crowd inventory under joint equilibrium, Gamma=0", _panels(
+    specs["F10"] = FigureSpec(_panels(
         "F10", "overall_E",
         [presets.overall_single_type(0.0, p, grid=grid) for p in phi_sweep_lt],
         [f"phi={p}" for p in phi_sweep_lt]))
-    specs["F11"] = FigureSpec("F11", "trade schedule, switching types (0,2)/(10,0)", _panels(
+    specs["F11"] = FigureSpec(_panels(
         "F11", "overall_xi",
         [presets.overall_two_type(phi=(0.0, 10.0), Gamma=(2.0, 0.0), x=x, y=y, grid=grid)
          for x, y in XY_GRID],
         [f"x={x} y={y}" for x, y in XY_GRID]))
-    specs["F12"] = FigureSpec("F12", "crowd inventory, switching types joint equilibrium", _panels(
+    specs["F12"] = FigureSpec(_panels(
         "F12", "overall_E",
         [presets.overall_two_type(phi=(0.0, 10.0), Gamma=(2.0, 0.0), x=x, y=y, grid=grid)
          for x, y in XY_GRID],
@@ -196,9 +194,7 @@ def render_panel(panel: PanelSpec, out_dir: str, cache: dict | None = None) -> l
                               title=f"{panel.name} {panel.label}")
     elif panel.kind == "overall_xi":
         eq = solve_overall(panel.cfg, cache)
-        times = panel.cfg.schedule.times
-        rows = [[k + 1, float(times[k]), float(eq.xi_star[k])] for k in range(len(times))]
-        write_csv(csv_path, ["k", "t_k", "xi_star_k"], rows, panel.cfg)
+        write_csv(csv_path, *xi_star_rows(panel.cfg.schedule.times, eq.xi_star), panel.cfg)
         plot_columns_from_csv(csv_path, svg_path, "t_k", ["xi_star_k"],
                               title=f"{panel.name} {panel.label}", kind="bar")
     elif panel.kind == "scan_lamH":

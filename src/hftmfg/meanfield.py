@@ -361,13 +361,13 @@ class MeanFieldEngine:
         stages = (A0, 0.5 * (A0 + Am), Am)
         return rk_step(lambda c, U: stages[c] @ U, Un[:-1], h / 2.0, method)
 
-    def solve(self, E0, xi=None) -> MeanFieldSolution:
+    def solve(self, E0, xi) -> MeanFieldSolution:
         cfg = self.cfg
         N = self._N
         S = self.grid.n_segments
         K = S - 1
         E0 = np.asarray(E0, dtype=float)
-        xi = np.zeros(K) if xi is None else np.asarray(xi, dtype=float)
+        xi = np.asarray(xi, dtype=float)
         if E0.shape != (N,):
             raise ValueError("E0 length must match the number of states")
         if xi.shape != (K,):
@@ -393,14 +393,19 @@ def shared_engine(cfg: ModelConfig, cache: dict | None = None) -> MeanFieldEngin
     return _reuse(cache, engine_key(cfg), lambda: MeanFieldEngine(cfg, cache))
 
 
-def solve_partial(cfg: ModelConfig, xi=None, cache: dict | None = None) -> MeanFieldSolution:
-    """Crowd equilibrium for a fixed trade schedule; ``cache`` as in ``MeanFieldEngine``."""
-    if xi is None:
-        xi = np.zeros(cfg.schedule.K) if cfg.schedule.quantities is None else cfg.schedule.quantities
-    return shared_engine(cfg, cache).solve(cfg.population.E0, xi)
+def _quantities(cfg: ModelConfig) -> np.ndarray:
+    """The configured trade sizes; no trades where the config fixes none."""
+    q = cfg.schedule.quantities
+    return np.zeros(cfg.schedule.K) if q is None else np.asarray(q, dtype=float)
 
 
-def closed_form_q0(cfg: ModelConfig, xi=None) -> MeanFieldSolution:
+def solve_partial(cfg: ModelConfig, cache: dict | None = None) -> MeanFieldSolution:
+    """Crowd equilibrium for the configured trade schedule; ``cache`` as in
+    ``MeanFieldEngine``."""
+    return shared_engine(cfg, cache).solve(cfg.population.E0, _quantities(cfg))
+
+
+def closed_form_q0(cfg: ModelConfig) -> MeanFieldSolution:
     """Exact solution for any crowd that never switches (Q = 0); the
     independent oracle for the numerical path.
 
@@ -420,9 +425,7 @@ def closed_form_q0(cfg: ModelConfig, xi=None) -> MeanFieldSolution:
         raise ValueError("closed_form_q0 requires a crowd that never switches (Q = 0)")
     grid = default_grid(cfg)
     S, N, n, b = grid.n_segments, cfg.n_states, 2 * cfg.n_states, grid.bounds
-    if xi is None:
-        xi = np.zeros(S - 1) if cfg.schedule.quantities is None else cfg.schedule.quantities
-    xi = np.asarray(xi, dtype=float)
+    xi = _quantities(cfg)
     B = 2.0 * mkt.eta * np.eye(N) + mkt.lam_h * np.outer(np.ones(N), av.p0)
     A = np.zeros((n, n))
     A[:N, :N] = -np.linalg.solve(B, mkt.gamma_h * np.outer(np.ones(N), av.p0))
@@ -467,9 +470,9 @@ def closed_form_q0(cfg: ModelConfig, xi=None) -> MeanFieldSolution:
                      cond, cfg.solver.shooting_tolerance)
 
 
-def closed_form_n1(cfg: ModelConfig, xi=None) -> MeanFieldSolution:
+def closed_form_n1(cfg: ModelConfig) -> MeanFieldSolution:
     """``closed_form_q0`` for a single-state crowd."""
     if cfg.n_states != 1:
         raise ValueError("closed_form_n1 requires a single-state configuration")
-    return closed_form_q0(cfg, xi)
+    return closed_form_q0(cfg)
 

@@ -62,6 +62,12 @@ def equilibrium_rows(sol: MeanFieldSolution) -> tuple[list[str], list[list]]:
     return header, rows
 
 
+def xi_star_rows(times, xi_star) -> tuple[list[str], list[list]]:
+    """Header and rows (k, t_k, xi_star_k) of an optimal trade schedule."""
+    return (["k", "t_k", "xi_star_k"],
+            [[k + 1, float(t), float(x)] for k, (t, x) in enumerate(zip(times, xi_star))])
+
+
 def write_equilibrium_csv(path, sol: MeanFieldSolution, cfg: ModelConfig) -> None:
     header, rows = equilibrium_rows(sol)
     write_csv(path, header, rows, cfg)

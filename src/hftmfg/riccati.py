@@ -102,12 +102,13 @@ class H1Diagnostics:
     terminal: np.ndarray         # (N,): h1(T), zero up to shooting error
 
 
-def recover_h1(sol, h2: PiecewiseCurve, market: MarketParams) -> tuple[PiecewiseCurve, H1Diagnostics]:
+def recover_h1(sol, market: MarketParams) -> tuple[PiecewiseCurve, H1Diagnostics]:
     """Algebraic recovery of the linear coefficient from a solved mean field.
 
-    ``sol`` must expose mu_by_state, E_by_state, mu_agg and xi.  The
+    ``sol`` must expose h2, mu_by_state, E_by_state, mu_agg and xi.  The
     diagnostics hold the jump at each trade time less gamma*xi_k, and h1(T).
     """
+    h2 = sol.h2
     segs = []
     for mu_s, E_s, mua_s, h2_s in zip(sol.mu_by_state.segments, sol.E_by_state.segments,
                                       sol.mu_agg.segments, h2.segments):

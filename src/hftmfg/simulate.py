@@ -64,21 +64,20 @@ _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 
 
-def _stream_keys(seed, purpose: int, rep, agent) -> tuple[int | np.ndarray, np.ndarray]:
+def _stream_keys(seeds, purpose: int, rep, agent) -> tuple[np.ndarray, np.ndarray]:
     """Philox key (key0, key1) of the streams (seed, purpose, rep, agent).
 
-    seed is an int, or a sequence of ints for a uint64 key0 per seed.  rep
-    and agent are indices or index arrays, broadcast together; key1 packs
-    purpose into bits 56-63, rep into 28-55 and agent into 0-27.  A seed
-    outside [0, 2^64) or an index that does not fit its field would silently
-    share another's stream, so it raises: ``SimulationError`` for agents,
+    key0 holds one uint64 per entry of the sequence ``seeds``.  rep and agent
+    are indices or index arrays, broadcast together; key1 packs purpose into
+    bits 56-63, rep into 28-55 and agent into 0-27.  A seed outside
+    [0, 2^64) or an index that does not fit its field would silently share
+    another's stream, so it raises: ``SimulationError`` for agents,
     ``ValueError`` for seeds and replications.
     """
-    seeds = [int(s) for s in ([seed] if np.ndim(seed) == 0 else seed)]
+    seeds = [int(s) for s in seeds]
     for s in seeds:
         if not 0 <= s < 1 << 64:
             raise ValueError(f"seed {s} does not fit a 64-bit stream key")
-    key0 = [s ^ 0x9E3779B97F4A7C15 for s in seeds]
     rep = np.asarray(rep, dtype=np.int64)
     agent = np.asarray(agent, dtype=np.int64)
     for idx, name, err in ((agent, "agent", SimulationError), (rep, "replication", ValueError)):
@@ -87,7 +86,7 @@ def _stream_keys(seed, purpose: int, rep, agent) -> tuple[int | np.ndarray, np.n
             raise err(f"{name} index {idx[bad].flat[0]} does not fit a "
                       f"{_FIELD_BITS}-bit stream key field")
     key1 = (purpose << 56) | (rep << _FIELD_BITS) | agent
-    return (key0[0] if np.ndim(seed) == 0 else np.array(key0, dtype=np.uint64),
+    return (np.array([s ^ 0x9E3779B97F4A7C15 for s in seeds], dtype=np.uint64),
             np.atleast_1d(key1).astype(np.uint64))
 
 
@@ -104,7 +103,7 @@ def _mulhilo(a: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _philox(key0, key1: np.ndarray, block) -> np.ndarray:
     """Philox4x64-10 output blocks of many streams at once.
 
-    key0 (an int or uint64 array), key1 (uint64) and the block indices
+    key0 (uint64), key1 (uint64) and the block indices
     broadcast together; the stream with key (key0, key1) and counter
     block + 1 gives word w, so [w, ...] is lane 4 * block + w of
     ``np.random.Philox(key=(key0, key1)).random_raw()``.  All arithmetic is
@@ -193,7 +192,7 @@ class ConvergenceMetrics:
 
 @dataclass(frozen=True)
 class SegmentRecord:
-    times: np.ndarray      # level-0 node times
+    """One segment's aggregates at its level-0 nodes, ``grid.level0_times(s)``."""
     vbar: np.ndarray       # (m+1,)
     Xbar: np.ndarray       # (m+1,)
     theta: np.ndarray      # (m+1, N)
@@ -209,7 +208,6 @@ class PopulationTrajectory:
     agent0_initial_state: int
     agent0_initial_inventory: float
     M: int
-    seed: int
     # populated only when record_paths=True: per segment
     # (m+1, M) inventories and states at level-0 nodes
     paths_X: tuple[np.ndarray, ...] | None = None
@@ -355,44 +353,44 @@ def _node_states(touches, n_agents: int, m: int, A: np.ndarray, B: np.ndarray):
     return _lift(A, B, nd[last], nodes, y[last], d[last]), y[last]
 
 
-def simulate_population(cfg: ModelConfig, eq: MeanFieldSolution, M: int, seed,
+def simulate_population(cfg: ModelConfig, eq: MeanFieldSolution, M: int, seeds,
                         *, init_spread: float | None = None, record_paths: bool = False
-                        ) -> (tuple[PopulationTrajectory, ConvergenceMetrics]
-                              | list[tuple[PopulationTrajectory, ConvergenceMetrics]]):
-    """Simulate M agents under the feedback law and measure mean-field gaps.
+                        ) -> list[tuple[PopulationTrajectory, ConvergenceMetrics]]:
+    """Simulate M agents per seed under the feedback law and measure mean-field gaps.
 
-    ``seed`` is an int, or a sequence of seeds run as one population of
-    len(seed) * M agents; then the result is a list with one (trajectory,
-    metrics) pair per seed, in order, each bit for bit the int seed's result.
+    The sequence ``seeds`` runs as one population of len(seeds) * M agents;
+    the result holds one (trajectory, metrics) pair per seed, in order, each
+    bit for bit what that seed gives alone.
     """
     if M < 1:
         raise SimulationError("need at least one agent")
-    seeds = [seed] if np.ndim(seed) == 0 else list(seed)
+    if np.ndim(seeds) != 1:
+        raise TypeError(f"seeds must be a sequence of seeds, got {seeds!r}")
+    seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
     spread = default_init_spread(cfg) if init_spread is None else float(init_spread)
     trajs = _run_agents(cfg, eq, *_draw_agents(cfg, M, seeds, spread),
-                        seeds=seeds, record_paths=record_paths)
-    runs = [(traj, _metrics(cfg, eq, traj)) for traj in trajs]
-    return runs[0] if np.ndim(seed) == 0 else runs
+                        replications=len(seeds), record_paths=record_paths)
+    return [(traj, _metrics(eq, traj)) for traj in trajs]
 
 
 def _run_agents(cfg: ModelConfig, eq: MeanFieldSolution, X0: np.ndarray, Y0: np.ndarray,
                 ev_t: np.ndarray, ev_agent: np.ndarray, ev_state: np.ndarray,
-                *, seeds, record_paths: bool) -> list[PopulationTrajectory]:
+                *, replications: int, record_paths: bool) -> list[PopulationTrajectory]:
     """Step agents from (X0, Y0) through their time-sorted switch events.
 
     Event e moves agent ev_agent[e] to state ev_state[e] at time ev_t[e].  The
     agents do not interact: each plays its feedback law against the frozen
     mean field, so an agent stepped alone takes exactly its path in a crowd.
-    Agents r*M .. r*M + M - 1 are the population of seeds[r], and one
-    trajectory is returned per seed.  Each segment steps the per-replication
-    counts and sums and takes the agents' switching steps in rounds, as the
-    module docstring sets out.
+    Agents r*M .. r*M + M - 1 are the population of replication r, and one
+    trajectory is returned per replication.  Each segment steps the
+    per-replication counts and sums and takes the agents' switching steps in
+    rounds, as the module docstring sets out.
     """
     grid = eq.grid
     N = cfg.n_states
-    R = len(seeds)
+    R = replications
     M = len(X0) // R
     method = cfg.solver.integrator
     Y = np.array(Y0, dtype=np.int64)
@@ -488,9 +486,8 @@ def _run_agents(cfg: ModelConfig, eq: MeanFieldSolution, X0: np.ndarray, Y0: np.
         d0, y0 = np.ascontiguousarray(Dw[:, ::per].T), Yw[:, ::per].T
         v0 = muv[nodes, y0] + av[nodes, y0] * d0
         x0 = Ev[nodes, y0] + d0
-        times = L.copy()
         for r in range(R):
-            records[r].append(SegmentRecord(times, vbar=vbar[r], Xbar=Xbar[r], theta=theta[r],
+            records[r].append(SegmentRecord(vbar=vbar[r], Xbar=Xbar[r], theta=theta[r],
                                             Z=Z[r], v_agent0=v0[r], X_agent0=x0[r]))
         if record_paths:
             Xw = np.take_along_axis(Ev, Yw, axis=1) + Dw
@@ -509,12 +506,12 @@ def _run_agents(cfg: ModelConfig, eq: MeanFieldSolution, X0: np.ndarray, Y0: np.
         agent0_events=tuple(agent0_events[r]),
         agent0_initial_state=int(Y0[r * M]),
         agent0_initial_inventory=float(X0[r * M]),
-        M=M, seed=seeds[r],
+        M=M,
         paths_X=tuple(paths_X[r]) if record_paths else None,
         paths_Y=tuple(paths_Y[r]) if record_paths else None) for r in range(R)]
 
 
-def _metrics(cfg: ModelConfig, eq: MeanFieldSolution, traj: PopulationTrajectory) -> ConvergenceMetrics:
+def _metrics(eq: MeanFieldSolution, traj: PopulationTrajectory) -> ConvergenceMetrics:
     theta_dev = 0.0
     z_dev = 0.0
     vbar_l2 = 0.0
@@ -524,7 +521,7 @@ def _metrics(cfg: ModelConfig, eq: MeanFieldSolution, traj: PopulationTrajectory
         mu = eq.mu_agg.node_values(s)[:, 0]
         theta_dev = max(theta_dev, float(np.max(np.sum((rec.theta - p) ** 2, axis=1))))
         z_dev = max(z_dev, float(np.max(np.sum((rec.Z - p * E) ** 2, axis=1))))
-        vbar_l2 += float(np.trapezoid((rec.vbar - mu) ** 2, rec.times))
+        vbar_l2 += float(np.trapezoid((rec.vbar - mu) ** 2, eq.grid.level0_times(s)))
     return ConvergenceMetrics(theta_dev, z_dev, vbar_l2)
 
 
@@ -554,14 +551,11 @@ class DeviationResult:
     j_mfg: float
     j_best: float
     gain: float
-    M: int
-    seed: int
 
 
 @dataclass(frozen=True)
 class _Quadratic:
     """phi(w) = const + g.w - w.P w / 2 on the control cells."""
-    edges: np.ndarray
     widths: np.ndarray
     P: np.ndarray
     g: np.ndarray
@@ -672,7 +666,7 @@ def _deviator_quadratic(cfg: ModelConfig, eq: MeanFieldSolution, delta: float,
     g += -3.0 * x_init * ((PA + PB).T @ om)
     const += -3.0 * x_init * x_init * float(np.sum(om))
 
-    return _Quadratic(edges, widths, P, g, const)
+    return _Quadratic(widths, P, g, const)
 
 
 def _cell_projected_controls(traj_X_segments, grid, cells_per_segment: int) -> np.ndarray:
@@ -702,8 +696,7 @@ def deviation_gain(cfg: ModelConfig, eq: MeanFieldSolution, traj: PopulationTraj
     if M < 2:
         raise SimulationError("deviation test needs at least two agents")
     vbar_minus = [(M * rec.vbar - rec.v_agent0) / (M - 1) for rec in traj.segments]
-    return _deviation_result(cfg, eq, 1.0 / M, vbar_minus, traj,
-                             control_cells_per_segment, M, traj.seed)
+    return _deviation_result(cfg, eq, 1.0 / M, vbar_minus, traj, control_cells_per_segment)
 
 
 def deviation_gain_vs_mean_field(cfg: ModelConfig, eq: MeanFieldSolution, x_init: float,
@@ -715,14 +708,14 @@ def deviation_gain_vs_mean_field(cfg: ModelConfig, eq: MeanFieldSolution, x_init
                           np.array([t for t, _ in events], dtype=float),
                           np.zeros(len(events), dtype=np.int64),
                           np.array([y for _, y in events], dtype=np.int64),
-                          seeds=[0], record_paths=False)
+                          replications=1, record_paths=False)
     vbar = [eq.mu_agg.node_values(s)[:, 0] for s in range(eq.grid.n_segments)]
-    return _deviation_result(cfg, eq, 0.0, vbar, traj, control_cells_per_segment, 0, 0)
+    return _deviation_result(cfg, eq, 0.0, vbar, traj, control_cells_per_segment)
 
 
 def _deviation_result(cfg: ModelConfig, eq: MeanFieldSolution, delta: float,
-                      vbar: list[np.ndarray], traj: PopulationTrajectory, cells: int,
-                      M: int, seed: int) -> DeviationResult:
+                      vbar: list[np.ndarray], traj: PopulationTrajectory,
+                      cells: int) -> DeviationResult:
     """Agent 0's realized play against the best response to the others' speed vbar."""
     quad = _deviator_quadratic(cfg, eq, delta, vbar, traj.agent0_initial_inventory,
                                traj.agent0_initial_state, traj.agent0_events, cells)
@@ -730,7 +723,7 @@ def _deviation_result(cfg: ModelConfig, eq: MeanFieldSolution, delta: float,
     w_best = quad.maximizer()
     j_mfg = quad.value(w_mfg)
     j_best = quad.value(w_best)
-    return DeviationResult(j_mfg, j_best, j_best - j_mfg, M, seed)
+    return DeviationResult(j_mfg, j_best, j_best - j_mfg)
 
 
 # ---------------------------------------------------------------------------
@@ -742,9 +735,6 @@ class LTDeviationResult:
     psi_mfg: float
     psi_best: float
     gain: float
-    xi_best: np.ndarray
-    M: int
-    seed: int
 
 
 def lt_deviation_gain(cfg: ModelConfig, overall_eq,
@@ -767,8 +757,7 @@ def lt_deviation_gain(cfg: ModelConfig, overall_eq,
 
     psi_star = psi(overall_eq.xi_star)
     psi_best = psi(xi_best)
-    return LTDeviationResult(psi_star, psi_best, psi_best - psi_star, xi_best,
-                             traj.M, traj.seed)
+    return LTDeviationResult(psi_star, psi_best, psi_best - psi_star)
 
 
 # ---------------------------------------------------------------------------
@@ -787,7 +776,7 @@ def _normals(seed: int, replications: int, K: int) -> np.ndarray:
 
     Box-Muller on lane pairs: lanes 2i and 2i + 1 give normals 2i and 2i + 1.
     """
-    key0, key1 = _stream_keys(seed, _PURPOSE_PRICE, np.arange(replications), 0)
+    key0, key1 = _stream_keys([seed], _PURPOSE_PRICE, np.arange(replications), 0)
     pairs = (K + 1) // 2
     words = _philox(key0, key1[:, None], np.arange((pairs + 1) // 2))
     u = _uniform(np.moveaxis(words, 0, -1).reshape(replications, -1)[:, :2 * pairs])

@@ -7,7 +7,8 @@ constraint sum(xi) = -xi0, and the first-order condition gives, for k < K,
     xi_k = -xi0/K + (D_k - (1/K) sum_{j<K} D_j) / (gamma + 2 (lambda + eta0)),
     D_k  = gammaH (E(t_K) - E(t_k)) + lambdaH (mu(t_K) - mu(t_k)),
 
-with xi_K absorbing the remainder; the initial price P0 cancels.  In the
+with xi_K absorbing the remainder; revenue is counted from the initial
+price P0, which cancels from every comparison.  In the
 joint equilibrium the schedule is the best response to the mean field it
 induces.  The mean field at the trade times is linear in (E0, xi), so the
 best response is affine in the trades, xi -> G xi + g, and its fixed point
@@ -62,17 +63,16 @@ class ProfitReport:
     difference: float
 
 
-def profit_without_crowd(cfg: ModelConfig, xi: np.ndarray, P0: float = 0.0) -> float:
-    """Expected revenue -sum_k xi_k P_k with no fast-trader crowd in the market."""
+def profit_without_crowd(cfg: ModelConfig, xi: np.ndarray) -> float:
+    """Expected revenue -sum_k xi_k (P_k - P0) with no fast-trader crowd in the market."""
     xi = np.asarray(xi, dtype=float)
     m = cfg.market
     running = float(np.sum(xi * np.cumsum(xi)))
-    return -P0 * float(np.sum(xi)) - m.gamma * running \
-        - (m.lam + m.eta0) * float(np.sum(xi * xi))
+    return -m.gamma * running - (m.lam + m.eta0) * float(np.sum(xi * xi))
 
 
 def profit_from_aggregates(cfg: ModelConfig, xi, E_k: np.ndarray, E_start: float,
-                           mu_k: np.ndarray, P0: float = 0.0) -> ProfitReport:
+                           mu_k: np.ndarray) -> ProfitReport:
     """Expected revenue with and without the crowd's extra price impact.
 
     ``E_k`` and ``mu_k`` are the crowd's aggregate inventory and speed at the
@@ -85,17 +85,16 @@ def profit_from_aggregates(cfg: ModelConfig, xi, E_k: np.ndarray, E_start: float
         raise ValueError(f"xi has {len(xi)} entries, the aggregates {len(E_k)} and "
                          f"{len(mu_k)}; each needs one per trade time")
     m = cfg.market
-    base = profit_without_crowd(cfg, xi, P0)
+    base = profit_without_crowd(cfg, xi)
     diff = float(np.sum(-xi * (m.gamma_h * (E_k - E_start) + m.lam_h * mu_k)))
     return ProfitReport(base, base + diff, diff)
 
 
-def lt_profit(cfg: ModelConfig, xi, mean_field: MeanFieldSolution,
-              P0: float = 0.0) -> ProfitReport:
+def lt_profit(cfg: ModelConfig, xi, mean_field: MeanFieldSolution) -> ProfitReport:
     """Expected revenue against the mean field, with and without its price impact."""
     return profit_from_aggregates(cfg, xi, mean_field.E_at_trades(),
                                   mean_field.E_agg_initial(),
-                                  mean_field.mu_at_trades(cfg.solver.mu_at_trades), P0)
+                                  mean_field.mu_at_trades(cfg.solver.mu_at_trades))
 
 
 @dataclass(frozen=True)

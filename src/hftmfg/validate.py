@@ -244,7 +244,7 @@ def check_linearity(grid: int, method: str) -> str:
 def check_h1_recovery(grid: int, method: str) -> str:
     cfg = presets.partial_single_type(2.0, 0.0, grid=grid, integrator=method)
     sol = solve_partial(cfg)
-    h1, diag = recover_h1(sol, sol.h2, cfg.market)
+    h1, diag = recover_h1(sol, cfg.market)
     worst = float(np.max(np.abs(diag.jump_residuals)))
     term = float(np.max(np.abs(diag.terminal)))
     _need(worst <= 1e-6, f"linear-coefficient jump residual {worst:.3e}")
@@ -272,7 +272,7 @@ def check_overall(grid: int, method: str) -> str:
 
 def check_profit_arithmetic(grid: int, method: str) -> str:
     cfg = presets.partial_single_type(2.0, 0.0, grid=max(grid // 10, 100), integrator=method)
-    base = profit_without_crowd(cfg, cfg.schedule.quantities, P0=0.0)
+    base = profit_without_crowd(cfg, cfg.schedule.quantities)
     _need(abs(base - (-49.05)) <= 1e-10, f"no-crowd profit {base!r} != -49.05")
     # sampled revenue under price noise averages to the analytic expectation
     noisy = presets.partial_single_type(2.0, 0.0, grid=max(grid // 10, 100),
@@ -319,7 +319,7 @@ def check_shapes(grid: int, method: str) -> str:
 def check_simulator_exact(grid: int, method: str) -> str:
     cfg = presets.partial_single_type(2.0, 10.0, grid=min(grid, 500), integrator=method)
     eq = solve_partial(cfg)
-    _, met = simulate_population(cfg, eq, M=20, seed=0, init_spread=0.0)
+    ((_, met),) = simulate_population(cfg, eq, 20, [0], init_spread=0.0)
     _need(met.theta_dev == 0.0 and met.Z_dev == 0.0 and met.vbar_l2 == 0.0,
           f"deterministic single-type metrics must vanish, got {met}")
     out = sample_price_paths(cfg, eq.xi, eq, 4, seed=0)

@@ -126,6 +126,30 @@ def test_env_overrides(raw_config):
     assert cfg.aversion.Gamma[0] == 3.0
 
 
+def test_env_override_creates_the_optional_solver_section(raw_config):
+    del raw_config["solver"]
+    out = apply_env_overrides(raw_config, env={"HFTMFG_SOLVER__GRID_STEPS_PER_UNIT_TIME": "250"})
+    assert config_from_dict(out).solver.grid_steps_per_unit_time == 250
+
+
+@pytest.mark.parametrize("key", ["HFTMFG_MARKT__GAMMA", "HFTMFG_MARKET__GAMMA__X",
+                                 "HFTMFG_MODE__X"])
+def test_env_override_into_an_unknown_section_raises(raw_config, key):
+    with pytest.raises(ConfigError, match=key):
+        apply_env_overrides(raw_config, env={key: "2"})
+
+
+def test_zero_initial_state_probability_rejected(config_file):
+    # the chain divides by p, so a state that starts empty would abort every
+    # solve, even one with no switching
+    raw = base_raw()
+    raw["aversion"] = {"Gamma": [2.0, 0.0], "phi": [0.0, 10.0],
+                       "Q": [[0.0, 0.0], [0.0, 0.0]], "p0": [1.0, 0.0]}
+    raw["population"]["E0"] = [0.0, 0.0]
+    with pytest.raises(ConfigError, match="aversion.p0"):
+        load_config(config_file(raw))
+
+
 def test_degenerate_single_state_allowed(raw_config):
     cfg = config_from_dict(raw_config)
     assert cfg.aversion.Q.shape == (1, 1) and cfg.aversion.Q[0, 0] == 0.0

@@ -35,9 +35,9 @@ def test_assemble_A_single_state_with_running_aversion(stiff_eq):
 
 
 def test_assemble_A_zero_sources_block():
-    cfg = config_from_dict(base_raw())
+    cfg = presets.partial_single_type(grid=200, quantities=np.zeros(9))
     # Gamma = phi = 0 with no switching: the inventory-feedback block vanishes
-    eq = solve_partial(cfg.with_solver(grid_steps_per_unit_time=200), xi=np.zeros(9))
+    eq = solve_partial(cfg)
     A = assemble_A_batch(eq.p.eval(0.5)[None], eq.h2.eval(0.5)[None],
                          cfg.aversion, cfg.market)[0]
     assert A[0, 1] == pytest.approx(0.0, abs=1e-14)
@@ -54,8 +54,8 @@ def test_assemble_A_bottom_blocks_two_state(twostate_eq):
 
 
 def test_zero_data_gives_zero_field():
-    cfg = config_from_dict(base_raw()).with_solver(grid_steps_per_unit_time=300)
-    eq = solve_partial(cfg, xi=np.zeros(9))
+    cfg = presets.partial_single_type(grid=300, quantities=np.zeros(9))
+    eq = solve_partial(cfg)
     assert max(np.max(np.abs(s)) for s in eq.E_by_state.segments) < 1e-14
     assert max(np.max(np.abs(s)) for s in eq.mu_by_state.segments) < 1e-14
 
@@ -65,8 +65,9 @@ def test_constant_solution_without_aversion():
     raw["aversion"]["Gamma"] = [0.0]
     raw["population"]["E0"] = [3.0]
     raw["population"]["inventory_bound"] = 3.0
+    raw["schedule"]["quantities"] = [0.0] * 9
     cfg = config_from_dict(raw).with_solver(grid_steps_per_unit_time=300)
-    eq = solve_partial(cfg, xi=np.zeros(9))
+    eq = solve_partial(cfg)
     assert max(np.max(np.abs(s - 3.0)) for s in eq.E_by_state.segments) < 1e-10
     assert max(np.max(np.abs(s)) for s in eq.mu_by_state.segments) < 1e-10
 
@@ -102,8 +103,8 @@ def test_closed_form_root_values():
 
 
 def test_closed_form_zero_case():
-    cfg = presets.partial_single_type(0.0, 0.0, grid=300)
-    sol = closed_form_n1(cfg, xi=np.zeros(9))
+    cfg = presets.partial_single_type(0.0, 0.0, grid=300, quantities=np.zeros(9))
+    sol = closed_form_n1(cfg)
     assert max(np.max(np.abs(s)) for s in sol.E_by_state.segments) < 1e-14
 
 
@@ -288,7 +289,7 @@ def test_closed_form_oracle_goes_through_the_residual_gate():
         r = closed_form_n1(_stretched(cfg, T)).residuals
         assert max(r.terminal, r.worst_jump, r.initial) <= 1e-10, T
     with pytest.raises(SolverError, match="exceed tolerance"):
-        closed_form_n1(cfg, xi=np.full(9, np.nan))
+        closed_form_n1(replace(cfg, schedule=replace(cfg.schedule, quantities=np.full(9, np.nan))))
 
 
 def test_solution_exposes_fundamental_matrices(baseline_eq):

@@ -253,7 +253,7 @@ def test_h2_two_state_scalar_path(method):
 
 def test_h1_recovery_jumps_and_terminal(baseline_eq):
     cfg, eq = baseline_eq
-    h1, diag = recover_h1(eq, eq.h2, cfg.market)
+    h1, diag = recover_h1(eq, cfg.market)
     # each trade of one share drops the linear coefficient by gamma = 1
     assert np.max(np.abs(diag.jump_residuals)) < 1e-10
     for k in range(1, 10):
@@ -262,9 +262,9 @@ def test_h1_recovery_jumps_and_terminal(baseline_eq):
 
 
 def test_h1_zero_for_trivial_equilibrium():
-    cfg = single_type(0.0, 0.0)
-    eq = solve_partial(cfg.with_solver(grid_steps_per_unit_time=300), xi=np.zeros(9))
-    h1, diag = recover_h1(eq, eq.h2, cfg.market)
+    cfg = presets.partial_single_type(0.0, 0.0, grid=300, quantities=np.zeros(9))
+    eq = solve_partial(cfg)
+    h1, diag = recover_h1(eq, cfg.market)
     for seg in h1.segments:
         assert np.max(np.abs(seg)) < 1e-12
     # also with a nonzero starting inventory: phi = Gamma = 0 gives h2 = 0,
@@ -273,16 +273,17 @@ def test_h1_zero_for_trivial_equilibrium():
     raw["aversion"]["Gamma"] = [0.0]
     raw["population"]["E0"] = [5.0]
     raw["population"]["inventory_bound"] = 5.0
+    raw["schedule"]["quantities"] = [0.0] * 9
     cfg2 = config_from_dict(raw).with_solver(grid_steps_per_unit_time=300)
-    eq2 = solve_partial(cfg2, xi=np.zeros(9))
-    h1b, _ = recover_h1(eq2, eq2.h2, cfg2.market)
+    eq2 = solve_partial(cfg2)
+    h1b, _ = recover_h1(eq2, cfg2.market)
     assert max(np.max(np.abs(s)) for s in h1b.segments) < 1e-10
     assert max(np.max(np.abs(s)) for s in eq2.mu_by_state.segments) < 1e-10
 
 
 def test_h1_backward_integration_cross_check(baseline_eq):
     cfg, eq = baseline_eq
-    h1, _ = recover_h1(eq, eq.h2, cfg.market)
+    h1, _ = recover_h1(eq, cfg.market)
     h1b = integrate_h1_backward(eq.h2, eq.mu_agg, cfg.aversion, cfg.market, eq.xi)
     worst = max(np.max(np.abs(a[::2] - b[::2]))
                 for a, b in zip(h1.segments, h1b.segments))
@@ -295,7 +296,7 @@ def test_h1_backward_cross_check_two_state(twostate_eq):
     # coefficient's own backward equation, which shares only h2 and the
     # aggregate speed with it
     cfg, eq = twostate_eq
-    h1, diag = recover_h1(eq, eq.h2, cfg.market)
+    h1, diag = recover_h1(eq, cfg.market)
     h1b = integrate_h1_backward(eq.h2, eq.mu_agg, cfg.aversion, cfg.market, eq.xi)
     worst = max(np.max(np.abs(a[::2] - b[::2]))
                 for a, b in zip(h1.segments, h1b.segments))
@@ -333,7 +334,7 @@ def test_h0_zero_when_everything_vanishes():
 
 
 def _riccati_solution(cfg, eq):
-    h1, _ = recover_h1(eq, eq.h2, cfg.market)
+    h1, _ = recover_h1(eq, cfg.market)
     h0 = compute_h0(h1, eq.h2, eq.mu_agg, cfg.aversion, cfg.market)
     return RiccatiSolution(eq.h2, h1, h0, cfg.market)
 
@@ -348,8 +349,8 @@ def test_feedback_at_mean_returns_mean_speed(stiff_eq):
 
 
 def test_feedback_zero_when_coefficients_vanish():
-    cfg = single_type(0.0, 0.0)
-    eq = solve_partial(cfg.with_solver(grid_steps_per_unit_time=200), xi=np.zeros(9))
+    cfg = presets.partial_single_type(0.0, 0.0, grid=200, quantities=np.zeros(9))
+    eq = solve_partial(cfg)
     rs = _riccati_solution(cfg, eq)
     for x in (-3.0, 0.0, 5.0):
         assert feedback_control(0.5, x, 0, rs, eq.mu_agg) == pytest.approx(0.0, abs=1e-12)
@@ -381,7 +382,7 @@ def test_value_function_matches_realized_payoff(Gamma, phi, x0):
     from hftmfg.simulate import deviation_gain_vs_mean_field
     cfg = presets.partial_single_type(Gamma, phi, grid=2000)
     eq = solve_partial(cfg)
-    h1, _ = recover_h1(eq, eq.h2, cfg.market)
+    h1, _ = recover_h1(eq, cfg.market)
     h0 = compute_h0(h1, eq.h2, eq.mu_agg, cfg.aversion, cfg.market)
     rs = RiccatiSolution(eq.h2, h1, h0, cfg.market)
     r = deviation_gain_vs_mean_field(cfg, eq, x_init=x0, control_cells_per_segment=50)
@@ -433,8 +434,8 @@ def test_value_function_terminal_and_zero_inventory(baseline_eq):
 
 def test_value_function_flat_market_matches_h2():
     # no trades, flat start: value at x=1 reduces to the quadratic coefficient
-    cfg = single_type(2.0, 0.0)
-    eq = solve_partial(cfg.with_solver(grid_steps_per_unit_time=500), xi=np.zeros(9))
+    cfg = presets.partial_single_type(2.0, 0.0, grid=500, quantities=np.zeros(9))
+    eq = solve_partial(cfg)
     rs = _riccati_solution(cfg, eq)
     got = value_function(0.0, 1.0, 0.0, 0, rs)
     assert got == pytest.approx(-0.1 / 2.05, abs=1e-9)

@@ -13,10 +13,11 @@ from hftmfg.simulate import (SegmentRecord, default_init_spread, deviation_gain,
                              deviation_gain_vs_mean_field, inventory_growth_bound,
                              lt_deviation_gain, sample_price_paths,
                              simulate_population, _deviator_quadratic, _draw_agents,
-                             _cell_projected_controls, _lift, _lift_table, _normals,
-                             _philox, _run_agents, _segment_coeffs, _stream_keys,
+                             _cell_projected_controls, _control_edges, _lift, _lift_table,
+                             _normals, _philox, _run_agents, _segment_coeffs, _stream_keys,
                              _through_switches, _uniform)
-from hftmfg.strategy import lt_profit, solve_overall
+from hftmfg.grid import trade_values
+from hftmfg.strategy import best_response_values, lt_profit, solve_overall
 
 from conftest import base_raw
 
@@ -29,7 +30,8 @@ def overall_two():
 
 def test_deterministic_single_type_metrics_vanish(stiff_eq):
     cfg, eq = stiff_eq
-    traj, met = simulate_population(cfg, eq, M=40, seed=3, init_spread=0.0, record_paths=True)
+    traj, met = simulate_population(cfg, eq, 40, [3], init_spread=0.0,
+                                     record_paths=True)[0]
     assert met.theta_dev == 0.0
     assert met.Z_dev == 0.0
     assert met.vbar_l2 == 0.0
@@ -41,13 +43,13 @@ def test_deterministic_single_type_metrics_vanish(stiff_eq):
 
 def test_identical_runs_are_bitwise_identical(twostate_eq):
     cfg, eq = twostate_eq
-    t1, m1 = simulate_population(cfg, eq, M=300, seed=9)
-    t2, m2 = simulate_population(cfg, eq, M=300, seed=9)
+    t1, m1 = simulate_population(cfg, eq, 300, [9])[0]
+    t2, m2 = simulate_population(cfg, eq, 300, [9])[0]
     assert m1 == m2
     for a, b in zip(t1.segments, t2.segments):
         assert np.array_equal(a.vbar, b.vbar)
         assert np.array_equal(a.Z, b.Z)
-    t3, m3 = simulate_population(cfg, eq, M=300, seed=10)
+    t3, m3 = simulate_population(cfg, eq, 300, [10])[0]
     assert m3 != m1
 
 
@@ -55,7 +57,7 @@ def test_no_switching_keeps_state_fractions_constant(twostate_eq):
     cfg, eq = twostate_eq
     cfg0 = presets.partial_two_type(x=0.0, y=0.0, grid=400)
     eq0 = solve_partial(cfg0)
-    traj, _ = simulate_population(cfg0, eq0, M=200, seed=4)
+    traj, _ = simulate_population(cfg0, eq0, 200, [4])[0]
     first = traj.segments[0].theta[0]
     for rec in traj.segments:
         assert np.array_equal(rec.theta, np.broadcast_to(first, rec.theta.shape))
@@ -63,7 +65,7 @@ def test_no_switching_keeps_state_fractions_constant(twostate_eq):
 
 def test_state_fraction_counts_conserved(twostate_eq):
     cfg, eq = twostate_eq
-    traj, _ = simulate_population(cfg, eq, M=137, seed=5)
+    traj, _ = simulate_population(cfg, eq, 137, [5])[0]
     for rec in traj.segments:
         counts = rec.theta * 137
         assert np.max(np.abs(counts - np.round(counts))) < 1e-9
@@ -80,7 +82,7 @@ def test_initial_inventories_respect_bound(twostate_eq):
 
 def test_inventory_growth_bound_holds(twostate_eq):
     cfg, eq = twostate_eq
-    traj, _ = simulate_population(cfg, eq, M=500, seed=2, record_paths=True)
+    traj, _ = simulate_population(cfg, eq, 500, [2], record_paths=True)[0]
     C2 = inventory_growth_bound(cfg, eq)
     X0, *_ = _draw_agents(cfg, 500, [2], default_init_spread(cfg))
     bound = (np.abs(X0) + C2) * np.exp(C2 * cfg.schedule.T)
@@ -91,7 +93,7 @@ def test_vbar_error_decreases_like_one_over_M(stiff_eq):
     cfg, eq = stiff_eq
     meds = []
     for M in (200, 2000):
-        vals = [simulate_population(cfg, eq, M, seed)[1].vbar_l2 for seed in range(12)]
+        vals = [met.vbar_l2 for _, met in simulate_population(cfg, eq, M, range(12))]
         meds.append(np.median(vals))
     ratio = meds[0] / meds[1]
     assert 3.0 <= ratio <= 33.0
@@ -105,8 +107,8 @@ def test_philox_matches_numpy_random_raw(seed, purpose, rep, agent):
     # lanes 0-13 span four blocks, the last one part-read
     key0 = (seed ^ 0x9E3779B97F4A7C15) & (2**64 - 1)
     key1 = (purpose << 56) | (rep << 28) | agent
-    k0, k1 = _stream_keys(seed, purpose, rep, agent)
-    assert k0 == key0 and k1.tolist() == [key1]
+    k0, k1 = _stream_keys([seed], purpose, rep, agent)
+    assert k0.tolist() == [key0] and k1.tolist() == [key1]
     fresh = np.random.Philox(key=np.array([key0, key1], dtype=np.uint64)).random_raw(14)
     words = _philox(key0, np.array([key1], dtype=np.uint64), np.arange(4)[:, None])
     assert np.array_equal(words[:, :, 0].T.reshape(-1)[:14], fresh)
@@ -117,29 +119,35 @@ def test_philox_matches_numpy_random_raw(seed, purpose, rep, agent):
 
 def test_stream_keys_reject_indices_that_do_not_fit():
     edge = np.array([0, 2**28 - 1])
-    assert len(_stream_keys(1, 0, 0, edge)[1]) == 2
-    assert len(_stream_keys(1, 1, edge, 0)[1]) == 2
+    assert len(_stream_keys([1], 0, 0, edge)[1]) == 2
+    assert len(_stream_keys([1], 1, edge, 0)[1]) == 2
     for bad in (2**28, -1):
         with pytest.raises(SimulationError, match=f"agent index {bad} does not fit"):
-            _stream_keys(1, 0, 0, np.array([5, bad, 7]))
+            _stream_keys([1], 0, 0, np.array([5, bad, 7]))
         with pytest.raises(ValueError, match=f"replication index {bad} does not fit"):
-            _stream_keys(1, 1, np.array([bad, 3]), 0)
+            _stream_keys([1], 1, np.array([bad, 3]), 0)
 
 
 def test_seeds_outside_64_bits_raise():
     # masked to 64 bits, seed 2^64 read seed 0's streams and -1 those of 2^64 - 1
     k0, _ = _stream_keys([0, 2**64 - 1], 0, 0, 0)
     assert k0.dtype == np.uint64
-    assert k0.tolist() == [_stream_keys(0, 0, 0, 0)[0], _stream_keys(2**64 - 1, 0, 0, 0)[0]]
+    assert k0.tolist() == [0x9E3779B97F4A7C15, (2**64 - 1) ^ 0x9E3779B97F4A7C15]
     cfg = presets.partial_two_type(grid=100)
     eq = solve_partial(cfg)
     for bad in (2**64, -1):
         with pytest.raises(ValueError, match=f"seed {bad} does not fit"):
-            _stream_keys(bad, 1, 0, 0)
+            _stream_keys([bad], 1, 0, 0)
         with pytest.raises(ValueError, match=f"seed {bad} does not fit"):
-            simulate_population(cfg, eq, 50, bad)
+            simulate_population(cfg, eq, 50, [bad])
         with pytest.raises(ValueError, match=f"seed {bad} does not fit"):
             simulate_population(cfg, eq, 50, [3, bad])
+
+
+def test_simulate_population_takes_a_sequence_of_seeds(twostate_eq):
+    cfg, eq = twostate_eq
+    with pytest.raises(TypeError, match="seeds"):
+        simulate_population(cfg, eq, 50, 3)
 
 
 def _reference_draws(cfg, M, seed, spread):
@@ -149,7 +157,7 @@ def _reference_draws(cfg, M, seed, spread):
     T = cfg.schedule.T
     X0, Y0, events = np.empty(M), np.empty(M, dtype=np.int64), []
     for j in range(M):
-        key0, key1 = _stream_keys(seed, 0, 0, j)
+        key0, key1 = _stream_keys([seed], 0, 0, j)
 
         def u(lane):
             return float(_uniform(_philox(key0, key1, lane // 4)[lane % 4])[0])
@@ -309,7 +317,7 @@ def _lone_agent(cfg, eq, x_init, y_init, ev_t, ev_state, record_paths=False):
     """One agent stepped on its own through the population's stepper."""
     (traj,) = _run_agents(cfg, eq, np.array([float(x_init)]), np.array([y_init]),
                           np.asarray(ev_t, dtype=float), np.zeros(len(ev_t), dtype=np.int64),
-                          np.asarray(ev_state, dtype=np.int64), seeds=[0],
+                          np.asarray(ev_state, dtype=np.int64), replications=1,
                           record_paths=record_paths)
     return traj
 
@@ -321,7 +329,7 @@ def test_multi_switch_steps_match_single_agent_integration():
     cfg = presets.partial_two_type(x=10.0, y=10.0, grid=100)
     eq = solve_partial(cfg)
     M, seed = 200, 1
-    traj, _ = simulate_population(cfg, eq, M, seed, record_paths=True)
+    traj, _ = simulate_population(cfg, eq, M, [seed], record_paths=True)[0]
     X0, Y0, ev_t, ev_agent, ev_state = _draw_agents(cfg, M, [seed], default_init_spread(cfg))
 
     step_ends = np.concatenate([eq.grid.level0_times(s)[1:]
@@ -355,7 +363,7 @@ def test_segment_records_match_recorded_paths(case, overall_two):
     else:
         cfg, eq = overall_two[0], overall_two[1].mean_field
     M = 300
-    traj, _ = simulate_population(cfg, eq, M, seed=1, record_paths=True)
+    traj, _ = simulate_population(cfg, eq, M, [1], record_paths=True)[0]
     for s, rec in enumerate(traj.segments):
         X, Y = traj.paths_X[s], traj.paths_Y[s]
         nodes = np.arange(len(X))[:, None]
@@ -402,9 +410,10 @@ def test_stacked_run_equals_separate_runs(case, overall_two):
         stacked = simulate_population(cfg, eq, M, seeds, record_paths=record_paths)
         assert len(stacked) == len(seeds)
         for seed, (traj, met) in zip(seeds, stacked):
-            alone, alone_met = simulate_population(cfg, eq, M, seed, record_paths=record_paths)
+            alone, alone_met = simulate_population(cfg, eq, M, [seed],
+                                                   record_paths=record_paths)[0]
             assert met == alone_met
-            assert (traj.M, traj.seed) == (M, seed)
+            assert traj.M == M
             assert traj.agent0_events == alone.agent0_events
             assert traj.agent0_initial_state == alone.agent0_initial_state
             assert traj.agent0_initial_inventory == alone.agent0_initial_inventory
@@ -423,7 +432,6 @@ def test_stacked_run_equals_separate_runs(case, overall_two):
                     lt, lt_alone = (lt_deviation_gain(cfg, overall, t) for t in (traj, alone))
                     assert (lt.psi_mfg, lt.psi_best, lt.gain) == (
                         lt_alone.psi_mfg, lt_alone.psi_best, lt_alone.gain)
-                    assert np.array_equal(lt.xi_best, lt_alone.xi_best)
 
 
 def test_switching_steps_at_edge_times_match_single_agent_integration():
@@ -454,7 +462,8 @@ def test_switching_steps_at_edge_times_match_single_agent_integration():
                 key=lambda e: e[0])
     (crowd,) = _run_agents(cfg, eq, np.array(x_init), np.array([y for y, _ in schedules]),
                            np.array([t for t, _, _ in ev]), np.array([j for _, j, _ in ev]),
-                           np.array([y for _, _, y in ev]), seeds=[0], record_paths=True)
+                           np.array([y for _, _, y in ev]), replications=1,
+                           record_paths=True)
     for j, (y_init, events) in enumerate(schedules):
         ref = _scalar_inventory(cfg, eq, x_init[j], y_init, events)
         alone = _lone_agent(cfg, eq, x_init[j], y_init, [t for t, _ in events],
@@ -502,8 +511,8 @@ def test_deviation_gain_nonnegative_and_shrinks(stiff_eq):
     cfg, eq = stiff_eq
     gains = {}
     for M in (100, 1000):
-        res = [deviation_gain(cfg, eq, simulate_population(cfg, eq, M, seed)[0])
-               for seed in range(6)]
+        res = [deviation_gain(cfg, eq, traj)
+               for traj, _ in simulate_population(cfg, eq, M, range(6))]
         for r in res:
             assert r.gain >= -1e-12
         gains[M] = float(np.median([r.gain for r in res]))
@@ -555,16 +564,22 @@ def test_deviation_quadratic_concavity_guard(stiff_eq):
                                       market_overrides={"gammaH": 80.0})
     eq_bad = solve_partial(bad)
     with pytest.raises(SimulationError, match="concave"):
-        deviation_gain(bad, eq_bad, simulate_population(bad, eq_bad, M=2, seed=0)[0])
+        deviation_gain(bad, eq_bad, simulate_population(bad, eq_bad, 2, [0])[0][0])
 
 
 def test_lt_deviation_zero_when_decoupled():
     cfg = presets.overall_two_type(grid=400,
                                    market_overrides={"gammaH": 0.0, "lambdaH": 0.0})
     eq = solve_overall(cfg)
-    r = lt_deviation_gain(cfg, eq, simulate_population(cfg, eq.mean_field, M=50, seed=1)[0])
+    traj, _ = simulate_population(cfg, eq.mean_field, 50, [1])[0]
+    r = lt_deviation_gain(cfg, eq, traj)
     assert abs(r.gain) < 1e-12
-    assert np.max(np.abs(r.xi_best - eq.xi_star)) < 1e-12
+    # decoupled, the best response to the simulated crowd is the equilibrium schedule
+    xi_best = best_response_values(trade_values([rec.Xbar for rec in traj.segments]),
+                                   trade_values([rec.vbar for rec in traj.segments],
+                                                cfg.solver.mu_at_trades),
+                                   cfg.schedule.xi0, cfg)
+    assert np.max(np.abs(xi_best - eq.xi_star)) < 1e-12
 
 
 def test_lt_deviation_zero_for_exact_mean_population():
@@ -573,7 +588,7 @@ def test_lt_deviation_zero_for_exact_mean_population():
     cfg = presets.overall_single_type(2.0, 0.0, grid=400)
     eq = solve_overall(cfg)
     # all agents start exactly at the mean inventory
-    traj, _ = simulate_population(cfg, eq.mean_field, M=30, seed=0, init_spread=0.0)
+    traj, _ = simulate_population(cfg, eq.mean_field, 30, [0], init_spread=0.0)[0]
     r = lt_deviation_gain(cfg, eq, traj)
     assert abs(r.gain) < 1e-10
     # the empirical payoff is the analytic revenue model on the simulated aggregates
@@ -584,8 +599,8 @@ def test_lt_deviation_shrinks_with_population(overall_two):
     cfg, eq = overall_two
     meds = []
     for M in (100, 1000):
-        vals = [lt_deviation_gain(cfg, eq, simulate_population(cfg, eq.mean_field, M, seed)[0]).gain
-                for seed in range(6)]
+        vals = [lt_deviation_gain(cfg, eq, traj).gain
+                for traj, _ in simulate_population(cfg, eq.mean_field, M, range(6))]
         assert all(v >= -1e-12 for v in vals)
         meds.append(np.median(vals))
     assert meds[1] < meds[0]
@@ -594,7 +609,7 @@ def test_lt_deviation_shrinks_with_population(overall_two):
 def test_euler_simulation_keeps_exactness():
     cfg = presets.partial_single_type(2.0, 0.0, grid=400, integrator="euler")
     eq = solve_partial(cfg)
-    _, met = simulate_population(cfg, eq, M=25, seed=1, init_spread=0.0)
+    _, met = simulate_population(cfg, eq, 25, [1], init_spread=0.0)[0]
     assert met.theta_dev == 0.0 and met.Z_dev == 0.0 and met.vbar_l2 == 0.0
 
 
@@ -614,8 +629,8 @@ def test_price_paths_need_at_least_one_replication(baseline_eq, replications):
 
 
 def test_price_paths_no_trades_zero_revenue():
-    cfg = presets.partial_single_type(2.0, 0.0, grid=300, sigma=1.0)
-    eq = solve_partial(cfg, xi=np.zeros(9))
+    cfg = presets.partial_single_type(2.0, 0.0, grid=300, sigma=1.0, quantities=np.zeros(9))
+    eq = solve_partial(cfg)
     out = sample_price_paths(cfg, np.zeros(9), eq, replications=50, seed=3)
     assert np.all(out.revenues == 0.0)
 
@@ -627,7 +642,7 @@ def test_price_paths_no_trades_zero_revenue():
 def test_schedule_without_trades(cfg):
     cfg = replace(cfg, schedule=replace(cfg.schedule, times=np.zeros(0), quantities=np.zeros(0)))
     eq = solve_partial(cfg)
-    traj, _ = simulate_population(cfg, eq, M=50, seed=1)
+    traj, _ = simulate_population(cfg, eq, 50, [1])[0]
     assert deviation_gain(cfg, eq, traj).gain >= -1e-10
     out = sample_price_paths(cfg, np.zeros(0), eq, replications=20, seed=3)
     assert np.all(out.revenues == 0.0)
@@ -675,7 +690,7 @@ def _running_aversion_by_walk(cfg, eq, quad, x_init, y_init, events):
     """``quad`` plus the running-aversion term, pieced together by walking every
     level-0 step and event in turn."""
     grid = eq.grid
-    left, widths = quad.edges[:-1], quad.widths
+    left, widths = _control_edges(eq.grid, 20)[0][:-1], quad.widths
 
     def psi(ts):
         return np.clip(ts[:, None] - left[None, :], 0.0, widths[None, :])

@@ -112,29 +112,6 @@ def test_perturbing_any_free_trade_never_helps(overall_baseline):
             assert lt_profit(cfg, xi, eq.mean_field).profit_with_hft <= base + 1e-12
 
 
-def test_p0_invariance(overall_baseline):
-    cfg, eq = overall_baseline
-    rep0 = lt_profit(cfg, eq.xi_star, eq.mean_field, P0=0.0)
-    rep7 = lt_profit(cfg, eq.xi_star, eq.mean_field, P0=7.0)
-    # shifting the initial price moves both profits by P0*xi0 and nothing else
-    assert rep7.profit_no_hft - rep0.profit_no_hft == pytest.approx(
-        7.0 * cfg.schedule.xi0, abs=1e-12)
-    assert rep7.difference == rep0.difference
-
-
-def test_p0_shifts_partial_revenue(baseline_eq):
-    # revenue -sum_k xi_k P_k: the initial price enters as -P0*sum(xi), also
-    # when the schedule is given (no xi0)
-    cfg, eq = baseline_eq
-    xi = cfg.schedule.quantities
-    rep0 = lt_profit(cfg, xi, eq, P0=0.0)
-    rep7 = lt_profit(cfg, xi, eq, P0=7.0)
-    shift = -7.0 * float(np.sum(xi))
-    assert rep7.profit_no_hft - rep0.profit_no_hft == pytest.approx(shift, abs=1e-12)
-    assert rep7.profit_with_hft - rep0.profit_with_hft == pytest.approx(shift, abs=1e-12)
-    assert rep7.difference == rep0.difference
-
-
 def test_wrong_length_schedule_is_rejected(baseline_eq):
     cfg, eq = baseline_eq
     with pytest.raises(ValueError, match="one per trade time"):
@@ -145,18 +122,17 @@ def test_wrong_length_schedule_is_rejected(baseline_eq):
 
 def test_profit_arithmetic_baseline(baseline_eq):
     cfg, eq = baseline_eq
-    base = profit_without_crowd(cfg, cfg.schedule.quantities, P0=0.0)
-    # P0*xi0 - gamma*sum_k xi_k sum_{j<=k} xi_j - (lambda+eta0)*sum xi^2
-    # = 0 - 45 - 4.05
+    base = profit_without_crowd(cfg, cfg.schedule.quantities)
+    # -gamma*sum_k xi_k sum_{j<=k} xi_j - (lambda+eta0)*sum xi^2 = -45 - 4.05
     assert base == pytest.approx(-49.05, abs=1e-10)
     rep = lt_profit(cfg, cfg.schedule.quantities, eq)
     assert rep.profit_with_hft == pytest.approx(rep.profit_no_hft + rep.difference, abs=1e-12)
 
 
 def test_profit_no_crowd_when_field_is_zero():
-    cfg = presets.partial_single_type(0.0, 0.0, grid=300)
-    eq = solve_partial(cfg, xi=np.zeros(9))
-    rep = lt_profit(cfg, cfg.schedule.quantities, eq)
+    cfg = presets.partial_single_type(0.0, 0.0, grid=300, quantities=np.zeros(9))
+    eq = solve_partial(cfg)
+    rep = lt_profit(cfg, np.ones(9), eq)
     assert rep.difference == 0.0
     assert rep.profit_with_hft == rep.profit_no_hft
 
