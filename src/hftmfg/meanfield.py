@@ -47,7 +47,7 @@ import numpy as np
 from .affine import rk_step, step_maps, trajectory
 from .chain import pq_batch, solve_chain
 from .config import AversionSpec, MarketParams, ModelConfig
-from .errors import SolverError
+from .errors import ConfigError, SolverError
 from .grid import PiecewiseCurve, TimeGrid, make_grid, trade_values, weighted_aggregate
 from .riccati import solve_h2
 
@@ -394,14 +394,15 @@ def shared_engine(cfg: ModelConfig, cache: dict | None = None) -> MeanFieldEngin
 
 
 def _quantities(cfg: ModelConfig) -> np.ndarray:
-    """The configured trade sizes; no trades where the config fixes none."""
-    q = cfg.schedule.quantities
-    return np.zeros(cfg.schedule.K) if q is None else np.asarray(q, dtype=float)
+    """The configured trade sizes; ``ConfigError`` where the config fixes none."""
+    if cfg.schedule.quantities is None:
+        raise ConfigError("solving for a given trade schedule requires schedule.quantities")
+    return np.asarray(cfg.schedule.quantities, dtype=float)
 
 
 def solve_partial(cfg: ModelConfig, cache: dict | None = None) -> MeanFieldSolution:
-    """Crowd equilibrium for the configured trade schedule; ``cache`` as in
-    ``MeanFieldEngine``."""
+    """Crowd equilibrium for the configured trade schedule (``ConfigError``
+    where the config has none); ``cache`` as in ``MeanFieldEngine``."""
     return shared_engine(cfg, cache).solve(cfg.population.E0, _quantities(cfg))
 
 

@@ -3,8 +3,11 @@
 Every CSV starts with a metadata comment line carrying the config hash and
 grid resolution, so identical inputs reproduce byte-identical files.  All
 writes go through a temp-file-plus-rename so parallel runs never interleave
-partial output.  SVG plots are rendered from already-written CSV files, never
-from solver internals.
+partial output.  ``write_equilibrium_csv`` formats the equilibrium table from
+the solution's node arrays, one ``%`` pass per grid segment; ``write_csv``
+formats every other, small mixed-type table cell by cell.  Both write numbers
+as ``repr`` does.  SVG plots are rendered from already-written CSV files,
+never from solver internals.
 """
 
 from __future__ import annotations
@@ -39,25 +42,34 @@ def meta_line(cfg: ModelConfig | None, **extra) -> str:
 
 
 def write_csv(path, header: list[str], rows, cfg: ModelConfig | None = None, **extra) -> None:
-    """Rows hold Python scalars: numbers are written with repr, strings as they are."""
+    """Write a small mixed-type table (every CSV but the equilibrium table).
+
+    Rows hold Python scalars: numbers are written with repr, strings as they are.
+    """
     lines = [meta_line(cfg, **extra) + "\n", ",".join(header) + "\n"]
     lines += [",".join(v if isinstance(v, str) else repr(v) for v in row) + "\n" for row in rows]
     _atomic_write(str(path), lines)
 
 
-def equilibrium_rows(sol: MeanFieldSolution) -> tuple[list[str], list[list]]:
+def _equilibrium_table(sol: MeanFieldSolution) -> tuple[list[str], list[np.ndarray]]:
+    """The header and, per segment, the (rows, 2N + 3) block of time, E_i, mu_i,
+    E_agg and mu_agg at the level-0 nodes (the side column is not in the blocks)."""
     N = sol.E_by_state.dim
     header = (["time", "side"] + [f"E_{i+1}" for i in range(N)]
               + [f"mu_{i+1}" for i in range(N)] + ["E_agg", "mu_agg"])
+    blocks = [np.hstack([sol.grid.level0_times(s)[:, None], sol.E_by_state.node_values(s),
+                         sol.mu_by_state.node_values(s), sol.E_agg.node_values(s),
+                         sol.mu_agg.node_values(s)]) for s in range(sol.grid.n_segments)]
+    return header, blocks
+
+
+def equilibrium_rows(sol: MeanFieldSolution) -> tuple[list[str], list[list]]:
+    """The equilibrium table as row lists; the benchmark's closed-form oracle reads it."""
+    header, blocks = _equilibrium_table(sol)
     rows = []
-    S = sol.grid.n_segments
-    for s in range(S):
-        times = sol.grid.level0_times(s)
-        vals = np.hstack([times[:, None], sol.E_by_state.node_values(s),
-                          sol.mu_by_state.node_values(s), sol.E_agg.node_values(s),
-                          sol.mu_agg.node_values(s)]).tolist()
-        rows += [[t, "R", *rest] for t, *rest in vals]
-        if s < S - 1:
+    for s, block in enumerate(blocks):
+        rows += [[t, "R", *rest] for t, *rest in block.tolist()]
+        if s < len(blocks) - 1:
             rows[-1][1] = "L"
     return header, rows
 
@@ -69,8 +81,19 @@ def xi_star_rows(times, xi_star) -> tuple[list[str], list[list]]:
 
 
 def write_equilibrium_csv(path, sol: MeanFieldSolution, cfg: ModelConfig) -> None:
-    header, rows = equilibrium_rows(sol)
-    write_csv(path, header, rows, cfg)
+    """Write the equilibrium table, one ``%`` pass over each segment's block.
+
+    ``%r`` writes a float as ``repr`` does.  The side column reads "L" on the
+    last node of every segment that ends at a trade and "R" elsewhere.
+    """
+    header, blocks = _equilibrium_table(sol)
+    cells = ",%r" * (len(header) - 2) + "\n"
+    chunks = [meta_line(cfg) + "\n", ",".join(header) + "\n"]
+    for s, block in enumerate(blocks):
+        side = "R" if s == len(blocks) - 1 else "L"
+        template = ("%r,R" + cells) * (len(block) - 1) + "%r," + side + cells
+        chunks.append(template % tuple(block.ravel().tolist()))
+    _atomic_write(str(path), chunks)
 
 
 def write_keyvalue_csv(path, pairs: dict, cfg: ModelConfig | None = None, **extra) -> None:

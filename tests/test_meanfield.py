@@ -6,7 +6,7 @@ import pytest
 from hftmfg import presets
 from hftmfg.chain import pq_batch
 from hftmfg.config import config_from_dict
-from hftmfg.errors import SolverError
+from hftmfg.errors import ConfigError, SolverError
 from hftmfg.grid import sup_diff
 from hftmfg.meanfield import (MeanFieldEngine, assemble_A_batch, closed_form_n1,
                               closed_form_q0, engine_key, solve_partial, speed_jump_size)
@@ -439,3 +439,12 @@ def test_oracle_entry_points_reject_what_they_do_not_cover():
         closed_form_q0(presets.partial_two_type(grid=200))
     with pytest.raises(ValueError, match="single-state"):
         closed_form_n1(_unswitched(2, grid=200))
+
+
+def test_given_schedule_entry_points_require_quantities():
+    # an overall-mode config fixes no trade sizes; it used to solve as no trades
+    cfg = presets.overall_single_type(grid=200)
+    assert cfg.schedule.quantities is None
+    for solve in (solve_partial, closed_form_q0, closed_form_n1):
+        with pytest.raises(ConfigError, match="schedule.quantities"):
+            solve(cfg)

@@ -1,9 +1,15 @@
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
-from hftmfg import reporting
+from hftmfg import presets, reporting
 from hftmfg.cli import main
+from hftmfg.config import config_from_dict
+from hftmfg.meanfield import solve_partial
 from hftmfg.reporting import svg_plot
 from conftest import base_raw, read_csv
 
@@ -74,3 +80,92 @@ def test_plot_columns_from_csv_keeps_its_bytes(tmp_path, config_file, monkeypatc
         reporting.plot_columns_from_csv(csv_path, got, xcol, ycols, title="t", kind=kind)
         _earlier_plot(monkeypatch, csv_path, want, xcol, ycols, kind)
         assert got.read_bytes() == want.read_bytes(), csv_path.name
+
+
+def _per_value_csv(sol, cfg) -> str:
+    """The equilibrium table built as row lists and formatted with repr cell by cell."""
+    N = sol.E_by_state.dim
+    header = (["time", "side"] + [f"E_{i+1}" for i in range(N)]
+              + [f"mu_{i+1}" for i in range(N)] + ["E_agg", "mu_agg"])
+    rows = []
+    S = sol.grid.n_segments
+    for s in range(S):
+        vals = np.hstack([sol.grid.level0_times(s)[:, None], sol.E_by_state.node_values(s),
+                          sol.mu_by_state.node_values(s), sol.E_agg.node_values(s),
+                          sol.mu_agg.node_values(s)]).tolist()
+        rows += [[t, "R", *rest] for t, *rest in vals]
+        if s < S - 1:
+            rows[-1][1] = "L"
+    lines = [reporting.meta_line(cfg) + "\n", ",".join(header) + "\n"]
+    lines += [",".join(v if isinstance(v, str) else repr(v) for v in row) + "\n" for row in rows]
+    return "".join(lines)
+
+
+def _crowd(N, integrator):
+    """A switching crowd of N types on a coarse grid with nine trades."""
+    if N == 1:
+        return presets.partial_single_type(2.0, 10.0, grid=100, integrator=integrator)
+    if N == 2:
+        return presets.partial_two_type(grid=100, integrator=integrator)
+    raw = base_raw()
+    raw["aversion"] = {"Gamma": [2.0, 1.0, 0.0], "phi": [10.0, 1.0, 0.0],
+                       "Q": [[-0.5, 0.3, 0.2], [0.4, -0.4, 0.0], [0.1, 0.6, -0.7]],
+                       "p0": [0.2, 0.3, 0.5]}
+    raw["population"]["E0"] = [0.0, 0.3, -0.2]
+    raw["solver"].update(grid_steps_per_unit_time=100, integrator=integrator)
+    return config_from_dict(raw)
+
+
+# floats whose reprs take every form: exponent either way, signed zero,
+# a whole number and the shortest round-trip digits
+REPR_FORMS = [1e-05, 1.5e+16, -0.0, 3.0, 0.1 + 0.2]
+
+
+def _repr_forms_solution():
+    """A two-segment solution of two nodes each whose values are ``REPR_FORMS``."""
+    class Curve:
+        def __init__(self, dim, shift):
+            self.dim, self.shift = dim, shift
+
+        def node_values(self, s):
+            return np.array([[REPR_FORMS[(s + r + self.shift + j) % 5] for j in range(self.dim)]
+                             for r in range(2)])
+
+    grid = SimpleNamespace(n_segments=2, level0_times=lambda s: np.array([0.1 + 0.2, 1e-05]) + s)
+    return SimpleNamespace(grid=grid, E_by_state=Curve(2, 0), mu_by_state=Curve(2, 1),
+                           E_agg=Curve(1, 2), mu_agg=Curve(1, 3))
+
+
+@pytest.mark.parametrize("case", [(N, integrator) for N in (1, 2, 3)
+                                  for integrator in ("rk4", "euler")] + ["repr-forms"],
+                         ids=lambda c: c if isinstance(c, str) else f"N{c[0]}-{c[1]}")
+def test_equilibrium_csv_matches_per_value_formatter(tmp_path, case):
+    if case == "repr-forms":
+        cfg, sol = presets.partial_two_type(grid=100), _repr_forms_solution()
+    else:
+        cfg = _crowd(*case)
+        sol = solve_partial(cfg)
+        assert sol.grid.n_segments == 10 and sol.E_by_state.dim == case[0]
+    reporting.write_equilibrium_csv(tmp_path / "eq.csv", sol, cfg)
+    text = (tmp_path / "eq.csv").read_text(encoding="utf-8")
+    assert text == _per_value_csv(sol, cfg)
+    if case == "repr-forms":
+        assert all(repr(v) in text for v in REPR_FORMS) and "0.30000000000000004,R," in text
+        assert text.splitlines()[3].split(",")[1] == "L"
+
+
+def test_equilibrium_csv_from_threads_sharing_one_solution(tmp_path):
+    cfg = presets.partial_two_type(grid=200)
+    sol = solve_partial(cfg)             # curves not yet built: the threads race to build them
+    paths = [tmp_path / f"eq{k}.csv" for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            list(pool.map(lambda p: reporting.write_equilibrium_csv(p, sol, cfg), paths,
+                          timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    texts = {p.read_bytes() for p in paths}
+    assert len(texts) == 1
+    assert texts.pop().decode("utf-8") == _per_value_csv(sol, cfg)
