@@ -1,7 +1,7 @@
 """Explicit Runge-Kutta steps, affine step maps and their prefix composition.
 
-``rk_step`` is the one place the explicit Euler and classic RK4 formulas are
-written; every integrator in the package takes its steps through it.
+``rk_step`` is the one place the classic RK4 formula is written; every
+integration in the package takes its steps through it.
 Applied to an affine system y' = A(t) y + b(t), a step is exactly an affine
 map y_{n+1} = Phi_n y_n + psi_n.  ``step_maps`` builds every map of a
 segment at once from stage samples, and ``trajectory`` composes them with an
@@ -14,26 +14,22 @@ from __future__ import annotations
 import numpy as np
 
 
-def rk_step(f, y, h, method: str):
-    """One explicit step of y' = f(c, y) of width h: classic RK4 or Euler.
+def rk_step(f, y, h):
+    """One classic RK4 step of y' = f(c, y) of width h.
 
     ``f(c, y)`` evaluates the right-hand side at stage sample c: 0 is the
     step's start, 1 its midpoint and 2 its end.  ``y`` and ``h`` may be floats
     or arrays that broadcast together.
     """
-    if method == "rk4":
-        k1 = f(0, y)
-        k2 = f(1, y + (h / 2.0) * k1)
-        k3 = f(1, y + (h / 2.0) * k2)
-        k4 = f(2, y + h * k3)
-        return y + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-    if method == "euler":
-        return y + h * f(0, y)
-    raise ValueError(f"unknown integrator {method!r}")
+    k1 = f(0, y)
+    k2 = f(1, y + (h / 2.0) * k1)
+    k3 = f(1, y + (h / 2.0) * k2)
+    k4 = f(2, y + h * k3)
+    return y + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
 
 
-def step_maps(A: np.ndarray, h: float, method: str, b: np.ndarray | None = None):
-    """Step maps (Phi, psi) of y' = A y + b for the chosen integrator.
+def step_maps(A: np.ndarray, h: float, b: np.ndarray | None = None):
+    """RK4 step maps (Phi, psi) of y' = A y + b.
 
     ``A`` (2m+1, n, n) and ``b`` (2m+1, n) are stage samples on the fine
     mesh: step i starts at index 2i, has its midpoint at 2i+1 and ends at
@@ -50,7 +46,7 @@ def step_maps(A: np.ndarray, h: float, method: str, b: np.ndarray | None = None)
             F[..., n] += b[stages[c]]
         return F
 
-    M = rk_step(f, np.eye(n, n if b is None else n + 1), h, method)
+    M = rk_step(f, np.eye(n, n if b is None else n + 1), h)
     return M[..., :n], None if b is None else M[..., n]
 
 

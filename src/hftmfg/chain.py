@@ -1,7 +1,7 @@
 """Type-distribution dynamics of the switching crowd.
 
 Solves the forward equation dp/dt = Q^T p for the state probabilities with
-one integrator step per fine-mesh sample; the steps' linear maps are composed
+one RK4 step per fine-mesh sample; the steps' linear maps are composed
 by the prefix scan in ``affine``.  Also exposes the reweighted generator
 p_Q(t) whose (i, j) entry for j != i is (p_j / p_i) Q^{ji}, with the diagonal
 chosen so rows sum to zero.  p_Q drives the per-state mean-inventory dynamics
@@ -21,7 +21,7 @@ POSITIVITY_FLOOR = 1e-10
 CONSERVATION_TOL = 1e-10
 
 
-def solve_chain(aversion: AversionSpec, grid: TimeGrid, method: str = "rk4") -> PiecewiseCurve:
+def solve_chain(aversion: AversionSpec, grid: TimeGrid) -> PiecewiseCurve:
     """Probabilities (n, N) on the grid's fine mesh, from the forward equation."""
     Q = np.asarray(aversion.Q, dtype=float)
     N = aversion.n_states
@@ -30,7 +30,7 @@ def solve_chain(aversion: AversionSpec, grid: TimeGrid, method: str = "rk4") -> 
     for s in range(grid.n_segments):
         # each fine sample is a step node, so the stage samples are twice as fine
         A = np.broadcast_to(Q.T, (4 * grid.steps[s] + 1, N, N))
-        out = trajectory(cur, step_maps(A, grid.step_width(s) / 2.0, method)[0])
+        out = trajectory(cur, step_maps(A, grid.step_width(s) / 2.0)[0])
         cur = out[-1]
         segs.append(out)
     curve = PiecewiseCurve(grid, tuple(segs))

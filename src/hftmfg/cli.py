@@ -7,7 +7,8 @@ commands solve before they write, so a failed solve leaves no output files.
 
 Configuration values can be overridden per run through environment variables
 prefixed with ``HFTMFG_`` (path segments joined by double underscores, e.g.
-``HFTMFG_MARKET__GAMMA=2``), and through ``--grid`` / ``--integrator``.
+``HFTMFG_MARKET__GAMMA=2``), and through ``--grid``.  Every command solves
+with classic RK4.
 ``-v/--verbose`` sends the solver's INFO log (boundary- and trade-system
 condition numbers) to stderr; it never writes into ``--out``.
 """
@@ -42,23 +43,21 @@ def simulate_population(*args, **kwargs):
     return _simulate.simulate_population(*args, **kwargs)
 
 
-def _add_flags(p: argparse.ArgumentParser, *, config: bool | None, solver: bool,
+def _add_flags(p: argparse.ArgumentParser, *, config: bool | None, grid: bool,
                seed: bool = False, workers: bool = False) -> None:
     """Register ``--out``, ``-v`` and the shared flags that the command reads.
 
     ``config`` is True for a required ``--config``, False for an optional one
-    and None for none; ``solver`` adds ``--grid`` and ``--integrator``.
+    and None for none; ``grid`` adds ``--grid``.
     """
     if config is not None:
         p.add_argument("--config", required=config, help="model configuration JSON")
     p.add_argument("--out", default="out", help="output directory")
     if seed:
         p.add_argument("--seed", type=int, default=0, help="base random seed")
-    if solver:
+    if grid:
         p.add_argument("--grid", type=int, default=None,
                        help="override solver.grid_steps_per_unit_time")
-        p.add_argument("--integrator", choices=("euler", "rk4"), default=None,
-                       help="override solver.integrator")
     if workers:
         p.add_argument("--workers", type=int, default=1, help="task-parallel worker threads")
     p.add_argument("-v", "--verbose", action="store_true",
@@ -85,13 +84,8 @@ def _log_to_stderr(enabled: bool):
 
 def _load(args, mode: str | None = None) -> ModelConfig:
     cfg = load_config(args.config)
-    overrides = {}
     if args.grid is not None:
-        overrides["grid_steps_per_unit_time"] = args.grid
-    if args.integrator is not None:
-        overrides["integrator"] = args.integrator
-    if overrides:
-        cfg = cfg.with_solver(**overrides)
+        cfg = cfg.with_solver(grid_steps_per_unit_time=args.grid)
     if mode is not None and cfg.mode != mode:
         article = "an" if mode == "overall" else "a"
         raise ConfigError(f"this command requires {article} {mode}-mode configuration")
@@ -127,7 +121,7 @@ def cmd_solve_overall(args) -> int:
     write_csv(os.path.join(args.out, "xi_star.csv"), *xi_star_rows(cfg.schedule.times, eq.xi_star),
               cfg, fixed_point_residual=repr(eq.fixed_point_residual))
     write_equilibrium_csv(os.path.join(args.out, "equilibrium.csv"), eq.mean_field, cfg)
-    rep = lt_profit(cfg, eq.xi_star, eq.mean_field)
+    rep = lt_profit(cfg, eq.mean_field)
     write_keyvalue_csv(os.path.join(args.out, "profit.csv"),
                        {"profit_no_hft": rep.profit_no_hft,
                         "profit_with_hft": rep.profit_with_hft,
@@ -256,11 +250,6 @@ def cmd_figures(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    # the checks' absolute bounds are sized for RK4, so they certify that build only
-    if args.integrator not in (None, "rk4"):
-        print(f"validate certifies the rk4 build; --integrator {args.integrator} is not "
-              "supported", file=sys.stderr)
-        return 2
     os.makedirs(args.out, exist_ok=True)
     from .validate import run_validation
     report = run_validation(
@@ -277,15 +266,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve-partial", help="crowd equilibrium for a fixed schedule")
-    _add_flags(p, config=True, solver=True)
+    _add_flags(p, config=True, grid=True)
     p.set_defaults(fn=cmd_solve_partial)
 
     p = sub.add_parser("solve-overall", help="joint trader/crowd equilibrium")
-    _add_flags(p, config=True, solver=True)
+    _add_flags(p, config=True, grid=True)
     p.set_defaults(fn=cmd_solve_overall)
 
     p = sub.add_parser("simulate", help="finite-population convergence and deviation tests")
-    _add_flags(p, config=True, solver=True, seed=True, workers=True)
+    _add_flags(p, config=True, grid=True, seed=True, workers=True)
     p.add_argument("--M", type=int, nargs="+", required=True, help="population sizes")
     p.add_argument("--seeds", type=int, default=1, help="number of seeds (from --seed)")
     p.add_argument("--skip-deviation", action="store_true")
@@ -293,12 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("figures", help="reproduce built-in figure sweeps")
-    _add_flags(p, config=None, solver=False, workers=True)
+    _add_flags(p, config=None, grid=False, workers=True)
     p.add_argument("--ids", nargs="+", required=True, help="figure ids (F1..F12)")
     p.set_defaults(fn=cmd_figures)
 
     p = sub.add_parser("validate", help="run the invariant suite")
-    _add_flags(p, config=False, solver=True)
+    _add_flags(p, config=False, grid=True)
     p.set_defaults(fn=cmd_validate)
     return parser
 

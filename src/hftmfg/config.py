@@ -8,8 +8,7 @@ JSON layout (all numbers unit-free)::
       "aversion":   {"Gamma": [...], "phi": [...], "Q": [[...]], "p0": [...]},
       "schedule":   {"T", "times": [...], "quantities": [...]?, "xi0"?},
       "population": {"E0": [...], "inventory_bound"},
-      "solver":     {"grid_steps_per_unit_time", "integrator", "shooting_tolerance",
-                     "mu_at_trades"?}
+      "solver":     {"grid_steps_per_unit_time", "shooting_tolerance", "mu_at_trades"?}
     }
 
 ``quantities`` is required in partial mode (the trade schedule is data);
@@ -159,7 +158,6 @@ class PopulationInit:
 @dataclass(frozen=True)
 class SolverSettings:
     grid_steps_per_unit_time: int = 1000
-    integrator: str = "rk4"
     shooting_tolerance: float = 1e-6
     mu_at_trades: str = "right"
 
@@ -168,8 +166,6 @@ class SolverSettings:
             raise ConfigError("solver.grid_steps_per_unit_time must be an integer")
         if self.grid_steps_per_unit_time < 100:
             raise ConfigError("solver.grid_steps_per_unit_time must be >= 100")
-        if self.integrator not in ("euler", "rk4"):
-            raise ConfigError("solver.integrator must be 'euler' or 'rk4'")
         tol = self.shooting_tolerance
         if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < np.inf:
             raise ConfigError("solver.shooting_tolerance must be a finite number > 0")
@@ -224,7 +220,6 @@ class ModelConfig:
             "population": {"E0": list(self.population.E0),
                            "inventory_bound": self.population.inventory_bound},
             "solver": {"grid_steps_per_unit_time": self.solver.grid_steps_per_unit_time,
-                       "integrator": self.solver.integrator,
                        "shooting_tolerance": self.solver.shooting_tolerance,
                        "mu_at_trades": self.solver.mu_at_trades},
         }
@@ -304,11 +299,10 @@ def config_from_dict(raw: dict) -> ModelConfig:
     )
 
     sv = raw.get("solver", {})
-    _check_keys(sv, {"grid_steps_per_unit_time", "integrator", "shooting_tolerance",
-                     "mu_at_trades"}, set(), "solver")
+    _check_keys(sv, {"grid_steps_per_unit_time", "shooting_tolerance", "mu_at_trades"},
+                set(), "solver")
     solver = SolverSettings(
         grid_steps_per_unit_time=sv.get("grid_steps_per_unit_time", 1000),
-        integrator=sv.get("integrator", "rk4"),
         shooting_tolerance=_fnum(sv.get("shooting_tolerance", 1e-6), "solver.shooting_tolerance"),
         mu_at_trades=sv.get("mu_at_trades", "right"),
     )

@@ -135,10 +135,10 @@ def profit_difference_scan(mode: str, lam_values, grid: int = SCAN_GRID,
         cfg = _scan_cfg(mode, lam_h, grid)
         if mode == "partial":
             sol = solve_partial(cfg, cache=cache)
-            rep = lt_profit(cfg, cfg.schedule.quantities, sol)
+            rep = lt_profit(cfg, sol)
         else:
             eq = solve_overall(cfg, cache)
-            rep = lt_profit(cfg, eq.xi_star, eq.mean_field)
+            rep = lt_profit(cfg, eq.mean_field)
         rows.append([float(lam_h), rep.profit_no_hft, rep.profit_with_hft, rep.difference])
     return rows
 

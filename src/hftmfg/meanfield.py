@@ -14,7 +14,7 @@ gamma*xi_k/(lambdaH + 2 eta) while E stays continuous, the terminal condition
 is B mu(T) + 2 diag(Gamma) E(T) = 0, and E(0) = E0.
 
 The solver builds the fundamental matrices of dU = A U dt on each segment
-from the integrator's step maps, composed by a prefix scan (see ``affine``),
+from the RK4 step maps, composed by a prefix scan (see ``affine``),
 each re-anchored to the identity at its segment start, so the propagator V_s
 spans one inter-trade interval only.  The unknowns are the states
 z_s = [mu; E] at the segment starts (multiple shooting anchored at the trade
@@ -258,14 +258,13 @@ def _bits(*arrays) -> tuple[bytes, ...]:
 
 
 def _on_grid(cfg: ModelConfig) -> tuple:
-    """The horizon, trade times, grid resolution and integrator."""
-    return (cfg.schedule.T, _bits(cfg.schedule.times), cfg.solver.grid_steps_per_unit_time,
-            cfg.solver.integrator)
+    """The horizon, trade times and grid resolution."""
+    return cfg.schedule.T, _bits(cfg.schedule.times), cfg.solver.grid_steps_per_unit_time
 
 
 def engine_key(cfg: ModelConfig) -> tuple:
     """Exactly the config values ``MeanFieldEngine`` reads: the aversion, the
-    market, the horizon, trade times, grid, integrator and shooting tolerance.
+    market, the horizon, trade times, grid and shooting tolerance.
 
     Not the mode, trade sizes, xi0 or E0, which ``solve`` takes as arguments,
     so configs with equal keys give bit-identical engines.
@@ -310,13 +309,12 @@ class MeanFieldEngine:
     def __init__(self, cfg: ModelConfig, cache: dict | None = None):
         self.cfg = cfg
         self.grid = default_grid(cfg)
-        method = cfg.solver.integrator
         av = cfg.aversion
         on_grid = _on_grid(cfg)
         self.p = _reuse(cache, ("chain", _bits(av.Q, av.p0)) + on_grid,
-                        lambda: solve_chain(av, self.grid, method))
+                        lambda: solve_chain(av, self.grid))
         self.h2 = _reuse(cache, ("h2", _bits(av.Gamma, av.phi, av.Q), cfg.market.eta) + on_grid,
-                         lambda: solve_h2(av, cfg.market, self.grid, method))
+                         lambda: solve_h2(av, cfg.market, self.grid))
         N = cfg.n_states
         self._N = N
         U_nodes, U_mid = [], []
@@ -324,9 +322,9 @@ class MeanFieldEngine:
             A = assemble_A_batch(self.p.segments[s], self.h2.segments[s],
                                  cfg.aversion, cfg.market)
             h = self.grid.step_width(s)
-            Un = trajectory(np.eye(2 * N), step_maps(A, h, method)[0])
+            Un = trajectory(np.eye(2 * N), step_maps(A, h)[0])
             U_nodes.append(Un)
-            U_mid.append(self._midpoint_states(Un, A, h, method))
+            U_mid.append(self._midpoint_states(Un, A, h))
         self._U_nodes, self._U_mid = tuple(U_nodes), tuple(U_mid)
         self._U_ends = np.stack([Un[[0, -1]] for Un in U_nodes])    # I and V_s per segment
         self._p_ends = _segment_ends(self.p.segments)
@@ -354,12 +352,12 @@ class MeanFieldEngine:
                 f"(condition number {self.condition_number:.3e})")
 
     @staticmethod
-    def _midpoint_states(Un, A, h, method):
+    def _midpoint_states(Un, A, h):
         # one vectorized half-step from every node; the quarter-point matrix is
         # linearly interpolated, which is ample for the stage-data consumers
         A0, Am = A[0:-1:2], A[1::2]
         stages = (A0, 0.5 * (A0 + Am), Am)
-        return rk_step(lambda c, U: stages[c] @ U, Un[:-1], h / 2.0, method)
+        return rk_step(lambda c, U: stages[c] @ U, Un[:-1], h / 2.0)
 
     def solve(self, E0, xi) -> MeanFieldSolution:
         cfg = self.cfg
@@ -464,8 +462,8 @@ def closed_form_q0(cfg: ModelConfig) -> MeanFieldSolution:
     c = np.linalg.solve(G, rhs).reshape(S, n)
 
     fine = [(modes(s, t) @ c[s]).real for s, t in enumerate(grid.fine_times)]
-    p = solve_chain(av, grid, cfg.solver.integrator)
-    h2 = solve_h2(av, mkt, grid, cfg.solver.integrator)
+    p = solve_chain(av, grid)
+    h2 = solve_h2(av, mkt, grid)
     return _solution(grid, p, h2, xi, cfg.population.E0, _segment_ends(fine),
                      _segment_ends(p.segments), lambda: fine, B, av.Gamma, jumps,
                      cond, cfg.solver.shooting_tolerance)

@@ -36,7 +36,6 @@ def meta_line(cfg: ModelConfig | None, **extra) -> str:
     if cfg is not None:
         parts.append(f"config_hash={config_hash(cfg)}")
         parts.append(f"grid_steps_per_unit_time={cfg.solver.grid_steps_per_unit_time}")
-        parts.append(f"integrator={cfg.solver.integrator}")
     parts.extend(f"{k}={v}" for k, v in extra.items())
     return "# " + " ".join(parts)
 

@@ -36,8 +36,7 @@ def h2_box_bound(aversion: AversionSpec, market: MarketParams) -> float:
     return float(np.max(np.maximum(aversion.Gamma, np.sqrt(market.eta * aversion.phi))))
 
 
-def solve_h2(aversion: AversionSpec, market: MarketParams, grid: TimeGrid,
-             method: str = "rk4") -> PiecewiseCurve:
+def solve_h2(aversion: AversionSpec, market: MarketParams, grid: TimeGrid) -> PiecewiseCurve:
     """Integrate the quadratic coefficient backward from -Gamma on the fine mesh."""
     eta = market.eta
     if aversion.n_states == 1:
@@ -74,7 +73,7 @@ def solve_h2(aversion: AversionSpec, market: MarketParams, grid: TimeGrid,
             dt = grid.step_width(s) / 2.0
             nodes = [cur]
             for _ in range(2 * grid.steps[s]):
-                cur = rk_step(g, cur, dt, method)
+                cur = rk_step(g, cur, dt)
                 nodes.append(cur)
             segs[s] = np.array(nodes[::-1]).view(np.float64).reshape(len(nodes), -1)
 
@@ -123,7 +122,7 @@ def recover_h1(sol, market: MarketParams) -> tuple[PiecewiseCurve, H1Diagnostics
     return curve, H1Diagnostics(jump_residuals=jumps, terminal=curve.terminal().copy())
 
 
-def _backward_affine(grid: TimeGrid, A_segs, b_segs, jumps, method: str) -> PiecewiseCurve:
+def _backward_affine(grid: TimeGrid, A_segs, b_segs, jumps) -> PiecewiseCurve:
     """Backward level-0 solve of dy/dtau = A y + b, tau = T - t, from y(T) = 0.
 
     ``A_segs[s]`` (2m+1, N, N) and ``b_segs[s]`` (2m+1, N) are stage samples on
@@ -134,7 +133,7 @@ def _backward_affine(grid: TimeGrid, A_segs, b_segs, jumps, method: str) -> Piec
     segs: list[np.ndarray | None] = [None] * grid.n_segments
     cur = np.zeros(b_segs[0].shape[1])
     for s in reversed(range(grid.n_segments)):
-        Phi, psi = step_maps(A_segs[s][::-1], grid.step_width(s), method, b_segs[s][::-1])
+        Phi, psi = step_maps(A_segs[s][::-1], grid.step_width(s), b_segs[s][::-1])
         nodes = trajectory(cur, Phi, psi)[::-1]
         out = np.empty((2 * len(nodes) - 1, len(cur)))
         out[0::2] = nodes
@@ -147,7 +146,7 @@ def _backward_affine(grid: TimeGrid, A_segs, b_segs, jumps, method: str) -> Piec
 
 def integrate_h1_backward(h2: PiecewiseCurve, mu_agg: PiecewiseCurve,
                           aversion: AversionSpec, market: MarketParams,
-                          xi, method: str = "rk4") -> PiecewiseCurve:
+                          xi) -> PiecewiseCurve:
     """Direct backward solve of the linear coefficient (cross-check route).
 
     In tau = T - t it is affine: dh1/dtau = (diag(h2/eta) + Q) h1
@@ -165,11 +164,11 @@ def integrate_h1_backward(h2: PiecewiseCurve, mu_agg: PiecewiseCurve,
         A_segs.append(A)
         b_segs.append((gamma_h - lam_h * h2_s / eta) * mu_s)
     jumps = market.gamma * xi[:, None] * np.ones(N)
-    return _backward_affine(h2.grid, A_segs, b_segs, jumps, method)
+    return _backward_affine(h2.grid, A_segs, b_segs, jumps)
 
 
 def compute_h0(h1: PiecewiseCurve, h2: PiecewiseCurve, mu_agg: PiecewiseCurve,
-               aversion: AversionSpec, market: MarketParams, method: str = "rk4") -> PiecewiseCurve:
+               aversion: AversionSpec, market: MarketParams) -> PiecewiseCurve:
     """Backward quadrature of the constant coefficient, continuous at trade times.
 
     In tau = T - t: dh0/dtau = Q h0 + (h1 - lambdaH mu)^2 / (4 eta).
@@ -182,7 +181,7 @@ def compute_h0(h1: PiecewiseCurve, h2: PiecewiseCurve, mu_agg: PiecewiseCurve,
         A_segs.append(np.broadcast_to(Q, (len(h1_s), N, N)))
         b_segs.append((h1_s - lam_h * mu_s) ** 2 / (4.0 * eta))
     jumps = np.zeros((h2.grid.n_segments - 1, N))
-    return _backward_affine(h2.grid, A_segs, b_segs, jumps, method)
+    return _backward_affine(h2.grid, A_segs, b_segs, jumps)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ keeps the degenerate single-state deterministic population exactly on the
 mean field, so all convergence metrics vanish identically there.
 
 Agents do not interact, and between its own switches every agent in state i
-takes the same integrator step D <- alpha_i D + beta_i.  So a population is
+takes the same RK4 step D <- alpha_i D + beta_i.  So a population is
 stepped as per-state counts n_i and sums S_i of D, S_i <- alpha_i S_i +
 n_i beta_i, which give every aggregate the metrics and deviation tests read.
 An agent is touched only at its own switching steps, the r-th of every agent
@@ -246,21 +246,21 @@ def _interp_by_state(t: np.ndarray, y: np.ndarray, ft: np.ndarray,
 
 
 def _sub_step(D: np.ndarray, ta: np.ndarray, tb: np.ndarray, y: np.ndarray,
-              ft: np.ndarray, a_seg: np.ndarray, b_seg: np.ndarray, method: str) -> np.ndarray:
-    """One integrator step of each agent's deviation ODE on [ta_j, tb_j] in state y_j.
+              ft: np.ndarray, a_seg: np.ndarray, b_seg: np.ndarray) -> np.ndarray:
+    """One RK4 step of each agent's deviation ODE on [ta_j, tb_j] in state y_j.
 
     Coefficients are interpolated off the fine mesh, so the step may start and
     end anywhere; where tb <= ta it is a no-op.
     """
     a, b = (x.reshape(3, -1) for x in _interp_by_state(
         np.concatenate((ta, 0.5 * (ta + tb), tb)), np.tile(y, 3), ft, a_seg, b_seg))
-    return np.where(tb <= ta, D, rk_step(lambda c, d: a[c] * d + b[c], D, tb - ta, method))
+    return np.where(tb <= ta, D, rk_step(lambda c, d: a[c] * d + b[c], D, tb - ta))
 
 
 def _through_switches(D: np.ndarray, Y: np.ndarray, t0: float | np.ndarray,
                       t2: float | np.ndarray, grp: np.ndarray, rank: np.ndarray,
                       te: np.ndarray, ynew: np.ndarray, ft: np.ndarray, a_seg: np.ndarray,
-                      b_seg: np.ndarray, E_seg: np.ndarray, method: str):
+                      b_seg: np.ndarray, E_seg: np.ndarray):
     """Carry switching agents across level-0 steps [t0, t2] through their events.
 
     D, Y hold the agents' deviations and states at t0; the step bounds t0 and
@@ -277,14 +277,14 @@ def _through_switches(D: np.ndarray, Y: np.ndarray, t0: float | np.ndarray,
         sel = rank == r
         g = grp[sel]
         t, yn, y = te[sel], ynew[sel], Y[g]
-        d = _sub_step(D[g], ta[g], t, y, ft, a_seg, b_seg, method)
+        d = _sub_step(D[g], ta[g], t, y, ft, a_seg, b_seg)
         # inventory is continuous, so the deviation moves by E_old - E_new
         (E_old,) = _interp_by_state(t, y, ft, E_seg)
         (E_new,) = _interp_by_state(t, yn, ft, E_seg)
         D[g] = d + (E_old - E_new)
         Y[g] = yn
         ta[g] = t
-    return _sub_step(D, ta, np.full(len(D), t2), Y, ft, a_seg, b_seg, method), Y
+    return _sub_step(D, ta, np.full(len(D), t2), Y, ft, a_seg, b_seg), Y
 
 
 def _lift_table(alpha: np.ndarray, beta: np.ndarray):
@@ -392,7 +392,6 @@ def _run_agents(cfg: ModelConfig, eq: MeanFieldSolution, X0: np.ndarray, Y0: np.
     N = cfg.n_states
     R = replications
     M = len(X0) // R
-    method = cfg.solver.integrator
     Y = np.array(Y0, dtype=np.int64)
     rep = np.arange(R * M) // M
     a_segs, b_segs = _segment_coeffs(cfg, eq)
@@ -422,8 +421,8 @@ def _run_agents(cfg: ModelConfig, eq: MeanFieldSolution, X0: np.ndarray, Y0: np.
         m = grid.steps[s]
         a_seg, b_seg = a_segs[s], b_segs[s]
         E_seg = eq.E_by_state.segments[s]
-        # the integrator's scalar step map D -> alpha D + beta, per (step, state)
-        Phi, beta = step_maps(a_seg[:, :, None] * np.eye(N), grid.step_width(s), method, b_seg)
+        # the RK4 scalar step map D -> alpha D + beta, per (step, state)
+        Phi, beta = step_maps(a_seg[:, :, None] * np.eye(N), grid.step_width(s), b_seg)
         alpha = np.diagonal(Phi, axis1=1, axis2=2)
         A, B = _lift_table(alpha, beta)
 
@@ -458,7 +457,7 @@ def _run_agents(cfg: ModelConfig, eq: MeanFieldSolution, X0: np.ndarray, Y0: np.
             d = _lift(A, B, k[J], i, y, D[J])
             dn, yn = _through_switches(d, y, L[i], L[i + 1], (np.cumsum(sel) - 1)[pair[ev]],
                                        rank[ev], ev_t[order[ev]], ev_state[order[ev]],
-                                       ft, a_seg, b_seg, E_seg, method)
+                                       ft, a_seg, b_seg, E_seg)
             # the sums step d as if it stayed in state y; at node i+1 the
             # agent's real end in state yn replaces that
             np.add.at(counts, (rj, i + 1, y), -1)
@@ -786,9 +785,9 @@ def _normals(seed: int, replications: int, K: int) -> np.ndarray:
     return z.reshape(replications, -1)[:, :K]
 
 
-def sample_price_paths(cfg: ModelConfig, xi, solution: MeanFieldSolution,
+def sample_price_paths(cfg: ModelConfig, solution: MeanFieldSolution,
                        replications: int, seed: int) -> LTPathOutcome:
-    """Realized trader revenue under sampled price noise.
+    """Realized revenue of the schedule ``solution.xi`` under sampled price noise.
 
     The Brownian term is sampled exactly at the trade times; the crowd's
     permanent-impact drift integrates to gammaH (E(t_k) - E(0)) because the
@@ -798,10 +797,10 @@ def sample_price_paths(cfg: ModelConfig, xi, solution: MeanFieldSolution,
     """
     if replications < 1:
         raise ValueError(f"replications must be at least 1, got {replications}")
-    xi = np.asarray(xi, dtype=float)
+    xi = solution.xi
     m = cfg.market
     K = len(xi)
-    det_revenue = lt_profit(cfg, xi, solution).profit_with_hft
+    det_revenue = lt_profit(cfg, solution).profit_with_hft
     sq = np.sqrt(np.diff(solution.grid.trade_times, prepend=0.0))
     W = np.cumsum(sq * _normals(seed, replications, K), axis=1)
     revenues = det_revenue + m.sigma * np.sum(-xi * W, axis=1)

@@ -90,9 +90,10 @@ def profit_from_aggregates(cfg: ModelConfig, xi, E_k: np.ndarray, E_start: float
     return ProfitReport(base, base + diff, diff)
 
 
-def lt_profit(cfg: ModelConfig, xi, mean_field: MeanFieldSolution) -> ProfitReport:
-    """Expected revenue against the mean field, with and without its price impact."""
-    return profit_from_aggregates(cfg, xi, mean_field.E_at_trades(),
+def lt_profit(cfg: ModelConfig, mean_field: MeanFieldSolution) -> ProfitReport:
+    """Expected revenue of the schedule ``mean_field.xi`` against the mean field it
+    induces, with and without its price impact."""
+    return profit_from_aggregates(cfg, mean_field.xi, mean_field.E_at_trades(),
                                   mean_field.E_agg_initial(),
                                   mean_field.mu_at_trades(cfg.solver.mu_at_trades))
 

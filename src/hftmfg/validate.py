@@ -5,11 +5,11 @@ of the chain, box bounds and closed forms of the value coefficients, oracle
 equivalence and jump/terminal conditions of the equilibrium, linearity,
 profit arithmetic, qualitative shapes, simulator exactness).  The runner
 produces a machine-readable JSON report and a nonzero exit on any failure.
-It certifies the RK4 build only, because the checks' absolute bounds are
-sized for RK4; the order checks also take Euler.
+The checks' absolute bounds and order ratios are sized for the package's
+one integrator, classic RK4.
 
 The checks are the single implementation of the release criteria: the
-acceptance tests call them at the default (grid 1e4, RK4) and add nothing
+acceptance tests call them at the default grid of 1e4 and add nothing
 but a timing gate.
 """
 
@@ -32,8 +32,8 @@ from .riccati import h2_box_bound, recover_h1, solve_h2
 from .simulate import sample_price_paths, simulate_population
 from .strategy import lt_best_response, lt_profit, profit_without_crowd, solve_overall
 
-# bounds on the error ratio when the step count doubles, per integrator
-ORDER_RATIO = {"rk4": (8.0, 40.0), "euler": (1.5, 3.0)}
+# bounds on the RK4 error ratio when the step count doubles (2^4 = 16 in the limit)
+ORDER_RATIO = (8.0, 40.0)
 
 # the single-type (Gamma, phi) sweep of the paper's figures
 SWEEP = tuple((Gam, phi) for Gam in (0.0, 0.1, 2.0) for phi in (0.0, 5.0, 10.0))
@@ -48,11 +48,11 @@ def _need(cond: bool, detail: str) -> None:
         raise CheckFailure(detail)
 
 
-def _chain_closed_form_error(steps: int, method: str, x: float = 2.0, y: float = 3.0) -> float:
+def _chain_closed_form_error(steps: int, x: float = 2.0, y: float = 3.0) -> float:
     # switch rates fast enough that truncation dominates the rounding floor
     raw = presets.partial_two_type(x=x, y=y, grid=max(steps, 100)).aversion
     grid = make_grid(1.0, [k / 10 for k in range(1, 10)], steps)
-    p = solve_chain(raw, grid, method)
+    p = solve_chain(raw, grid)
     worst = 0.0
     for s in range(grid.n_segments):
         t = grid.level0_times(s)
@@ -61,10 +61,10 @@ def _chain_closed_form_error(steps: int, method: str, x: float = 2.0, y: float =
     return worst
 
 
-def _h2_closed_form_error(steps: int, method: str) -> float:
+def _h2_closed_form_error(steps: int) -> float:
     cfg = presets.partial_single_type(2.0, 0.0, grid=steps)
     grid = make_grid(1.0, cfg.schedule.times, steps)
-    h2 = solve_h2(cfg.aversion, cfg.market, grid, method)
+    h2 = solve_h2(cfg.aversion, cfg.market, grid)
     eta, Gam = cfg.market.eta, 2.0
     worst = 0.0
     for s in range(grid.n_segments):
@@ -74,17 +74,17 @@ def _h2_closed_form_error(steps: int, method: str) -> float:
     return worst
 
 
-def check_config_roundtrip(grid: int, method: str) -> str:
-    cfg = presets.partial_two_type(grid=grid, integrator=method)
+def check_config_roundtrip(grid: int) -> str:
+    cfg = presets.partial_two_type(grid=grid)
     again = config_from_dict(json.loads(serialize_config(cfg)))
     _need(cfg == again, "serialize/parse round trip changed the config")
     return "round trip is identity"
 
 
-def check_chain_invariants(grid: int, method: str) -> str:
-    cfg = presets.partial_two_type(x=0.2, y=0.8, grid=grid, integrator=method)
+def check_chain_invariants(grid: int) -> str:
+    cfg = presets.partial_two_type(x=0.2, y=0.8, grid=grid)
     g = make_grid(1.0, cfg.schedule.times, grid)
-    p = solve_chain(cfg.aversion, g, method)
+    p = solve_chain(cfg.aversion, g)
     worst_sum = worst_pq = 0.0
     for s in range(g.n_segments):
         seg = p.segments[s]
@@ -99,27 +99,26 @@ def check_chain_invariants(grid: int, method: str) -> str:
     return f"conservation {worst_sum:.1e}, pQ rows {worst_pq:.1e}"
 
 
-def check_chain_order(grid: int, method: str) -> str:
-    e1 = _chain_closed_form_error(200, method)
-    e2 = _chain_closed_form_error(400, method)
+def check_chain_order(grid: int) -> str:
+    e1 = _chain_closed_form_error(200)
+    e2 = _chain_closed_form_error(400)
     ratio = e1 / e2
-    lo, hi = ORDER_RATIO[method]
+    lo, hi = ORDER_RATIO
     _need(lo <= ratio <= hi, f"step-halving ratio {ratio:.2f} outside [{lo}, {hi}]")
     return f"error {e1:.2e} -> {e2:.2e}, ratio {ratio:.1f}"
 
 
-def check_h2(grid: int, method: str) -> str:
-    err = _h2_closed_form_error(max(grid, 1000), method)
-    tol = 1e-8 if method == "rk4" else 1e-2
-    _need(err <= tol, f"closed-form error {err:.3e} > {tol:g}")
-    e1 = _h2_closed_form_error(200, method)
-    e2 = _h2_closed_form_error(400, method)
+def check_h2(grid: int) -> str:
+    err = _h2_closed_form_error(max(grid, 1000))
+    _need(err <= 1e-8, f"closed-form error {err:.3e} > 1e-8")
+    e1 = _h2_closed_form_error(200)
+    e2 = _h2_closed_form_error(400)
     ratio = e1 / e2
-    lo, hi = ORDER_RATIO[method]
+    lo, hi = ORDER_RATIO
     _need(lo <= ratio <= hi, f"order ratio {ratio:.2f} outside [{lo}, {hi}]")
     # box bound and terminal value across the sweep, every distinct figure
     # preset and the lambdaH scan presets (lambdaH leaves the bound unchanged)
-    cfgs = [presets.partial_single_type(Gam, phi, grid=max(grid // 2, 500), integrator=method)
+    cfgs = [presets.partial_single_type(Gam, phi, grid=max(grid // 2, 500))
             for Gam, phi in SWEEP]
     coarse = min(grid, 800)
     figure_cfgs = {json.dumps(panel.cfg.to_dict(), sort_keys=True): panel.cfg
@@ -130,28 +129,28 @@ def check_h2(grid: int, method: str) -> str:
                                          market_overrides={"lambdaH": lam_h})
              for lam_h in (0.02, 0.5, 1.0)]
     for cfg in cfgs:
-        h2 = solve_h2(cfg.aversion, cfg.market, default_grid(cfg), method)
+        h2 = solve_h2(cfg.aversion, cfg.market, default_grid(cfg))
         C = h2_box_bound(cfg.aversion, cfg.market)
         _need(np.array_equal(h2.terminal(), -np.asarray(cfg.aversion.Gamma)),
               "terminal value is not -Gamma")
         for seg in h2.segments:
             _need(float(seg.min()) >= -C - 1e-8 and float(seg.max()) <= 1e-12,
                   f"box [{-C:.3g}, 0] violated for {cfg.to_dict()['aversion']}")
-    c1 = presets.partial_single_type(1.0, 0.0, grid=500, integrator=method)
-    c2 = presets.partial_single_type(2.0, 0.0, grid=500, integrator=method)
+    c1 = presets.partial_single_type(1.0, 0.0, grid=500)
+    c2 = presets.partial_single_type(2.0, 0.0, grid=500)
     g = make_grid(1.0, c1.schedule.times, 500)
-    h_a = solve_h2(c1.aversion, c1.market, g, method)
-    h_b = solve_h2(c2.aversion, c2.market, g, method)
+    h_a = solve_h2(c1.aversion, c1.market, g)
+    h_b = solve_h2(c2.aversion, c2.market, g)
     _need(float(h_b.initial()[0]) < float(h_a.initial()[0]),
           "doubling terminal aversion must deepen the initial value")
     return (f"closed-form error {err:.2e}, order ratio {ratio:.1f}, "
             f"box [-max(Gamma, sqrt(eta*phi)), 0] on {len(cfgs)} configurations")
 
 
-def check_oracle_equivalence(grid: int, method: str) -> str:
+def check_oracle_equivalence(grid: int) -> str:
     worst = 0.0
     for Gam, phi in SWEEP:
-        cfg = presets.partial_single_type(Gam, phi, grid=grid, integrator=method)
+        cfg = presets.partial_single_type(Gam, phi, grid=grid)
         num = solve_partial(cfg)
         ora = closed_form_n1(cfg)
         err = max(sup_diff(num.E_by_state, ora.E_by_state),
@@ -162,10 +161,10 @@ def check_oracle_equivalence(grid: int, method: str) -> str:
     return f"sup error {worst:.2e} <= 1e-6 on {len(SWEEP)} cases"
 
 
-def check_equilibrium_conditions(grid: int, method: str) -> str:
-    cfgs = [presets.partial_single_type(Gam, phi, grid=grid, integrator=method)
+def check_equilibrium_conditions(grid: int) -> str:
+    cfgs = [presets.partial_single_type(Gam, phi, grid=grid)
             for Gam, phi in SWEEP]
-    cfgs.append(presets.partial_two_type(grid=grid, integrator=method))
+    cfgs.append(presets.partial_two_type(grid=grid))
     sols = [solve_partial(cfg) for cfg in cfgs]
     worst_jump = worst_term = 0.0
     for sol in sols:
@@ -187,12 +186,12 @@ def check_equilibrium_conditions(grid: int, method: str) -> str:
             f"terminal {worst_term:.1e}, initial exact on {len(cfgs)} configurations")
 
 
-def check_derivative_identities(grid: int, method: str) -> str:
+def check_derivative_identities(grid: int) -> str:
     # tolerances are tied to the 1e4-node resolution, so this check pins it
     grid = 10000
     worst_agg = 0.0
     for Gam, phi in SWEEP:
-        cfg = presets.partial_single_type(Gam, phi, grid=grid, integrator=method)
+        cfg = presets.partial_single_type(Gam, phi, grid=grid)
         sol = solve_partial(cfg)
         for s in range(sol.grid.n_segments):
             t = sol.grid.level0_times(s)
@@ -202,7 +201,7 @@ def check_derivative_identities(grid: int, method: str) -> str:
             r = np.abs((E[2:] - E[:-2]) / (2 * h) - mu[1:-1])
             worst_agg = max(worst_agg, float(r.max()))
     _need(worst_agg <= 1e-4, f"aggregate speed/inventory identity {worst_agg:.3e} > 1e-4")
-    cfg = presets.partial_single_type(2.0, 0.0, grid=grid, integrator=method)
+    cfg = presets.partial_single_type(2.0, 0.0, grid=grid)
     sol = solve_partial(cfg)
     Q = np.asarray(cfg.aversion.Q)
     worst_state = 0.0
@@ -218,8 +217,8 @@ def check_derivative_identities(grid: int, method: str) -> str:
     return f"aggregate {worst_agg:.2e}, per-state {worst_state:.2e}"
 
 
-def check_linearity(grid: int, method: str) -> str:
-    cfg = presets.partial_two_type(grid=min(grid, 1000), integrator=method)
+def check_linearity(grid: int) -> str:
+    cfg = presets.partial_two_type(grid=min(grid, 1000))
     eng = MeanFieldEngine(cfg)
     K = cfg.schedule.K
     basis = [eng.solve(np.eye(2)[i], np.zeros(K)) for i in range(2)] \
@@ -241,8 +240,8 @@ def check_linearity(grid: int, method: str) -> str:
     return f"superposition error {worst:.2e} <= 1e-8 over {n_cases} random (E0, xi) instances"
 
 
-def check_h1_recovery(grid: int, method: str) -> str:
-    cfg = presets.partial_single_type(2.0, 0.0, grid=grid, integrator=method)
+def check_h1_recovery(grid: int) -> str:
+    cfg = presets.partial_single_type(2.0, 0.0, grid=grid)
     sol = solve_partial(cfg)
     h1, diag = recover_h1(sol, cfg.market)
     worst = float(np.max(np.abs(diag.jump_residuals)))
@@ -252,13 +251,13 @@ def check_h1_recovery(grid: int, method: str) -> str:
     return f"jump {worst:.1e}, terminal {term:.1e}"
 
 
-def check_overall(grid: int, method: str) -> str:
-    cfg = presets.overall_single_type(2.0, 10.0, grid=min(grid, 1000), integrator=method,
+def check_overall(grid: int) -> str:
+    cfg = presets.overall_single_type(2.0, 10.0, grid=min(grid, 1000),
                                       market_overrides={"gammaH": 0.0, "lambdaH": 0.0})
     eq = solve_overall(cfg)
     dev = float(np.max(np.abs(eq.xi_star - 1.0)))
     _need(dev <= 1e-9, f"decoupled schedule must be uniform, deviation {dev:.3e} > 1e-9")
-    cfg2 = presets.overall_single_type(2.0, 0.0, grid=min(grid, 1000), integrator=method)
+    cfg2 = presets.overall_single_type(2.0, 0.0, grid=min(grid, 1000))
     eq2 = solve_overall(cfg2)
     _need(abs(float(np.sum(eq2.xi_star)) - 9.0) <= 1e-10, "completion constraint violated")
     _need(eq2.fixed_point_residual <= 1e-6,
@@ -270,31 +269,30 @@ def check_overall(grid: int, method: str) -> str:
             f"fixed point {eq2.fixed_point_residual:.1e}")
 
 
-def check_profit_arithmetic(grid: int, method: str) -> str:
-    cfg = presets.partial_single_type(2.0, 0.0, grid=max(grid // 10, 100), integrator=method)
+def check_profit_arithmetic(grid: int) -> str:
+    cfg = presets.partial_single_type(2.0, 0.0, grid=max(grid // 10, 100))
     base = profit_without_crowd(cfg, cfg.schedule.quantities)
     _need(abs(base - (-49.05)) <= 1e-10, f"no-crowd profit {base!r} != -49.05")
     # sampled revenue under price noise averages to the analytic expectation
-    noisy = presets.partial_single_type(2.0, 0.0, grid=max(grid // 10, 100),
-                                        integrator=method, sigma=1.0)
+    noisy = presets.partial_single_type(2.0, 0.0, grid=max(grid // 10, 100), sigma=1.0)
     eq = solve_partial(noisy)
-    out = sample_price_paths(noisy, eq.xi, eq, replications=10000, seed=20260808)
-    ref = lt_profit(noisy, eq.xi, eq).profit_with_hft
+    out = sample_price_paths(noisy, eq, replications=10000, seed=20260808)
+    ref = lt_profit(noisy, eq).profit_with_hft
     dev = abs(out.mean - ref) / out.std_error
     _need(dev <= 3.0, f"sample mean {dev:.2f} standard errors from the analytic value")
     return (f"no-crowd profit {base!r}; sampled mean within {dev:.2f} standard errors "
             f"of the analytic value at 1e4 replications")
 
 
-def check_shapes(grid: int, method: str) -> str:
+def check_shapes(grid: int) -> str:
     g = min(grid, 2000)
     # high terminal aversion: same-direction early, opposite late
-    sol = solve_partial(presets.partial_single_type(2.0, 0.0, grid=g, integrator=method))
+    sol = solve_partial(presets.partial_single_type(2.0, 0.0, grid=g))
     _need(np.all(sol.mu_agg.node_values(0)[:, 0] > 0.0), "early speed should be positive")
     _need(np.all(sol.mu_agg.node_values(sol.grid.n_segments - 1)[:, 0] < 0.0),
           "late speed should be negative")
     # high running aversion: dip then chase inside each inter-trade interval
-    sol2 = solve_partial(presets.partial_single_type(0.0, 10.0, grid=g, integrator=method))
+    sol2 = solve_partial(presets.partial_single_type(0.0, 10.0, grid=g))
     for k in range(1, sol2.grid.n_segments - 1):
         _need(float(sol2.mu_agg.right_at(k)[0]) < 0.0, f"speed after trade {k} not negative")
         _need(float(sol2.mu_agg.left_at(k + 1)[0]) > 0.0, f"speed before trade {k+1} not positive")
@@ -308,22 +306,21 @@ def check_shapes(grid: int, method: str) -> str:
     # larger running aversion pushes the schedule toward uniform
     stds = []
     for phi in (0.0, 1.0, 5.0):
-        eq = solve_overall(presets.overall_single_type(0.0, phi, grid=min(g, 1000),
-                                                       integrator=method))
+        eq = solve_overall(presets.overall_single_type(0.0, phi, grid=min(g, 1000)))
         stds.append(float(np.std(eq.xi_star)))
     _need(stds[0] > stds[1] > stds[2], f"schedule spread not decreasing: {stds}")
     return (f"sign change ok over {len(rows)} lambdaH values, "
             f"schedule spreads {['%.3f' % s for s in stds]}")
 
 
-def check_simulator_exact(grid: int, method: str) -> str:
-    cfg = presets.partial_single_type(2.0, 10.0, grid=min(grid, 500), integrator=method)
+def check_simulator_exact(grid: int) -> str:
+    cfg = presets.partial_single_type(2.0, 10.0, grid=min(grid, 500))
     eq = solve_partial(cfg)
     ((_, met),) = simulate_population(cfg, eq, 20, [0], init_spread=0.0)
     _need(met.theta_dev == 0.0 and met.Z_dev == 0.0 and met.vbar_l2 == 0.0,
           f"deterministic single-type metrics must vanish, got {met}")
-    out = sample_price_paths(cfg, eq.xi, eq, 4, seed=0)
-    ref = lt_profit(cfg, eq.xi, eq).profit_with_hft
+    out = sample_price_paths(cfg, eq, 4, seed=0)
+    ref = lt_profit(cfg, eq).profit_with_hft
     dev = float(np.max(np.abs(out.revenues - ref)))
     _need(dev <= 1e-9 * max(abs(ref), 1.0), f"noise-free revenue mismatch {dev:.3e}")
     return "deterministic metrics vanish; noise-free paths match analytics"
@@ -357,15 +354,14 @@ def run_validation(out_path=None, config_path=None, grid: int = 10000) -> dict:
             results.append({"name": "config-load", "passed": False, "detail": str(exc)})
     for name, fn in CHECKS:
         try:
-            detail = fn(grid, "rk4")
+            detail = fn(grid)
             results.append({"name": name, "passed": True, "detail": detail})
         except CheckFailure as exc:
             results.append({"name": name, "passed": False, "detail": str(exc)})
         except Exception as exc:  # noqa: BLE001 - report, do not crash the suite
             results.append({"name": name, "passed": False,
                             "detail": f"{type(exc).__name__}: {exc}"})
-    report = {"passed": all(r["passed"] for r in results), "grid": grid,
-              "integrator": "rk4", "checks": results}
+    report = {"passed": all(r["passed"] for r in results), "grid": grid, "checks": results}
     for r in results:
         print(f"{'PASS' if r['passed'] else 'FAIL'} {r['name']}: {r['detail']}")
     if out_path is not None:

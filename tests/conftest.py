@@ -36,8 +36,7 @@ def base_raw(mode="partial"):
         "schedule": {"T": 1.0, "times": [k / 10 for k in range(1, 10)],
                      "quantities": [1.0] * 9},
         "population": {"E0": [0.0], "inventory_bound": 1.0},
-        "solver": {"grid_steps_per_unit_time": 500, "integrator": "rk4",
-                   "shooting_tolerance": 1e-6},
+        "solver": {"grid_steps_per_unit_time": 500, "shooting_tolerance": 1e-6},
     }
     if mode == "overall":
         raw["schedule"]["xi0"] = -9.0

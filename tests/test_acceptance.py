@@ -3,7 +3,7 @@
 The per-criterion lines are also replayed in the terminal summary (see
 conftest), so a plain ``pytest -v`` shows them; the module is the exit bar
 for the package.  C1-C8 and C10 run the checks of ``hftmfg validate`` at its
-default (grid 1e4, RK4), so the gate and the validator cannot disagree.
+default grid of 1e4, so the gate and the validator cannot disagree.
 """
 
 import functools
@@ -40,7 +40,7 @@ def run_check(name: str) -> str:
     Memoized, so C2 and C3 share one run of ``equilibrium-conditions``; a
     check that raises is not cached and fails every test that calls it.
     """
-    return CHECKS[name](GRID, "rk4")
+    return CHECKS[name](GRID)
 
 
 def test_c01_oracle_equivalence(monkeypatch):
@@ -130,7 +130,7 @@ def test_c09_epsilon_nash_convergence():
     # neither can the trader (two-type joint equilibrium)
     cfgo = presets.overall_two_type(grid=400).with_solver(shooting_tolerance=1e-3)
     eqo = solve_overall(cfgo)
-    pi0 = abs(lt_profit(cfgo, eqo.xi_star, eqo.mean_field).profit_no_hft)
+    pi0 = abs(lt_profit(cfgo, eqo.mean_field).profit_no_hft)
     med_lt = []
     for M in Ms:
         vals = [lt_deviation_gain(cfgo, eqo, traj).gain

@@ -57,12 +57,10 @@ def test_trajectory_steps_one_psi_column_per_y0_column(diagonal):
             assert rel_err(ys[:, :, c], ref) <= 1e-14
 
 
-def stage_step(y, A, b, h, method):
-    """One explicit step of y' = A y + b from samples at start, midpoint, end."""
+def rk4_stage_step(y, A, b, h):
+    """One RK4 step of y' = A y + b from samples at start, midpoint, end."""
     def f(k, v):
         return A[k] @ v + b[k]
-    if method == "euler":
-        return y + h * f(0, y)
     k1 = f(0, y)
     k2 = f(1, y + 0.5 * h * k1)
     k3 = f(1, y + 0.5 * h * k2)
@@ -70,31 +68,27 @@ def stage_step(y, A, b, h, method):
     return y + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
 
 
-@pytest.mark.parametrize("method", ["rk4", "euler"])
-def test_step_maps_reproduce_one_explicit_step(method):
+# the hand-written reference step, named in the test id
+@pytest.mark.parametrize("reference", [rk4_stage_step], ids=["rk4"])
+def test_step_maps_reproduce_one_explicit_step(reference):
     rng = np.random.default_rng(7)
     n, m, h = 4, 5, 0.1
     A = rng.standard_normal((2 * m + 1, n, n))
     b = rng.standard_normal((2 * m + 1, n))
-    Phi, psi = step_maps(A, h, method, b)
+    Phi, psi = step_maps(A, h, b)
     assert Phi.shape == (m, n, n) and psi.shape == (m, n)
-    Phi_lin, none = step_maps(A, h, method)
+    Phi_lin, none = step_maps(A, h)
     assert none is None
     assert np.max(np.abs(Phi_lin - Phi)) <= 1e-14
     for i in range(m):
         y = rng.standard_normal(n)
-        ref = stage_step(y, A[2 * i:2 * i + 3], b[2 * i:2 * i + 3], h, method)
+        ref = reference(y, A[2 * i:2 * i + 3], b[2 * i:2 * i + 3], h)
         assert np.max(np.abs(Phi[i] @ y + psi[i] - ref)) <= 1e-14
 
 
-def test_step_maps_reject_unknown_integrator():
-    with pytest.raises(ValueError):
-        step_maps(np.zeros((3, 2, 2)), 0.1, "midpoint")
-
-
-@pytest.mark.parametrize("method", ["rk4", "euler"])
-def test_fundamental_matrices_match_stage_by_stage_loop(method):
-    cfg = presets.partial_two_type(grid=2000).with_solver(integrator=method)
+@pytest.mark.parametrize("reference", [rk4_stage_step], ids=["rk4"])
+def test_fundamental_matrices_match_stage_by_stage_loop(reference):
+    cfg = presets.partial_two_type(grid=2000)
     engine = MeanFieldEngine(cfg)
     for s, Un in enumerate(engine._U_nodes):
         A = assemble_A_batch(engine.p.segments[s], engine.h2.segments[s],
@@ -103,6 +97,6 @@ def test_fundamental_matrices_match_stage_by_stage_loop(method):
         U = np.eye(4)
         ref = [U]
         for i in range(engine.grid.steps[s]):
-            U = stage_step(U, A[2 * i:2 * i + 3], np.zeros(3), h, method)
+            U = reference(U, A[2 * i:2 * i + 3], np.zeros(3), h)
             ref.append(U)
         assert rel_err(Un, np.array(ref)) <= 1e-12

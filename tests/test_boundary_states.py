@@ -45,8 +45,7 @@ def _reconstructed(engine, sol):
 @pytest.mark.parametrize("cfg", [
     presets.partial_single_type(2.0, 10.0, grid=500),
     presets.partial_two_type(grid=400),
-    presets.partial_two_type(grid=400, integrator="euler"),
-], ids=["single-type", "two-type", "euler"])
+], ids=["single-type", "two-type"])
 def test_curves_built_on_read_equal_the_node_and_midpoint_reconstruction(cfg):
     engine = MeanFieldEngine(cfg)
     sol = engine.solve(cfg.population.E0, cfg.schedule.quantities)
@@ -61,9 +60,8 @@ def test_curves_built_on_read_equal_the_node_and_midpoint_reconstruction(cfg):
 @pytest.mark.parametrize("solve", [
     lambda: solve_partial(presets.partial_single_type(2.0, 10.0, grid=500)),
     lambda: solve_partial(presets.partial_two_type(grid=400)),
-    lambda: solve_partial(presets.partial_two_type(grid=400, integrator="euler")),
     lambda: solve_overall(presets.overall_two_type(grid=400)).mean_field,
-], ids=["single-type", "two-type", "euler", "overall"])
+], ids=["single-type", "two-type", "overall"])
 def test_segment_start_states_are_the_first_curve_samples(solve):
     # the curves sample U_s(t) z_s with U_s(t_s) = I, so ends[:, 0] is the
     # segment-start state z_s bit for bit

@@ -267,11 +267,15 @@ def test_figures_empty_and_unknown(tmp_path):
     ("figures", "--config", "cfg.json"), ("figures", "--seed", "9"),
     ("figures", "--grid", "500"), ("figures", "--integrator", "euler"),
     ("validate", "--seed", "9"), ("validate", "--workers", "2"),
+    # RK4 is the only integrator, so no command takes an option to choose it
+    ("solve-partial", "--integrator", "rk4"), ("solve-overall", "--integrator", "rk4"),
+    ("simulate", "--integrator", "rk4"), ("validate", "--integrator", "rk4"),
 ])
 def test_flags_a_command_does_not_read_are_usage_errors(config_file, command, flag, value,
                                                         tmp_path):
     needed = {"solve-partial": ["--config", config_file(base_raw())],
               "solve-overall": ["--config", config_file(base_raw("overall"))],
+              "simulate": ["--config", config_file(base_raw()), "--M", "10"],
               "figures": ["--ids", "F1"], "validate": []}
     out = tmp_path / "o"
     assert run([command, *needed[command], "--out", str(out), flag, value]) == 2
@@ -457,6 +461,16 @@ def test_solve_overall_exits_1_on_non_concave_objective(config_file, tmp_path, c
 
 
 @pytest.mark.slow
+def test_config_naming_an_integrator_is_a_configuration_error(config_file, tmp_path, capsys):
+    raw = base_raw()
+    raw["solver"]["integrator"] = "rk4"
+    out = tmp_path / "o"
+    assert run(["solve-partial", "--config", config_file(raw), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "configuration error: unknown key(s) in solver: ['integrator']\n"
+    assert not out.exists()
+
+
 def test_validate_fresh_checkout_passes(tmp_path):
     out = str(tmp_path / "v")
     rc = run(["validate", "--out", out, "--grid", "4000"])
@@ -464,15 +478,6 @@ def test_validate_fresh_checkout_passes(tmp_path):
     report = json.loads(Path(out, "validation.json").read_text())
     assert report["passed"] is True
     assert all(c["passed"] for c in report["checks"])
-
-
-def test_validate_rejects_euler(tmp_path, capsys):
-    # the checks' bounds are sized for RK4; an Euler run is a usage error, not a failure
-    out = tmp_path / "v"
-    assert run(["validate", "--out", str(out), "--integrator", "euler"]) == 2
-    err = capsys.readouterr().err
-    assert "rk4" in err and len(err.strip().splitlines()) == 1
-    assert not out.exists()
 
 
 def test_validate_fault_injection(config_file, tmp_path):

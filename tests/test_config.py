@@ -114,6 +114,14 @@ def test_unknown_keys_rejected(config_file):
         load_config(config_file(raw))
 
 
+def test_solver_integrator_is_an_unknown_key(config_file):
+    # RK4 is the only integrator, so a config may not name one, not even rk4
+    raw = base_raw()
+    raw["solver"]["integrator"] = "rk4"
+    with pytest.raises(ConfigError, match=r"^unknown key\(s\) in solver: \['integrator'\]$"):
+        load_config(config_file(raw))
+
+
 def test_env_overrides(raw_config):
     env = {"HFTMFG_MARKET__GAMMA": "2.5",
            "HFTMFG_SOLVER__GRID_STEPS_PER_UNIT_TIME": "800",
@@ -194,9 +202,9 @@ def test_top_level_must_be_an_object():
 @pytest.mark.parametrize("settings", [
     {"shooting_tolerance": float("inf")}, {"shooting_tolerance": float("nan")},
     {"shooting_tolerance": 0.0}, {"shooting_tolerance": "1e-6"},
-    {"grid_steps_per_unit_time": 3}, {"integrator": "rk5"},
+    {"grid_steps_per_unit_time": 3},
 ], ids=["infinite-tolerance", "nan-tolerance", "zero-tolerance", "string-tolerance",
-        "coarse-grid", "rk5"])
+        "coarse-grid"])
 def test_with_solver_validates_the_settings(settings):
     # an infinite tolerance would let any residual through the solver's gate
     cfg = presets.partial_single_type(2.0, 10.0, grid=200)

@@ -199,13 +199,6 @@ def test_derivative_identities(baseline_eq):
     assert worst_state < 1e-4  # grid 1000 here; the 1e-6 gate runs on the 1e4 grid
 
 
-def test_euler_integrator_full_path():
-    cfg = presets.partial_single_type(2.0, 0.0, grid=4000, integrator="euler")
-    num = solve_partial(cfg)
-    ora = closed_form_n1(cfg)
-    assert sup_diff(num.E_by_state, ora.E_by_state) < 1e-2
-
-
 def test_boundary_conditions_hold_even_on_coarse_grids():
     # jumps and the terminal coupling are enforced by construction, so the
     # reported residuals stay at rounding level regardless of resolution;
@@ -337,8 +330,7 @@ def _two_type(p0=None, **changes):
     ({"p0": (0.3, 0.7)}, True, False),
     ({"x": 0.2, "y": 0.8}, False, False),
     ({"grid": 500}, False, False),
-    ({"integrator": "euler"}, False, False),
-], ids=["same", "lambdaH", "eta", "Gamma", "phi", "p0", "xy", "grid", "integrator"])
+], ids=["same", "lambdaH", "eta", "Gamma", "phi", "p0", "xy", "grid"])
 def test_engine_cache_shares_chain_and_h2_by_key(changes, same_h2, same_chain):
     cache = {}
     first = MeanFieldEngine(_two_type(), cache)
@@ -370,10 +362,9 @@ def _moved_trades(cfg):
 @pytest.mark.parametrize("change", [
     lambda c: _two_type(market_overrides={"lambdaH": 0.3}),
     lambda c: c.with_solver(shooting_tolerance=1e-7),
-    lambda c: c.with_solver(integrator="euler"),
     lambda c: c.with_solver(grid_steps_per_unit_time=500),
     _moved_trades,
-], ids=["lambdaH", "shooting_tolerance", "integrator", "grid", "trade_times"])
+], ids=["lambdaH", "shooting_tolerance", "grid", "trade_times"])
 def test_engine_key_tells_apart_what_the_engine_reads(change):
     cfg = _two_type()
     assert engine_key(change(cfg)) != engine_key(cfg)

@@ -101,18 +101,18 @@ def _per_value_csv(sol, cfg) -> str:
     return "".join(lines)
 
 
-def _crowd(N, integrator):
+def _crowd(N):
     """A switching crowd of N types on a coarse grid with nine trades."""
     if N == 1:
-        return presets.partial_single_type(2.0, 10.0, grid=100, integrator=integrator)
+        return presets.partial_single_type(2.0, 10.0, grid=100)
     if N == 2:
-        return presets.partial_two_type(grid=100, integrator=integrator)
+        return presets.partial_two_type(grid=100)
     raw = base_raw()
     raw["aversion"] = {"Gamma": [2.0, 1.0, 0.0], "phi": [10.0, 1.0, 0.0],
                        "Q": [[-0.5, 0.3, 0.2], [0.4, -0.4, 0.0], [0.1, 0.6, -0.7]],
                        "p0": [0.2, 0.3, 0.5]}
     raw["population"]["E0"] = [0.0, 0.3, -0.2]
-    raw["solver"].update(grid_steps_per_unit_time=100, integrator=integrator)
+    raw["solver"]["grid_steps_per_unit_time"] = 100
     return config_from_dict(raw)
 
 
@@ -136,16 +136,15 @@ def _repr_forms_solution():
                            E_agg=Curve(1, 2), mu_agg=Curve(1, 3))
 
 
-@pytest.mark.parametrize("case", [(N, integrator) for N in (1, 2, 3)
-                                  for integrator in ("rk4", "euler")] + ["repr-forms"],
-                         ids=lambda c: c if isinstance(c, str) else f"N{c[0]}-{c[1]}")
+@pytest.mark.parametrize("case", [1, 2, 3, "repr-forms"],
+                         ids=lambda c: c if isinstance(c, str) else f"N{c}-rk4")
 def test_equilibrium_csv_matches_per_value_formatter(tmp_path, case):
     if case == "repr-forms":
         cfg, sol = presets.partial_two_type(grid=100), _repr_forms_solution()
     else:
-        cfg = _crowd(*case)
+        cfg = _crowd(case)
         sol = solve_partial(cfg)
-        assert sol.grid.n_segments == 10 and sol.E_by_state.dim == case[0]
+        assert sol.grid.n_segments == 10 and sol.E_by_state.dim == case
     reporting.write_equilibrium_csv(tmp_path / "eq.csv", sol, cfg)
     text = (tmp_path / "eq.csv").read_text(encoding="utf-8")
     assert text == _per_value_csv(sol, cfg)

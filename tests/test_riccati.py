@@ -77,15 +77,6 @@ def test_h2_box_invariant_two_state():
         assert seg.max() <= 1e-12
 
 
-def test_h2_box_abort_on_coarse_euler():
-    # a huge running aversion with explicit Euler at the floor resolution
-    # overshoots the box and must abort rather than return garbage
-    cfg = single_type(0.0, 4e4, eta=1e-3)
-    grid = make_grid(1.0, TRADES, 100)
-    with pytest.raises(SolverError, match="refine"):
-        solve_h2(cfg.aversion, cfg.market, grid, "euler")
-
-
 def test_h2_box_check_rejects_nan():
     # NaN fails every comparison, so it has to count as leaving the box
     cfg = presets.partial_two_type(grid=100)
@@ -105,7 +96,7 @@ def test_h2_box_abort_names_the_same_time_on_both_paths():
     with pytest.raises(SolverError, match="t=0.995;"):
         solve_h2(cfg.aversion, cfg.market, grid)
     with np.errstate(all="ignore"):
-        ref = h2_stage_loop(cfg, grid, "rk4")
+        ref = h2_stage_loop(cfg, grid)
     assert sum(np.isnan(seg).sum() for seg in ref) > 400
     with pytest.raises(SolverError, match="t=0.995;"):
         _check_box(PiecewiseCurve(grid, tuple(ref)), cfg.aversion, cfg.market)
@@ -138,10 +129,10 @@ def test_h2_monotone_in_terminal_aversion():
 
 
 def test_h2_convergence_order():
-    def err(steps, method):
+    def err(steps):
         cfg = single_type(2.0, 0.0)
         grid = make_grid(1.0, TRADES, steps)
-        h2 = solve_h2(cfg.aversion, cfg.market, grid, method)
+        h2 = solve_h2(cfg.aversion, cfg.market, grid)
         worst = 0.0
         for s in range(grid.n_segments):
             t = grid.level0_times(s)
@@ -149,12 +140,11 @@ def test_h2_convergence_order():
                                              - closed_form_h2(2.0, 0.05, t))))
         return worst
 
-    assert 8.0 <= err(100, "rk4") / err(200, "rk4") <= 40.0
-    assert 1.5 <= err(100, "euler") / err(200, "euler") <= 3.0
+    assert 8.0 <= err(100) / err(200) <= 40.0
 
 
-def h2_stage_loop(cfg, grid, method):
-    """Reference: h2 backward from -Gamma, one explicit step at a time."""
+def h2_stage_loop(cfg, grid):
+    """Reference: h2 backward from -Gamma, one RK4 step at a time."""
     eta = cfg.market.eta
     phi = np.asarray(cfg.aversion.phi, dtype=float)
     Q = np.asarray(cfg.aversion.Q, dtype=float)
@@ -170,38 +160,36 @@ def h2_stage_loop(cfg, grid, method):
         dt = grid.step_width(s) / 2.0
         out = [y]
         for _ in range(2 * grid.steps[s]):
-            if method == "euler":
-                y = y + dt * g(y)
-            else:
-                k1 = g(y)
-                k2 = g(y + 0.5 * dt * k1)
-                k3 = g(y + 0.5 * dt * k2)
-                k4 = g(y + dt * k3)
-                y = y + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+            k1 = g(y)
+            k2 = g(y + 0.5 * dt * k1)
+            k3 = g(y + 0.5 * dt * k2)
+            k4 = g(y + dt * k3)
+            y = y + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
             out.append(y)
         segs.append(np.array(out[::-1]))
     return segs[::-1]
 
 
-@pytest.mark.parametrize("method", ["rk4", "euler"])
+# the hand-written reference loop, named in the test id
+@pytest.mark.parametrize("reference", [h2_stage_loop], ids=["rk4"])
 @pytest.mark.parametrize("make", [lambda: presets.partial_single_type(2.0, 10.0, grid=400),
                                   lambda: presets.partial_single_type(2.0, 0.0, grid=400),
                                   lambda: presets.partial_two_type(grid=400),
                                   lambda: random_three_state(np.random.default_rng(5), grid=400)],
                          ids=["single_type", "single_type_no_running", "two_type", "three_state"])
-def test_h2_matches_stage_by_stage_loop(make, method):
+def test_h2_matches_stage_by_stage_loop(make, reference):
     # (2, 10) settles on its fixed point within a few steps, so rounding changes
     # rarely reach its bits; (2, 0) keeps moving and shows them
     cfg = make()
     grid = default_grid(cfg)
-    h2 = solve_h2(cfg.aversion, cfg.market, grid, method)
-    ref = h2_stage_loop(cfg, grid, method)
+    h2 = solve_h2(cfg.aversion, cfg.market, grid)
+    ref = reference(cfg, grid)
     assert len(h2.segments) == len(ref)
     for seg, r in zip(h2.segments, ref):
         assert np.array_equal(seg, r)
 
 
-def h2_float_loop(cfg, grid, method):
+def h2_float_loop(cfg, grid):
     """Reference: two-state h2 on Python floats, each row of Q summed left to right."""
     eta = cfg.market.eta
     (p1, p2), ((q11, q12), (q21, q22)) = cfg.aversion.phi.tolist(), cfg.aversion.Q.tolist()
@@ -219,22 +207,19 @@ def h2_float_loop(cfg, grid, method):
         dt = grid.step_width(s) / 2.0
         out = [y]
         for _ in range(2 * grid.steps[s]):
-            if method == "euler":
-                y = add(y, dt, g(y))
-            else:
-                k1 = g(y)
-                k2 = g(add(y, 0.5 * dt, k1))
-                k3 = g(add(y, 0.5 * dt, k2))
-                k4 = g(add(y, dt, k3))
-                y = tuple(yi + dt * (a + 2.0 * b + 2.0 * c + d) / 6.0
-                          for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
+            k1 = g(y)
+            k2 = g(add(y, 0.5 * dt, k1))
+            k3 = g(add(y, 0.5 * dt, k2))
+            k4 = g(add(y, dt, k3))
+            y = tuple(yi + dt * (a + 2.0 * b + 2.0 * c + d) / 6.0
+                      for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
             out.append(y)
         segs.append(np.array(out[::-1]))
     return segs[::-1]
 
 
-@pytest.mark.parametrize("method", ["rk4", "euler"])
-def test_h2_two_state_scalar_path(method):
+@pytest.mark.parametrize("reference", [h2_float_loop], ids=["rk4"])
+def test_h2_two_state_scalar_path(reference):
     # configs drawn from the solve benchmark's ranges; the scalar path rounds
     # both products of Q y, where numpy's 2x2 product fuses one of them
     rng = np.random.default_rng(23)
@@ -243,10 +228,9 @@ def test_h2_two_state_scalar_path(method):
             phi=tuple(rng.uniform(0.0, 10.0, 2)), Gamma=tuple(rng.uniform(0.0, 2.0, 2)),
             x=rng.uniform(0.2, 0.8), y=rng.uniform(0.2, 0.8), grid=400)
         grid = default_grid(cfg)
-        h2 = solve_h2(cfg.aversion, cfg.market, grid, method)
+        h2 = solve_h2(cfg.aversion, cfg.market, grid)
         tol = 1e-14 * h2_box_bound(cfg.aversion, cfg.market)
-        for seg, exact, arr in zip(h2.segments, h2_float_loop(cfg, grid, method),
-                                   h2_stage_loop(cfg, grid, method)):
+        for seg, exact, arr in zip(h2.segments, reference(cfg, grid), h2_stage_loop(cfg, grid)):
             assert np.array_equal(seg, exact)
             assert np.max(np.abs(seg - arr)) <= tol
 

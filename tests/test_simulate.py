@@ -290,7 +290,6 @@ def _scalar_inventory(cfg, eq, x_init, y_init, events):
 
 def _switch_stepped_inventory(cfg, eq, x_init, y_init, events):
     """One agent carried through `_through_switches` on every level-0 step."""
-    method = cfg.solver.integrator
     a_segs, b_segs = _segment_coeffs(cfg, eq)
     ev_t = np.array([t for t, _ in events], dtype=float)
     ev_state = np.array([y for _, y in events], dtype=np.int64)
@@ -306,7 +305,7 @@ def _switch_stepped_inventory(cfg, eq, x_init, y_init, events):
             n = end - ptr
             D, Y = _through_switches(D, Y, ft[2 * i], t2, np.zeros(n, dtype=np.int64),
                                      np.arange(n), ev_t[ptr:end], ev_state[ptr:end],
-                                     ft, a_segs[s], b_segs[s], E, method)
+                                     ft, a_segs[s], b_segs[s], E)
             ptr = end
             xs.append(E[2 * i + 2, Y[0]] + D[0])
         out.append(np.array(xs))
@@ -489,7 +488,7 @@ def test_lifted_step_maps_match_sequential_steps(cfg):
     for s in range(eq.grid.n_segments):
         m = eq.grid.steps[s]
         Phi, beta = step_maps(a_segs[s][:, :, None] * np.eye(N), eq.grid.step_width(s),
-                              cfg.solver.integrator, b_segs[s])
+                              b_segs[s])
         alpha = np.diagonal(Phi, axis1=1, axis2=2)
         A, B = _lift_table(alpha, beta)
         k, n = np.triu_indices(m + 1)                   # every gap k -> n
@@ -592,7 +591,7 @@ def test_lt_deviation_zero_for_exact_mean_population():
     r = lt_deviation_gain(cfg, eq, traj)
     assert abs(r.gain) < 1e-10
     # the empirical payoff is the analytic revenue model on the simulated aggregates
-    assert r.psi_mfg == lt_profit(cfg, eq.xi_star, eq.mean_field).profit_with_hft
+    assert r.psi_mfg == lt_profit(cfg, eq.mean_field).profit_with_hft
 
 
 def test_lt_deviation_shrinks_with_population(overall_two):
@@ -606,17 +605,10 @@ def test_lt_deviation_shrinks_with_population(overall_two):
     assert meds[1] < meds[0]
 
 
-def test_euler_simulation_keeps_exactness():
-    cfg = presets.partial_single_type(2.0, 0.0, grid=400, integrator="euler")
-    eq = solve_partial(cfg)
-    _, met = simulate_population(cfg, eq, 25, [1], init_spread=0.0)[0]
-    assert met.theta_dev == 0.0 and met.Z_dev == 0.0 and met.vbar_l2 == 0.0
-
-
 def test_price_paths_sigma_zero_exact(baseline_eq):
     cfg, eq = baseline_eq
-    out = sample_price_paths(cfg, eq.xi, eq, replications=5, seed=3)
-    ref = lt_profit(cfg, eq.xi, eq).profit_with_hft
+    out = sample_price_paths(cfg, eq, replications=5, seed=3)
+    ref = lt_profit(cfg, eq).profit_with_hft
     assert np.all(out.revenues == ref)
     assert out.std_error == 0.0
 
@@ -625,13 +617,13 @@ def test_price_paths_sigma_zero_exact(baseline_eq):
 def test_price_paths_need_at_least_one_replication(baseline_eq, replications):
     cfg, eq = baseline_eq
     with pytest.raises(ValueError, match="replications must be at least 1"):
-        sample_price_paths(cfg, eq.xi, eq, replications=replications, seed=3)
+        sample_price_paths(cfg, eq, replications=replications, seed=3)
 
 
 def test_price_paths_no_trades_zero_revenue():
     cfg = presets.partial_single_type(2.0, 0.0, grid=300, sigma=1.0, quantities=np.zeros(9))
     eq = solve_partial(cfg)
-    out = sample_price_paths(cfg, np.zeros(9), eq, replications=50, seed=3)
+    out = sample_price_paths(cfg, eq, replications=50, seed=3)
     assert np.all(out.revenues == 0.0)
 
 
@@ -644,7 +636,7 @@ def test_schedule_without_trades(cfg):
     eq = solve_partial(cfg)
     traj, _ = simulate_population(cfg, eq, 50, [1])[0]
     assert deviation_gain(cfg, eq, traj).gain >= -1e-10
-    out = sample_price_paths(cfg, np.zeros(0), eq, replications=20, seed=3)
+    out = sample_price_paths(cfg, eq, replications=20, seed=3)
     assert np.all(out.revenues == 0.0)
 
 
@@ -652,8 +644,8 @@ def test_price_paths_clt_band(baseline_eq):
     cfg, eq = baseline_eq
     cfg_noise = presets.partial_single_type(2.0, 0.0, grid=1000, sigma=1.0)
     eq_n = solve_partial(cfg_noise)
-    out = sample_price_paths(cfg_noise, eq_n.xi, eq_n, replications=4000, seed=17)
-    ref = lt_profit(cfg_noise, eq_n.xi, eq_n).profit_with_hft
+    out = sample_price_paths(cfg_noise, eq_n, replications=4000, seed=17)
+    ref = lt_profit(cfg_noise, eq_n).profit_with_hft
     assert abs(out.mean - ref) <= 3.0 * out.std_error
 
 
@@ -661,16 +653,16 @@ def test_price_paths_deterministic_per_seed(baseline_eq):
     cfg, eq = baseline_eq
     cfg_noise = presets.partial_single_type(2.0, 0.0, grid=300, sigma=0.7)
     eq_n = solve_partial(cfg_noise)
-    a = sample_price_paths(cfg_noise, eq_n.xi, eq_n, 64, seed=5)
-    b = sample_price_paths(cfg_noise, eq_n.xi, eq_n, 64, seed=5)
+    a = sample_price_paths(cfg_noise, eq_n, 64, seed=5)
+    b = sample_price_paths(cfg_noise, eq_n, 64, seed=5)
     assert np.array_equal(a.revenues, b.revenues)
 
 
 def test_price_paths_replication_does_not_depend_on_count():
     cfg = presets.partial_single_type(2.0, 0.0, grid=300, sigma=0.7)
     eq = solve_partial(cfg)
-    a = sample_price_paths(cfg, eq.xi, eq, 50, seed=5)
-    b = sample_price_paths(cfg, eq.xi, eq, 64, seed=5)
+    a = sample_price_paths(cfg, eq, 50, seed=5)
+    b = sample_price_paths(cfg, eq, 64, seed=5)
     assert np.array_equal(a.revenues, b.revenues[:50])
     assert len(np.unique(b.revenues)) == 64
 

@@ -5,9 +5,9 @@ from hftmfg import presets
 from hftmfg.config import config_from_dict
 from hftmfg.errors import SolverError
 from hftmfg.meanfield import MeanFieldEngine, solve_partial
-from hftmfg.simulate import sample_price_paths
 from hftmfg.strategy import (best_response_values, concavity_check, lt_best_response,
-                             lt_profit, profit_without_crowd, solve_overall)
+                             lt_profit, profit_from_aggregates, profit_without_crowd,
+                             solve_overall)
 from conftest import base_raw
 
 
@@ -101,23 +101,27 @@ def test_basis_consistency(overall_baseline):
     assert worst < 1e-8
 
 
+def _priced(cfg, xi, mean_field):
+    """Expected revenue of the schedule xi against a given mean field."""
+    return profit_from_aggregates(cfg, xi, mean_field.E_at_trades(), mean_field.E_agg_initial(),
+                                  mean_field.mu_at_trades(cfg.solver.mu_at_trades))
+
+
 def test_perturbing_any_free_trade_never_helps(overall_baseline):
     cfg, eq = overall_baseline
-    base = lt_profit(cfg, eq.xi_star, eq.mean_field).profit_with_hft
+    base = lt_profit(cfg, eq.mean_field).profit_with_hft
     for k in range(8):
         for eps in (1e-4, -1e-4):
             xi = eq.xi_star.copy()
             xi[k] += eps
             xi[-1] -= eps
-            assert lt_profit(cfg, xi, eq.mean_field).profit_with_hft <= base + 1e-12
+            assert _priced(cfg, xi, eq.mean_field).profit_with_hft <= base + 1e-12
 
 
 def test_wrong_length_schedule_is_rejected(baseline_eq):
     cfg, eq = baseline_eq
     with pytest.raises(ValueError, match="one per trade time"):
-        lt_profit(cfg, [1.0], eq)
-    with pytest.raises(ValueError, match="one per trade time"):
-        sample_price_paths(cfg, np.ones(10), eq, replications=2, seed=0)
+        _priced(cfg, [1.0], eq)
 
 
 def test_profit_arithmetic_baseline(baseline_eq):
@@ -125,14 +129,14 @@ def test_profit_arithmetic_baseline(baseline_eq):
     base = profit_without_crowd(cfg, cfg.schedule.quantities)
     # -gamma*sum_k xi_k sum_{j<=k} xi_j - (lambda+eta0)*sum xi^2 = -45 - 4.05
     assert base == pytest.approx(-49.05, abs=1e-10)
-    rep = lt_profit(cfg, cfg.schedule.quantities, eq)
+    rep = lt_profit(cfg, eq)
     assert rep.profit_with_hft == pytest.approx(rep.profit_no_hft + rep.difference, abs=1e-12)
 
 
 def test_profit_no_crowd_when_field_is_zero():
     cfg = presets.partial_single_type(0.0, 0.0, grid=300, quantities=np.zeros(9))
     eq = solve_partial(cfg)
-    rep = lt_profit(cfg, np.ones(9), eq)
+    rep = _priced(cfg, np.ones(9), eq)
     assert rep.difference == 0.0
     assert rep.profit_with_hft == rep.profit_no_hft
 
