@@ -4,16 +4,21 @@ Every CSV starts with a metadata comment line carrying the config hash and
 grid resolution, so identical inputs reproduce byte-identical files.  All
 writes go through a temp-file-plus-rename so parallel runs never interleave
 partial output.  ``write_equilibrium_csv`` formats the equilibrium table from
-the solution's node arrays, one ``%`` pass per grid segment; ``write_csv``
-formats every other, small mixed-type table cell by cell.  Both write numbers
-as ``repr`` does.  SVG plots are rendered from already-written CSV files,
-never from solver internals.
+the solution's node arrays, one ``orjson`` call per grid segment (its
+shortest round-trip digits are ``repr``'s, and a row that ``orjson`` would
+spell differently goes through a ``%r`` template); ``write_csv`` formats
+every other, small mixed-type table cell by cell.  Both write numbers as
+``repr`` does.  SVG plots are rendered from already-written CSV files, never
+from solver internals.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import os
 import threading
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -24,11 +29,16 @@ PALETTE = ("#1f6fb2", "#d1495b", "#2e933c", "#8338ec", "#e36414", "#118ab2")
 WIDTH, HEIGHT = 640, 420        # SVG canvas, px
 
 
-def _atomic_write(path: str, chunks: list[str]) -> None:
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
     tmp = f"{path}.tmp-{os.getpid()}-{threading.get_ident()}"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(chunks)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def meta_line(cfg: ModelConfig | None, **extra) -> str:
@@ -79,20 +89,42 @@ def xi_star_rows(times, xi_star) -> tuple[list[str], list[list]]:
             [[k + 1, float(t), float(x)] for k, (t, x) in enumerate(zip(times, xi_star))])
 
 
-def write_equilibrium_csv(path, sol: MeanFieldSolution, cfg: ModelConfig) -> None:
-    """Write the equilibrium table, one ``%`` pass over each segment's block.
+def _segment_text(block: np.ndarray, side: str) -> str:
+    """The CSV rows of one segment's block, the last row's side column reading ``side``.
 
-    ``%r`` writes a float as ``repr`` does.  The side column reads "L" on the
-    last node of every segment that ends at a trade and "R" elsewhere.
+    ``orjson`` writes the shortest round-trip digits, as ``repr`` does, and
+    spells them as ``repr`` does for every finite x with x == 0 or
+    1e-4 <= |x| < 1e16.  A row holding any other value goes through a ``%r``
+    template instead.  The side column enters as NaN, which ``orjson`` writes
+    as ``null``; the template writes ``null`` there too, and no other cell
+    reads ``null``.
+    """
+    import orjson          # loaded only by the commands that write this table
+
+    cells = np.insert(block, 1, np.nan, axis=1)
+    lines = orjson.dumps(cells, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
+    mag = np.abs(block)
+    fallback = ~((block == 0.0) | ((mag >= 1e-4) & (mag < 1e16))).all(axis=1)
+    template = "%r,null" + ",%r" * (block.shape[1] - 1)
+    for i in np.flatnonzero(fallback).tolist():
+        lines[i] = (template % tuple(block[i].tolist())).encode()
+    head, _, tail = b"\n".join(lines).rpartition(b"null")
+    return (head.replace(b"null", b"R") + side.encode() + tail + b"\n").decode()
+
+
+def write_equilibrium_csv(path, sol: MeanFieldSolution, cfg: ModelConfig) -> None:
+    """Write the equilibrium table, one ``orjson`` call over each segment's block.
+
+    Every value reads as its ``repr``.  The side column reads "L" on the last
+    node of every segment that ends at a trade and "R" elsewhere.
     """
     header, blocks = _equilibrium_table(sol)
-    cells = ",%r" * (len(header) - 2) + "\n"
-    chunks = [meta_line(cfg) + "\n", ",".join(header) + "\n"]
-    for s, block in enumerate(blocks):
-        side = "R" if s == len(blocks) - 1 else "L"
-        template = ("%r,R" + cells) * (len(block) - 1) + "%r," + side + cells
-        chunks.append(template % tuple(block.ravel().tolist()))
-    _atomic_write(str(path), chunks)
+    head = [meta_line(cfg) + "\n", ",".join(header) + "\n"]
+    # formatted one segment at a time as the file takes them, so only one
+    # segment's text is alive at once
+    rows = (_segment_text(block, "R" if s == len(blocks) - 1 else "L")
+            for s, block in enumerate(blocks))
+    _atomic_write(str(path), itertools.chain(head, rows))
 
 
 def write_keyvalue_csv(path, pairs: dict, cfg: ModelConfig | None = None, **extra) -> None:

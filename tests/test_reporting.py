@@ -82,6 +82,12 @@ def test_plot_columns_from_csv_keeps_its_bytes(tmp_path, config_file, monkeypatc
         assert got.read_bytes() == want.read_bytes(), csv_path.name
 
 
+def test_failed_write_leaves_neither_target_nor_temp_file(tmp_path):
+    with pytest.raises(TypeError):
+        reporting._atomic_write(str(tmp_path / "out.csv"), ["a,b\n", 5])
+    assert list(tmp_path.iterdir()) == []
+
+
 def _per_value_csv(sol, cfg) -> str:
     """The equilibrium table built as row lists and formatted with repr cell by cell."""
     N = sol.E_by_state.dim
@@ -136,10 +142,86 @@ def _repr_forms_solution():
                            E_agg=Curve(1, 2), mu_agg=Curve(1, 3))
 
 
-@pytest.mark.parametrize("case", [1, 2, 3, "repr-forms"],
+def _stub_solution(blocks):
+    """A two-type solution whose segment s holds the (rows, 7) array ``blocks[s]``:
+    time, E_1, E_2, mu_1, mu_2, E_agg and mu_agg."""
+    class Curve:
+        def __init__(self, cols):
+            self.cols, self.dim = cols, cols.stop - cols.start
+
+        def node_values(self, s):
+            return blocks[s][:, self.cols]
+
+    grid = SimpleNamespace(n_segments=len(blocks), level0_times=lambda s: blocks[s][:, 0])
+    return SimpleNamespace(grid=grid, E_by_state=Curve(slice(1, 3)),
+                           mu_by_state=Curve(slice(3, 5)), E_agg=Curve(slice(5, 6)),
+                           mu_agg=Curve(slice(6, 7)))
+
+
+def _one_per_row(values):
+    """One row per value, in column 1 + k % 6 of row k, the other cells in-range."""
+    rows = np.full((len(values), 7), 0.5)
+    rows[np.arange(len(values)), 1 + np.arange(len(values)) % 6] = values
+    return rows
+
+
+def _random_bits():
+    # seeded finite bit patterns; half the rows take their exponents from the
+    # binades around [1e-4, 1e16), where orjson writes the row
+    rng = np.random.default_rng(24)
+    bits = rng.integers(0, 2**64, size=(30_000, 7), dtype=np.uint64)
+    exponent = np.where(np.arange(30_000)[:, None] % 2 == 0,
+                        rng.integers(0, 2047, size=(30_000, 7)),
+                        rng.integers(1009, 1077, size=(30_000, 7))).astype(np.uint64)
+    bits = (bits & ~np.uint64(0x7FF << 52)) | (exponent << np.uint64(52))
+    return np.split(bits.view(np.float64), [7_000, 15_000, 29_999])
+
+
+def _threshold_neighbours():
+    steps = []
+    for edge in (1e-4, 1e16):
+        v = np.array([edge])
+        for direction in (0.0, np.inf):
+            w = v.copy()
+            for _ in range(4):
+                w = np.nextafter(w, direction)
+                steps.append(w[0])
+        steps.append(edge)
+    values = np.array(steps)
+    return np.split(_one_per_row(np.concatenate([values, -values])), [9])
+
+
+def _exact_forms():
+    integral = np.concatenate([2.0 ** np.arange(54), 2.0 ** np.arange(54) - 1.0,
+                               10.0 ** np.arange(16), [2.0 ** 53 + 2.0]])
+    subnormal = np.array([5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308])
+    values = np.concatenate([[0.0, -0.0], integral, -integral, subnormal, -subnormal])
+    return np.split(_one_per_row(values), [40, 100])
+
+
+def _non_finite():
+    rows = _one_per_row([1.25, np.nan, -np.inf, 0.1, np.inf, 3.0, -np.nan])
+    return [rows[:4], rows[4:]]
+
+
+def _fallback_last_row():
+    # a fallback row ending a trade's segment (side "L"), then a one-row segment
+    # holding only a fallback row, then an in-range final segment
+    first = _one_per_row([0.25, 0.5, 1e-7])
+    return [first, _one_per_row([1e20]), _one_per_row([7.5, 0.125])]
+
+
+STUB_CASES = {"random-bits": _random_bits, "threshold-neighbours": _threshold_neighbours,
+              "exact-forms": _exact_forms, "non-finite": _non_finite,
+              "fallback-last-row": _fallback_last_row}
+
+
+@pytest.mark.parametrize("case", [1, 2, 3, "repr-forms", *STUB_CASES],
                          ids=lambda c: c if isinstance(c, str) else f"N{c}-rk4")
 def test_equilibrium_csv_matches_per_value_formatter(tmp_path, case):
-    if case == "repr-forms":
+    if case in STUB_CASES:
+        cfg, sol = presets.partial_two_type(grid=100), _stub_solution(STUB_CASES[case]())
+    elif case == "repr-forms":
         cfg, sol = presets.partial_two_type(grid=100), _repr_forms_solution()
     else:
         cfg = _crowd(case)
@@ -151,6 +233,12 @@ def test_equilibrium_csv_matches_per_value_formatter(tmp_path, case):
     if case == "repr-forms":
         assert all(repr(v) in text for v in REPR_FORMS) and "0.30000000000000004,R," in text
         assert text.splitlines()[3].split(",")[1] == "L"
+    if case == "random-bits":
+        # rows in repr's fixed notation, which orjson writes, are a good share
+        rows = text.splitlines()[2:]
+        assert len(rows) == 30_000 and sum("e" not in r for r in rows) > 10_000
+    if case == "fallback-last-row":
+        assert [r.split(",")[1] for r in text.splitlines()[2:]] == list("RRLLRR")
 
 
 def test_equilibrium_csv_from_threads_sharing_one_solution(tmp_path):
