@@ -6,7 +6,9 @@ Applied to an affine system y' = A(t) y + b(t), a step is exactly an affine
 map y_{n+1} = Phi_n y_n + psi_n.  ``step_maps`` builds every map of a
 segment at once from stage samples, and ``trajectory`` composes them with an
 inclusive Hillis-Steele scan: ceil(log2 m) batched matrix products instead
-of m sequential small ones.
+of m sequential small ones.  When every step is the same linear map,
+``compose_powers`` gives the scan's compositions bit for bit by repeated
+squaring, in m products instead of about m log2 m.
 """
 
 from __future__ import annotations
@@ -65,6 +67,24 @@ def compose_prefix(Phi: np.ndarray, psi: np.ndarray | None = None):
         P[d:] = P[d:] @ P[:-d]
         d *= 2
     return P, q
+
+
+def compose_powers(Phi: np.ndarray, k: int) -> np.ndarray:
+    """The k inclusive compositions Phi, Phi^2, .., Phi^k of k copies of one map.
+
+    Bit for bit ``compose_prefix(np.broadcast_to(Phi, (k, n, n)))[0]``: at
+    distance d the scan sets block [d, 2d) to S_d @ block [0, d), where
+    S_d = Phi^d is entry d - 1, and every later entry to S_d @ S_d, which is
+    entry 2d - 1.  Filling each block once with those operands in that order
+    is O(k) products, not the scan's O(k log k).
+    """
+    P = np.empty((k,) + Phi.shape)
+    P[0] = Phi
+    d = 1
+    while d < k:
+        P[d:2 * d] = P[d - 1] @ P[:min(d, k - d)]
+        d *= 2
+    return P
 
 
 def trajectory(y0, Phi: np.ndarray, psi: np.ndarray | None = None) -> np.ndarray:

@@ -1,18 +1,20 @@
 """Type-distribution dynamics of the switching crowd.
 
 Solves the forward equation dp/dt = Q^T p for the state probabilities with
-one RK4 step per fine-mesh sample; the steps' linear maps are composed
-by the prefix scan in ``affine``.  Also exposes the reweighted generator
-p_Q(t) whose (i, j) entry for j != i is (p_j / p_i) Q^{ji}, with the diagonal
-chosen so rows sum to zero.  p_Q drives the per-state mean-inventory dynamics
-dE_i/dt = mu_i + (p_Q E)_i.
+one RK4 step per fine-mesh sample.  Q is constant, so every step of a
+segment is one linear map; ``affine.compose_powers`` forms its powers by
+repeated squaring, bit for bit the compositions of the prefix scan, and
+p at the k-th sample is the k-th power applied to p at the segment start.
+Also exposes the reweighted generator p_Q(t) whose (i, j) entry for j != i
+is (p_j / p_i) Q^{ji}, with the diagonal chosen so rows sum to zero.  p_Q
+drives the per-state mean-inventory dynamics dE_i/dt = mu_i + (p_Q E)_i.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .affine import step_maps, trajectory
+from .affine import compose_powers, step_maps
 from .config import AversionSpec
 from .errors import SolverError
 from .grid import PiecewiseCurve, TimeGrid
@@ -23,32 +25,37 @@ CONSERVATION_TOL = 1e-10
 
 def solve_chain(aversion: AversionSpec, grid: TimeGrid) -> PiecewiseCurve:
     """Probabilities (n, N) on the grid's fine mesh, from the forward equation."""
-    Q = np.asarray(aversion.Q, dtype=float)
     N = aversion.n_states
-    cur = np.array(aversion.p0, dtype=float)
-    segs = []
-    for s in range(grid.n_segments):
-        # each fine sample is a step node, so the stage samples are twice as fine
-        A = np.broadcast_to(Q.T, (4 * grid.steps[s] + 1, N, N))
-        out = trajectory(cur, step_maps(A, grid.step_width(s) / 2.0)[0])
-        cur = out[-1]
-        segs.append(out)
-    curve = PiecewiseCurve(grid, tuple(segs))
-    _check_chain(curve)
-    return curve
+    # the three stage samples of one step: Q is constant, so one set serves every step
+    A = np.broadcast_to(np.asarray(aversion.Q, dtype=float).T, (3, N, N))
+    # one buffer for the whole chain, so it is checked in one pass; segments are views
+    sizes = [len(t) for t in grid.fine_times]
+    p = np.empty((sum(sizes), N))
+    segs = tuple(np.split(p, np.cumsum(sizes)[:-1]))
+    cur = aversion.p0
+    # an overflow must reach _check_chain as inf/NaN and raise there, not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s, seg in enumerate(segs):
+            seg[0] = cur
+            # each fine sample is a step node, so the steps are half a level-0 step wide
+            Phi = step_maps(A, grid.step_width(s) / 2.0)[0][0]
+            seg[1:] = compose_powers(Phi, len(seg) - 1) @ seg[0]
+            cur = seg[-1]
+    _check_chain(p, grid)
+    return PiecewiseCurve(grid, segs)
 
 
-def _check_chain(curve: PiecewiseCurve) -> None:
-    for s, seg in enumerate(curve.segments):
-        sums = seg.sum(axis=1)
-        bad = np.abs(sums - 1.0) > CONSERVATION_TOL
-        if np.any(bad):
-            t = curve.grid.fine_times[s][np.argmax(bad)]
-            raise SolverError(f"probability mass not conserved at t={t:.6g}")
-        low = seg.min(axis=1) <= POSITIVITY_FLOOR
-        if np.any(low):
-            t = curve.grid.fine_times[s][np.argmax(low)]
-            raise SolverError(f"state probability not strictly positive at t={t:.6g}")
+def _check_chain(p: np.ndarray, grid: TimeGrid) -> None:
+    """Raise at the first sample of the whole chain ``p`` that is not a
+    probability vector: mass first, then positivity.  Written so that NaN
+    fails: every comparison with NaN is False."""
+    for fault, what in ((~(np.abs(p.sum(axis=1) - 1.0) <= CONSERVATION_TOL),
+                         "probability mass not conserved"),
+                        (~(p.min(axis=1) > POSITIVITY_FLOOR),
+                         "state probability not strictly positive")):
+        if np.any(fault):
+            t = np.concatenate(grid.fine_times)[np.argmax(fault)]
+            raise SolverError(f"{what} at t={t:.6g}")
 
 
 def pq_batch(P: np.ndarray, Q: np.ndarray) -> np.ndarray:

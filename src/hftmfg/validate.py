@@ -2,11 +2,11 @@
 
 Each check re-verifies one family of invariants (conservation and positivity
 of the chain, box bounds and closed forms of the value coefficients, oracle
-equivalence and jump/terminal conditions of the equilibrium, linearity,
-profit arithmetic, qualitative shapes, simulator exactness).  The runner
-produces a machine-readable JSON report and a nonzero exit on any failure.
-The checks' absolute bounds and order ratios are sized for the package's
-one integrator, classic RK4.
+equivalence, convergence order and jump/terminal conditions of the
+equilibrium, linearity, profit arithmetic, qualitative shapes, simulator
+exactness).  The runner produces a machine-readable JSON report and a
+nonzero exit on any failure.  The checks' absolute bounds and order ratios
+are sized for the package's one integrator, classic RK4.
 
 The checks are the single implementation of the release criteria: the
 acceptance tests call them at the default grid of 1e4 and add nothing
@@ -159,6 +159,28 @@ def check_oracle_equivalence(grid: int) -> str:
                            f"(Gamma={Gam}, phi={phi})")
         worst = max(worst, err)
     return f"sup error {worst:.2e} <= 1e-6 on {len(SWEEP)} cases"
+
+
+def _engine_boundary_states(T: float, steps: int) -> np.ndarray:
+    # the two-type switching preset with its nine trades at kT/10
+    raw = presets.partial_two_type(grid=steps).to_dict()
+    raw["schedule"].update(T=T, times=[k * T / 10 for k in range(1, 10)])
+    sol = solve_partial(config_from_dict(raw))
+    return np.concatenate([sol.ends.ravel(), sol.agg_ends.ravel()])
+
+
+def check_engine_order(grid: int) -> str:
+    # a switching crowd has no closed form, so the equilibrium's error is
+    # checked by its step-halving ratio at fixed grids, as chain-order does
+    lo, hi = ORDER_RATIO
+    ratios = []
+    for T in (1.0, 5.0):
+        z = [_engine_boundary_states(T, steps) for steps in (250, 500, 1000)]
+        ratio = float(np.max(np.abs(z[0] - z[1])) / np.max(np.abs(z[1] - z[2])))
+        _need(lo <= ratio <= hi,
+              f"T={T:g}: step-halving ratio {ratio:.2f} outside [{lo}, {hi}]")
+        ratios.append(f"{ratio:.1f} at T={T:g}")
+    return "boundary-state step-halving ratio " + ", ".join(ratios)
 
 
 def check_equilibrium_conditions(grid: int) -> str:
@@ -332,6 +354,7 @@ CHECKS = [
     ("chain-order", check_chain_order),
     ("value-coefficients", check_h2),
     ("oracle-equivalence", check_oracle_equivalence),
+    ("engine-order", check_engine_order),
     ("equilibrium-conditions", check_equilibrium_conditions),
     ("derivative-identities", check_derivative_identities),
     ("mean-field-linearity", check_linearity),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hftmfg import presets
-from hftmfg.affine import step_maps, trajectory
+from hftmfg.affine import compose_powers, compose_prefix, step_maps, trajectory
 from hftmfg.meanfield import MeanFieldEngine, assemble_A_batch
 
 
@@ -55,6 +55,17 @@ def test_trajectory_steps_one_psi_column_per_y0_column(diagonal):
             assert np.array_equal(ys[:, :, c], ref)
         else:
             assert rel_err(ys[:, :, c], ref) <= 1e-14
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 9, 1000, 2047, 2048, 2049])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_compose_powers_equals_the_scan_over_copies_bit_for_bit(n, k):
+    rng = np.random.default_rng(1000 * n + k)
+    Phi = np.eye(n) + 0.02 * rng.standard_normal((n, n))
+    got = compose_powers(Phi, k)
+    ref, _ = compose_prefix(np.broadcast_to(Phi, (k, n, n)))
+    assert got.shape == (k, n, n)
+    assert got.tobytes() == ref.tobytes()
 
 
 def rk4_stage_step(y, A, b, h):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hftmfg.affine import step_maps, trajectory
 from hftmfg.chain import pq_batch, solve_chain
 from hftmfg.config import config_from_dict
 from hftmfg.errors import SolverError
@@ -9,14 +10,22 @@ from hftmfg.validate import check_chain_order
 from conftest import base_raw
 
 TRADES = [k / 10 for k in range(1, 10)]
+# the first segment is a single step at 1000 steps per unit time
+RAGGED = [0.001, 0.3, 0.3015, 0.77]
+
+
+def aversion(Q, p0):
+    raw = base_raw()
+    N = len(p0)
+    raw["aversion"] = {"Gamma": [0.0] * N, "phi": [0.0] * N,
+                       "Q": np.asarray(Q, dtype=float).tolist(),
+                       "p0": np.asarray(p0, dtype=float).tolist()}
+    raw["population"]["E0"] = [0.0] * N
+    return config_from_dict(raw).aversion
 
 
 def two_state(x, y, p0=(0.5, 0.5)):
-    raw = base_raw()
-    raw["aversion"] = {"Gamma": [0.0, 0.0], "phi": [0.0, 0.0],
-                       "Q": [[-x, x], [y, -y]], "p0": list(p0)}
-    raw["population"]["E0"] = [0.0, 0.0]
-    return config_from_dict(raw).aversion
+    return aversion([[-x, x], [y, -y]], p0)
 
 
 def closed_form_p1(x, y, t):
@@ -31,10 +40,11 @@ def test_symmetric_chain_is_stationary():
 
 
 def test_zero_generator_keeps_p0():
-    grid = make_grid(1.0, TRADES, 200)
-    p = solve_chain(two_state(0.0, 0.0, p0=(0.3, 0.7)), grid)
-    for seg in p.segments:
-        assert np.array_equal(seg, np.broadcast_to([0.3, 0.7], seg.shape))
+    for grid in (make_grid(1.0, TRADES, 200), make_grid(1.0, RAGGED, 1000)):
+        for p0 in ([1.0], [0.3, 0.7], [0.2, 0.3, 0.5]):
+            p = solve_chain(aversion(np.zeros((len(p0), len(p0))), p0), grid)
+            for seg in p.segments:
+                assert seg.tobytes() == np.broadcast_to(p0, seg.shape).tobytes()
 
 
 def test_asymmetric_chain_matches_closed_form():
@@ -60,6 +70,50 @@ def test_positivity_abort_names_time():
     grid = make_grid(1.0, TRADES, 200)
     with pytest.raises(SolverError, match="positive"):
         solve_chain(two_state(0.5, 0.5, p0=(1e-12, 1.0 - 1e-12)), grid)
+
+
+def test_overflowing_chain_raises_without_warning():
+    # rates this large overflow the first step map to inf and NaN, which the
+    # mass check must catch (filterwarnings = error fails any warning first)
+    grid = make_grid(1.0, [0.5], 10)
+    with pytest.raises(SolverError, match=r"mass not conserved at t=0\.05$"):
+        solve_chain(two_state(1e200, 1e200), grid)
+
+
+def scan_chain(av, grid):
+    """The chain as 2m stage-sampled step maps per segment, composed by the scan."""
+    Q = np.asarray(av.Q, dtype=float)
+    N = av.n_states
+    cur = np.array(av.p0, dtype=float)
+    segs = []
+    for s in range(grid.n_segments):
+        A = np.broadcast_to(Q.T, (4 * grid.steps[s] + 1, N, N))
+        segs.append(trajectory(cur, step_maps(A, grid.step_width(s) / 2.0)[0]))
+        cur = segs[-1][-1]
+    return segs
+
+
+def random_aversion(N, rng):
+    off = rng.uniform(0.0, 2.0, size=(N, N))
+    np.fill_diagonal(off, 0.0)
+    p0 = rng.uniform(0.2, 1.0, size=N)
+    return aversion(off - np.diag(off.sum(axis=1)), p0 / p0.sum())
+
+
+@pytest.mark.parametrize("times,first_steps", [(TRADES, 100), (RAGGED, 1)],
+                         ids=["nine-trades", "ragged"])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_chain_equals_the_scan_over_stage_sampled_maps_bit_for_bit(N, times, first_steps):
+    grid = make_grid(1.0, times, 1000)
+    assert grid.steps[0] == first_steps
+    rng = np.random.default_rng(N)
+    for _ in range(5):
+        av = random_aversion(N, rng)
+        p = solve_chain(av, grid)
+        ref = scan_chain(av, grid)
+        assert len(p.segments) == len(ref)
+        for seg, want in zip(p.segments, ref):
+            assert seg.tobytes() == want.tobytes()
 
 
 def test_convergence_order():
