@@ -8,8 +8,7 @@ from .config import (AversionSpec, LTSchedule, MarketParams, ModelConfig,
 from .errors import ConfigError, SimulationError, SolverError
 from .grid import PiecewiseCurve, TimeGrid, make_grid
 from .chain import solve_chain
-from .riccati import (RiccatiSolution, compute_h0, feedback_control,
-                      integrate_h1_backward, recover_h1, solve_h2, value_function)
+from .riccati import compute_h0, integrate_h1_backward, recover_h1, solve_h2
 from .meanfield import (MeanFieldEngine, MeanFieldSolution, closed_form_n1, closed_form_q0,
                         solve_partial)
 from .strategy import (OverallEquilibrium, ProfitReport, concavity_check,

@@ -8,13 +8,13 @@ JSON layout (all numbers unit-free)::
       "aversion":   {"Gamma": [...], "phi": [...], "Q": [[...]], "p0": [...]},
       "schedule":   {"T", "times": [...], "quantities": [...]?, "xi0"?},
       "population": {"E0": [...], "inventory_bound"},
-      "solver":     {"grid_steps_per_unit_time", "shooting_tolerance", "mu_at_trades"?}
+      "solver":     {"grid_steps_per_unit_time", "shooting_tolerance"}
     }
 
 ``quantities`` is required in partial mode (the trade schedule is data);
 ``xi0`` is required in overall mode (the solver produces the schedule).  The
-optional ``mu_at_trades`` key ("right", the default, or "left") selects which
-one-sided value of the aggregate trading speed prices the discrete trades.
+discrete trades are priced with the right-continuous value of the aggregate
+trading speed at each trade time; no key selects another.
 
 Every validation failure raises :class:`ConfigError` naming the violated
 field; nothing is silently clamped.
@@ -159,7 +159,6 @@ class PopulationInit:
 class SolverSettings:
     grid_steps_per_unit_time: int = 1000
     shooting_tolerance: float = 1e-6
-    mu_at_trades: str = "right"
 
     def validate(self) -> None:
         if not isinstance(self.grid_steps_per_unit_time, int) or isinstance(self.grid_steps_per_unit_time, bool):
@@ -169,8 +168,6 @@ class SolverSettings:
         tol = self.shooting_tolerance
         if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < np.inf:
             raise ConfigError("solver.shooting_tolerance must be a finite number > 0")
-        if self.mu_at_trades not in ("right", "left"):
-            raise ConfigError("solver.mu_at_trades must be 'right' or 'left'")
 
 
 @dataclass(frozen=True)
@@ -220,8 +217,7 @@ class ModelConfig:
             "population": {"E0": list(self.population.E0),
                            "inventory_bound": self.population.inventory_bound},
             "solver": {"grid_steps_per_unit_time": self.solver.grid_steps_per_unit_time,
-                       "shooting_tolerance": self.solver.shooting_tolerance,
-                       "mu_at_trades": self.solver.mu_at_trades},
+                       "shooting_tolerance": self.solver.shooting_tolerance},
         }
 
     def __eq__(self, other) -> bool:
@@ -299,12 +295,10 @@ def config_from_dict(raw: dict) -> ModelConfig:
     )
 
     sv = raw.get("solver", {})
-    _check_keys(sv, {"grid_steps_per_unit_time", "shooting_tolerance", "mu_at_trades"},
-                set(), "solver")
+    _check_keys(sv, {"grid_steps_per_unit_time", "shooting_tolerance"}, set(), "solver")
     solver = SolverSettings(
         grid_steps_per_unit_time=sv.get("grid_steps_per_unit_time", 1000),
         shooting_tolerance=_fnum(sv.get("shooting_tolerance", 1e-6), "solver.shooting_tolerance"),
-        mu_at_trades=sv.get("mu_at_trades", "right"),
     )
 
     cfg = ModelConfig(raw["mode"], market, aversion, schedule, population, solver)

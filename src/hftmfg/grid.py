@@ -68,9 +68,9 @@ class PiecewiseCurve:
     """Vector-valued function of time, smooth inside each grid segment.
 
     ``segments[s]`` holds samples of shape (2*steps[s] + 1, dim) on the
-    segment's fine mesh.  Evaluation is right-continuous by default; the left
-    limit at an interior boundary is available through ``side="left"`` or
-    ``left_at``.
+    segment's fine mesh.  Evaluation is right-continuous: at trade time t_k,
+    ``eval`` returns the first sample of segment k, and the left limit is read
+    only through ``left_at(k)``.
     """
 
     grid: TimeGrid
@@ -96,16 +96,15 @@ class PiecewiseCurve:
     def right_at(self, k: int) -> np.ndarray:
         return self.segments[k][0]
 
-    def segment_of(self, t: float, side: str = "right") -> int:
-        inner = self.grid.bounds[1:-1]
-        pos = int(np.searchsorted(inner, t, side="right" if side == "right" else "left"))
-        return min(max(pos, 0), self.grid.n_segments - 1)
+    def segment_of(self, t: float) -> int:
+        pos = int(np.searchsorted(self.grid.bounds[1:-1], t, side="right"))
+        return min(pos, self.grid.n_segments - 1)
 
-    def eval(self, t: float, side: str = "right") -> np.ndarray:
+    def eval(self, t: float) -> np.ndarray:
         """Linear interpolation on the fine mesh; ``t`` must lie in [0, T]."""
         if not self.grid.bounds[0] <= t <= self.grid.bounds[-1]:
             raise ValueError(f"t={t!r} lies outside [0, {self.grid.horizon:g}]")
-        s = self.segment_of(t, side)
+        s = self.segment_of(t)
         ft = self.grid.fine_times[s]
         vals = self.segments[s]
         # bracket by search, so t on a mesh node returns the stored sample exactly
@@ -114,14 +113,9 @@ class PiecewiseCurve:
         return (1.0 - w) * vals[i] + w * vals[i + 1]
 
 
-def trade_values(segments, side: str = "right") -> np.ndarray:
-    """Samples at the trade times t_1..t_K from per-segment arrays.
-
-    ``side="left"`` takes the left limit, the last sample of segment k-1;
-    ``"right"`` the right-continuous value, the first sample of segment k.
-    """
-    if side == "left":
-        return np.array([seg[-1] for seg in segments[:-1]])
+def trade_values(segments) -> np.ndarray:
+    """Right-continuous samples at the trade times t_1..t_K from per-segment
+    arrays: the first sample of segment k."""
     return np.array([seg[0] for seg in segments[1:]])
 
 

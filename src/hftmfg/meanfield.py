@@ -208,8 +208,8 @@ class MeanFieldSolution:
     def mu_agg(self) -> PiecewiseCurve:
         return self._curves.get()[3]
 
-    def mu_at_trades(self, side: str = "right") -> np.ndarray:
-        return trade_values(self.agg_ends[:, :, 0], side)
+    def mu_at_trades(self) -> np.ndarray:
+        return trade_values(self.agg_ends[:, :, 0])
 
     def E_at_trades(self) -> np.ndarray:
         return trade_values(self.agg_ends[:, :, 1])

@@ -183,30 +183,3 @@ def compute_h0(h1: PiecewiseCurve, h2: PiecewiseCurve, mu_agg: PiecewiseCurve,
     jumps = np.zeros((h2.grid.n_segments - 1, N))
     return _backward_affine(h2.grid, A_segs, b_segs, jumps)
 
-
-@dataclass(frozen=True)
-class RiccatiSolution:
-    h2: PiecewiseCurve
-    h1: PiecewiseCurve | None
-    h0: PiecewiseCurve | None
-    market: MarketParams
-
-
-def feedback_control(t: float, x: float, i: int, sol: RiccatiSolution,
-                     mu, side: str = "right") -> float:
-    """Optimal trading speed (h1_i + 2 h2_i x - lambdaH * mu) / (2 eta)."""
-    mu_v = float(mu.eval(t, side=side)[0]) if isinstance(mu, PiecewiseCurve) else float(mu)
-    h1_v = float(sol.h1.eval(t, side=side)[i])
-    h2_v = float(sol.h2.eval(t, side=side)[i])
-    return (h1_v + 2.0 * h2_v * x - sol.market.lam_h * mu_v) / (2.0 * sol.market.eta)
-
-
-def value_function(t: float, x: float, P: float, i: int, sol: RiccatiSolution,
-                   side: str = "right") -> float:
-    """P*x + h0_i(t) + h1_i(t)*x + h2_i(t)*x^2."""
-    if sol.h0 is None or sol.h1 is None:
-        raise ValueError("value_function needs h0 and h1; build them first")
-    h0_v = float(sol.h0.eval(t, side=side)[i])
-    h1_v = float(sol.h1.eval(t, side=side)[i])
-    h2_v = float(sol.h2.eval(t, side=side)[i])
-    return P * x + h0_v + h1_v * x + h2_v * x * x

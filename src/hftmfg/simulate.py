@@ -59,6 +59,7 @@ _PURPOSE_AGENT = 0
 _PURPOSE_PRICE = 1
 _FIELD_BITS = 28        # bits of the rep and agent fields of a stream key
 _MAX_EVENTS_PER_AGENT = 100_000
+_CONTROL_CELLS = 20     # control cells per segment of the deviator's quadratic
 # Philox4x64 multipliers and Weyl key increments (Salmon et al., SC'11)
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
@@ -675,8 +676,8 @@ def _cell_projected_controls(traj_X_segments, grid, cells_per_segment: int) -> n
     return np.diff(x) / np.diff(edges)
 
 
-def deviation_gain(cfg: ModelConfig, eq: MeanFieldSolution, traj: PopulationTrajectory,
-                   control_cells_per_segment: int = 20) -> DeviationResult:
+def deviation_gain(cfg: ModelConfig, eq: MeanFieldSolution,
+                   traj: PopulationTrajectory) -> DeviationResult:
     """Exact best response of agent 0 of ``traj`` against the frozen remaining M-1.
 
     The whole realization (initial inventories and every agent's state path,
@@ -695,12 +696,13 @@ def deviation_gain(cfg: ModelConfig, eq: MeanFieldSolution, traj: PopulationTraj
     if M < 2:
         raise SimulationError("deviation test needs at least two agents")
     vbar_minus = [(M * rec.vbar - rec.v_agent0) / (M - 1) for rec in traj.segments]
-    return _deviation_result(cfg, eq, 1.0 / M, vbar_minus, traj, control_cells_per_segment)
+    return _deviation_result(cfg, eq, 1.0 / M, vbar_minus, traj, _CONTROL_CELLS)
 
 
 def deviation_gain_vs_mean_field(cfg: ModelConfig, eq: MeanFieldSolution, x_init: float,
                                  *, y_init: int = 0, events=(),
-                                 control_cells_per_segment: int = 20) -> DeviationResult:
+                                 control_cells_per_segment: int = _CONTROL_CELLS
+                                 ) -> DeviationResult:
     """Limiting deviation test with the rest of the crowd replaced by the mean field."""
     events = list(events)
     (traj,) = _run_agents(cfg, eq, np.array([float(x_init)]), np.array([y_init]),
@@ -748,7 +750,7 @@ def lt_deviation_gain(cfg: ModelConfig, overall_eq,
     """
     xbar0 = float(traj.segments[0].Xbar[0])
     xbar_k = trade_values([rec.Xbar for rec in traj.segments])
-    vbar_k = trade_values([rec.vbar for rec in traj.segments], cfg.solver.mu_at_trades)
+    vbar_k = trade_values([rec.vbar for rec in traj.segments])
     xi_best = best_response_values(xbar_k, vbar_k, float(cfg.schedule.xi0), cfg)
 
     def psi(xi) -> float:

@@ -51,8 +51,7 @@ def best_response_values(E_k: np.ndarray, mu_k: np.ndarray, xi0: float,
 def lt_best_response(mean_field: MeanFieldSolution, cfg: ModelConfig) -> np.ndarray:
     """Optimal trades against a fixed mean field (empty schedule -> empty vector)."""
     xi0 = cfg.schedule.xi0 if cfg.schedule.xi0 is not None else 0.0
-    return best_response_values(mean_field.E_at_trades(),
-                                mean_field.mu_at_trades(cfg.solver.mu_at_trades),
+    return best_response_values(mean_field.E_at_trades(), mean_field.mu_at_trades(),
                                 float(xi0), cfg)
 
 
@@ -94,8 +93,7 @@ def lt_profit(cfg: ModelConfig, mean_field: MeanFieldSolution) -> ProfitReport:
     """Expected revenue of the schedule ``mean_field.xi`` against the mean field it
     induces, with and without its price impact."""
     return profit_from_aggregates(cfg, mean_field.xi, mean_field.E_at_trades(),
-                                  mean_field.E_agg_initial(),
-                                  mean_field.mu_at_trades(cfg.solver.mu_at_trades))
+                                  mean_field.E_agg_initial(), mean_field.mu_at_trades())
 
 
 @dataclass(frozen=True)
@@ -149,7 +147,6 @@ def solve_overall(cfg: ModelConfig, cache: dict | None = None) -> OverallEquilib
     K = cfg.schedule.K
     xi0 = float(cfg.schedule.xi0)
     E0 = cfg.population.E0
-    side = cfg.solver.mu_at_trades
 
     if K <= 1:
         # the completion constraint alone fixes the schedule
@@ -158,7 +155,7 @@ def solve_overall(cfg: ModelConfig, cache: dict | None = None) -> OverallEquilib
     else:
         def at_trades(E0_i, xi):
             sol = engine.solve(E0_i, xi)
-            return sol.E_at_trades(), sol.mu_at_trades(side)
+            return sol.E_at_trades(), sol.mu_at_trades()
 
         # mean field at the trades in response to unit E0 components and unit trades
         initial = [at_trades(e, np.zeros(K)) for e in np.eye(N)]

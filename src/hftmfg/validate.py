@@ -25,7 +25,7 @@ from .config import config_from_dict, load_config, serialize_config
 from .errors import ConfigError
 from .figures import figure_specs, profit_difference_scan
 from .grid import make_grid, sup_diff
-from .meanfield import (MeanFieldEngine, closed_form_n1, default_grid, solve_partial,
+from .meanfield import (MeanFieldEngine, closed_form_q0, default_grid, solve_partial,
                         speed_jump_size)
 from .reporting import _atomic_write
 from .riccati import h2_box_bound, recover_h1, solve_h2
@@ -148,17 +148,19 @@ def check_h2(grid: int) -> str:
 
 
 def check_oracle_equivalence(grid: int) -> str:
+    # the single-type sweep, then the two-type crowd without switching (panel F04a's)
+    cases = [(f"Gamma={Gam}, phi={phi}", presets.partial_single_type(Gam, phi, grid=grid))
+             for Gam, phi in SWEEP]
+    cases.append(("two types, Q = 0", presets.partial_two_type(x=0.0, y=0.0, grid=grid)))
     worst = 0.0
-    for Gam, phi in SWEEP:
-        cfg = presets.partial_single_type(Gam, phi, grid=grid)
+    for name, cfg in cases:
         num = solve_partial(cfg)
-        ora = closed_form_n1(cfg)
+        ora = closed_form_q0(cfg)
         err = max(sup_diff(num.E_by_state, ora.E_by_state),
                   sup_diff(num.mu_by_state, ora.mu_by_state))
-        _need(err <= 1e-6, f"solver vs closed form sup error {err:.3e} > 1e-6 "
-                           f"(Gamma={Gam}, phi={phi})")
+        _need(err <= 1e-6, f"solver vs closed form sup error {err:.3e} > 1e-6 ({name})")
         worst = max(worst, err)
-    return f"sup error {worst:.2e} <= 1e-6 on {len(SWEEP)} cases"
+    return f"sup error {worst:.2e} <= 1e-6 on {len(cases)} cases"
 
 
 def _engine_boundary_states(T: float, steps: int) -> np.ndarray:

@@ -55,7 +55,8 @@ def test_c01_oracle_equivalence(monkeypatch):
 
     monkeypatch.setattr(validate, "solve_partial", timed_solve)
     detail = run_check("oracle-equivalence")
-    assert len(elapsed) == len(validate.SWEEP)
+    # the single-type sweep and one two-type crowd without switching
+    assert len(elapsed) == len(validate.SWEEP) + 1
     assert max(elapsed) < 1.0, f"slowest solve took {max(elapsed):.2f}s"
     report(f"C1 PASS: closed-form equivalence on the 1e4-node grid, {detail}, "
            f"slowest case {max(elapsed)*1e3:.0f} ms")
@@ -110,7 +111,7 @@ def test_c09_epsilon_nash_convergence():
                               for _, met in simulate_population(cfg2, eq2, M, seeds)]))
              for M in Ms]
     slope = float(np.polyfit(np.log(Ms), np.log(med_v), 1)[0])
-    assert -1.35 <= slope <= -0.65, f"slope {slope:.3f}"
+    assert -1.15 <= slope <= -0.85, f"slope {slope:.3f}"
 
     # a single crowd member cannot profitably deviate for large M
     cfg1 = presets.partial_single_type(2.0, 10.0, grid=400).with_solver(
@@ -143,7 +144,7 @@ def test_c09_epsilon_nash_convergence():
 
     elapsed = time.perf_counter() - t_start
     assert elapsed < 300.0, f"sweep took {elapsed:.0f}s"
-    report(f"C9 PASS: vbar slope {slope:.2f} in -1 +- 0.35; crowd gains "
+    report(f"C9 PASS: vbar slope {slope:.2f} in -1 +- 0.15; crowd gains "
            f"{med_g[0]:.1e} > {med_g[1]:.1e} > {med_g[2]:.1e} "
            f"({hft_ratio:.1e} of objective at M=1e4); trader gains "
            f"{med_lt[0]:.1e} > {med_lt[1]:.1e} > {med_lt[2]:.1e} "

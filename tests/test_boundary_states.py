@@ -102,9 +102,7 @@ def _assert_boundary_path_matches_curves(cfg, sol):
     assert np.array_equal(r.jump_by_state, jump_state)
     # and the trade-time values the trader's best response and profit read
     assert np.array_equal(sol.E_at_trades(), trade_values([s[:, 0] for s in sol.E_agg.segments]))
-    for side in ("left", "right"):
-        assert np.array_equal(sol.mu_at_trades(side),
-                              trade_values([s[:, 0] for s in sol.mu_agg.segments], side))
+    assert np.array_equal(sol.mu_at_trades(), trade_values([s[:, 0] for s in sol.mu_agg.segments]))
     assert sol.E_agg_initial() == float(sol.E_agg.initial()[0])
 
 

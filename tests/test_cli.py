@@ -190,21 +190,6 @@ def test_simulate_rejects_degenerate_sample_flags(config_file, raw_config, tmp_p
     assert not out.exists()
 
 
-def test_simulate_byte_identical_across_worker_counts(config_file, tmp_path):
-    raw = base_raw()
-    raw["solver"]["grid_steps_per_unit_time"] = 150
-    cfgp = config_file(raw)
-    blobs = []
-    for i, workers in enumerate((1, 4)):
-        out = str(tmp_path / f"w{i}")
-        rc = run(["simulate", "--config", cfgp, "--out", out,
-                  "--M", "40", "80", "--seeds", "3", "--workers", str(workers)])
-        assert rc == 0
-        blobs.append({name: Path(out, name).read_bytes()
-                      for name in sorted(os.listdir(out))})
-    assert blobs[0] == blobs[1]
-
-
 def test_simulate_trajectory_dump_guard(config_file, tmp_path):
     raw = base_raw()
     raw["solver"]["grid_steps_per_unit_time"] = 20000
@@ -468,6 +453,32 @@ def test_config_naming_an_integrator_is_a_configuration_error(config_file, tmp_p
     assert run(["solve-partial", "--config", config_file(raw), "--out", str(out)]) == 1
     assert capsys.readouterr().err == \
         "configuration error: unknown key(s) in solver: ['integrator']\n"
+    assert not out.exists()
+
+
+MU_AT_TRADES_REFUSED = "configuration error: unknown key(s) in solver: ['mu_at_trades']\n"
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_config_naming_mu_at_trades_is_a_configuration_error(config_file, tmp_path, capsys,
+                                                             side):
+    # trades are priced with the right-continuous speed, so a config may not
+    # name a side, not even "right"
+    raw = base_raw()
+    raw["solver"]["mu_at_trades"] = side
+    out = tmp_path / "o"
+    assert run(["solve-partial", "--config", config_file(raw), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == MU_AT_TRADES_REFUSED
+    assert not out.exists()
+
+
+def test_env_naming_mu_at_trades_is_a_configuration_error(config_file, tmp_path, capsys,
+                                                          monkeypatch):
+    monkeypatch.setenv("HFTMFG_SOLVER__MU_AT_TRADES", "left")
+    out = tmp_path / "o"
+    assert run(["solve-overall", "--config", config_file(base_raw("overall")),
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err == MU_AT_TRADES_REFUSED
     assert not out.exists()
 
 

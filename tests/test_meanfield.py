@@ -312,7 +312,6 @@ def test_curve_eval_rejects_times_outside_horizon(baseline_eq):
     assert np.array_equal(curve.eval(T), curve.terminal())
     for k in range(1, eq.grid.n_segments):
         tk = eq.grid.bounds[k]
-        assert np.array_equal(curve.eval(tk, side="left"), curve.left_at(k))
         assert np.array_equal(curve.eval(tk), curve.right_at(k))
 
 

@@ -8,9 +8,8 @@ from hftmfg.config import config_from_dict
 from hftmfg.errors import SolverError
 from hftmfg.grid import PiecewiseCurve, make_grid
 from hftmfg.meanfield import default_grid, solve_partial
-from hftmfg.riccati import (RiccatiSolution, _check_box, compute_h0, feedback_control,
-                            h2_box_bound, integrate_h1_backward, recover_h1, solve_h2,
-                            value_function)
+from hftmfg.riccati import (_check_box, compute_h0, h2_box_bound, integrate_h1_backward,
+                            recover_h1, solve_h2)
 from conftest import base_raw
 
 TRADES = [k / 10 for k in range(1, 10)]
@@ -317,27 +316,40 @@ def test_h0_zero_when_everything_vanishes():
         assert np.all(seg == 0.0)
 
 
-def _riccati_solution(cfg, eq):
+def _coefficients(cfg, eq):
+    """h1 recovered from the solved mean field, and h0 integrated from it."""
     h1, _ = recover_h1(eq, cfg.market)
-    h0 = compute_h0(h1, eq.h2, eq.mu_agg, cfg.aversion, cfg.market)
-    return RiccatiSolution(eq.h2, h1, h0, cfg.market)
+    return h1, compute_h0(h1, eq.h2, eq.mu_agg, cfg.aversion, cfg.market)
+
+
+def _feedback(market, h1, h2, mu, x):
+    """Optimal speed (h1 + 2 h2 x - lambdaH mu) / (2 eta) from coefficient values."""
+    return (h1 + 2.0 * h2 * x - market.lam_h * mu) / (2.0 * market.eta)
+
+
+def _value(h0, h1, h2, x, P=0.0):
+    """P x + h0 + h1 x + h2 x^2 from coefficient values."""
+    return P * x + h0 + h1 * x + h2 * x * x
 
 
 def test_feedback_at_mean_returns_mean_speed(stiff_eq):
     cfg, eq = stiff_eq
-    rs = _riccati_solution(cfg, eq)
-    t = 0.42
-    x = float(eq.E_by_state.eval(t)[0])
-    v = feedback_control(t, x, 0, rs, eq.mu_agg)
-    assert v == pytest.approx(float(eq.mu_by_state.eval(t)[0]), abs=1e-9)
+    h1, _ = _coefficients(cfg, eq)
+    for s in range(eq.grid.n_segments):
+        v = _feedback(cfg.market, h1.node_values(s)[:, 0], eq.h2.node_values(s)[:, 0],
+                      eq.mu_agg.node_values(s)[:, 0], eq.E_by_state.node_values(s)[:, 0])
+        assert np.max(np.abs(v - eq.mu_by_state.node_values(s)[:, 0])) < 1e-9
 
 
 def test_feedback_zero_when_coefficients_vanish():
     cfg = presets.partial_single_type(0.0, 0.0, grid=200, quantities=np.zeros(9))
     eq = solve_partial(cfg)
-    rs = _riccati_solution(cfg, eq)
-    for x in (-3.0, 0.0, 5.0):
-        assert feedback_control(0.5, x, 0, rs, eq.mu_agg) == pytest.approx(0.0, abs=1e-12)
+    h1, _ = _coefficients(cfg, eq)
+    for s in range(eq.grid.n_segments):
+        for x in (-3.0, 0.0, 5.0):
+            v = _feedback(cfg.market, h1.node_values(s), eq.h2.node_values(s),
+                          eq.mu_agg.node_values(s), x)
+            assert np.max(np.abs(v)) <= 1e-12
 
 
 def test_feedback_jump_at_trades(baseline_eq):
@@ -345,15 +357,17 @@ def test_feedback_jump_at_trades(baseline_eq):
     # gamma*xi/(2 eta) = 10) while the total control jump matches the
     # population average gamma*xi/(lamH + 2 eta) = 5
     cfg, eq = baseline_eq
-    rs = _riccati_solution(cfg, eq)
-    t_k = 0.5
+    h1, _ = _coefficients(cfg, eq)
+    k = 5                                   # t_5 = 0.5
     x = 0.3
-    v_left = feedback_control(t_k, x, 0, rs, eq.mu_agg, side="left")
-    v_right = feedback_control(t_k, x, 0, rs, eq.mu_agg, side="right")
-    h1_drop = (rs.h1.eval(t_k, "left") - rs.h1.eval(t_k, "right"))[0]
+    v_left = _feedback(cfg.market, h1.left_at(k)[0], eq.h2.left_at(k)[0],
+                       eq.mu_agg.left_at(k)[0], x)
+    v_right = _feedback(cfg.market, h1.right_at(k)[0], eq.h2.right_at(k)[0],
+                        eq.mu_agg.right_at(k)[0], x)
+    h1_drop = (h1.left_at(k) - h1.right_at(k))[0]
     assert h1_drop / (2 * cfg.market.eta) == pytest.approx(10.0, abs=1e-8)
     assert v_left - v_right == pytest.approx(5.0, abs=1e-8)
-    mu_jump = (eq.mu_agg.left_at(5) - eq.mu_agg.right_at(5))[0]
+    mu_jump = (eq.mu_agg.left_at(k) - eq.mu_agg.right_at(k))[0]
     assert mu_jump == pytest.approx(5.0, abs=1e-10)
 
 
@@ -361,16 +375,14 @@ def test_feedback_jump_at_trades(baseline_eq):
                                           (0.0, 5.0, 0.0)])
 def test_value_function_matches_realized_payoff(Gamma, phi, x0):
     # dynamic-programming consistency across modules: quadrature of the
-    # objective along the feedback play equals h0 + h1 x + h2 x^2, and the
-    # play is the grid optimum of that same objective
+    # objective along the feedback play equals h0 + h1 x + h2 x^2 at t = 0,
+    # and the play is the grid optimum of that same objective
     from hftmfg.simulate import deviation_gain_vs_mean_field
     cfg = presets.partial_single_type(Gamma, phi, grid=2000)
     eq = solve_partial(cfg)
-    h1, _ = recover_h1(eq, cfg.market)
-    h0 = compute_h0(h1, eq.h2, eq.mu_agg, cfg.aversion, cfg.market)
-    rs = RiccatiSolution(eq.h2, h1, h0, cfg.market)
+    h1, h0 = _coefficients(cfg, eq)
     r = deviation_gain_vs_mean_field(cfg, eq, x_init=x0, control_cells_per_segment=50)
-    v = value_function(0.0, x0, 0.0, 0, rs)
+    v = float(_value(h0.initial()[0], h1.initial()[0], eq.h2.initial()[0], x0))
     assert abs(r.j_mfg - v) < 2e-4 * max(abs(v), 1.0)
     assert 0.0 <= r.gain < 1e-7
 
@@ -406,21 +418,22 @@ def test_h2_box_invariant_random_generators():
 
 def test_value_function_terminal_and_zero_inventory(baseline_eq):
     cfg, eq = baseline_eq
-    rs = _riccati_solution(cfg, eq)
-    # x = 0 leaves only the inventory-free component
-    assert value_function(0.3, 0.0, 7.0, 0, rs) == pytest.approx(
-        float(rs.h0.eval(0.3)[0]), abs=1e-12)
+    h1, h0 = _coefficients(cfg, eq)
+    # x = 0 leaves only the inventory-free component, which a trade does not move
+    for k in range(1, eq.grid.n_segments):
+        assert np.array_equal(h0.left_at(k), h0.right_at(k))
     # at the horizon: P x - Gamma x^2
-    t, x, P = 1.0, 1.3, 2.0
+    x, P = 1.3, 2.0
     expect = P * x - cfg.aversion.Gamma[0] * x * x
-    assert value_function(t, x, P, 0, rs) == pytest.approx(expect, abs=1e-8)
+    got = _value(h0.terminal()[0], h1.terminal()[0], eq.h2.terminal()[0], x, P)
+    assert got == pytest.approx(expect, abs=1e-8)
 
 
 def test_value_function_flat_market_matches_h2():
     # no trades, flat start: value at x=1 reduces to the quadratic coefficient
     cfg = presets.partial_single_type(2.0, 0.0, grid=500, quantities=np.zeros(9))
     eq = solve_partial(cfg)
-    rs = _riccati_solution(cfg, eq)
-    got = value_function(0.0, 1.0, 0.0, 0, rs)
+    h1, h0 = _coefficients(cfg, eq)
+    got = float(_value(h0.initial()[0], h1.initial()[0], eq.h2.initial()[0], 1.0))
     assert got == pytest.approx(-0.1 / 2.05, abs=1e-9)
     assert got == pytest.approx(-0.0487805, abs=1e-6)

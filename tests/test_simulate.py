@@ -17,8 +17,7 @@ from hftmfg.simulate import (SegmentRecord, default_init_spread, deviation_gain,
                              _normals, _philox, _run_agents, _segment_coeffs, _stream_keys,
                              _through_switches, _uniform)
 from hftmfg.grid import trade_values
-from hftmfg.strategy import (best_response_values, lt_profit, profit_from_aggregates,
-                             solve_overall)
+from hftmfg.strategy import best_response_values, lt_profit, solve_overall
 
 from conftest import base_raw
 
@@ -576,8 +575,7 @@ def test_lt_deviation_zero_when_decoupled():
     assert abs(r.gain) < 1e-12
     # decoupled, the best response to the simulated crowd is the equilibrium schedule
     xi_best = best_response_values(trade_values([rec.Xbar for rec in traj.segments]),
-                                   trade_values([rec.vbar for rec in traj.segments],
-                                                cfg.solver.mu_at_trades),
+                                   trade_values([rec.vbar for rec in traj.segments]),
                                    cfg.schedule.xi0, cfg)
     assert np.max(np.abs(xi_best - eq.xi_star)) < 1e-12
 
@@ -593,23 +591,6 @@ def test_lt_deviation_zero_for_exact_mean_population():
     assert abs(r.gain) < 1e-10
     # the empirical payoff is the analytic revenue model on the simulated aggregates
     assert r.psi_mfg == lt_profit(cfg, eq.mean_field).profit_with_hft
-
-
-def test_left_hand_speed_prices_the_trades_through_the_joint_equilibrium():
-    right = presets.overall_two_type(grid=400, xi0=-9.0).with_solver(shooting_tolerance=1e-3)
-    cfg = right.with_solver(mu_at_trades="left")
-    eq = solve_overall(cfg)
-    assert abs(np.sum(eq.xi_star) - 9.0) <= 1e-10
-    assert eq.fixed_point_residual <= 1e-6
-    assert eq.concavity.negative_definite
-    # the side changes the schedule, so the left-hand speed really entered it
-    assert np.max(np.abs(eq.xi_star - solve_overall(right).xi_star)) > 1e-3
-    mf = eq.mean_field
-    assert lt_profit(cfg, mf) == profit_from_aggregates(cfg, mf.xi, mf.E_at_trades(),
-                                                        mf.E_agg_initial(),
-                                                        mf.mu_at_trades("left"))
-    traj, _ = simulate_population(cfg, mf, 1000, [0])[0]
-    assert lt_deviation_gain(cfg, eq, traj).gain >= -1e-10
 
 
 def test_lt_deviation_shrinks_with_population(overall_two):

@@ -104,7 +104,7 @@ def test_basis_consistency(overall_baseline):
 def _priced(cfg, xi, mean_field):
     """Expected revenue of the schedule xi against a given mean field."""
     return profit_from_aggregates(cfg, xi, mean_field.E_at_trades(), mean_field.E_agg_initial(),
-                                  mean_field.mu_at_trades(cfg.solver.mu_at_trades))
+                                  mean_field.mu_at_trades())
 
 
 def test_perturbing_any_free_trade_never_helps(overall_baseline):
