@@ -30,12 +30,13 @@ def rk_step(f, y, h):
     return y + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
 
 
-def step_maps(A: np.ndarray, h: float, b: np.ndarray | None = None):
+def step_maps(A: np.ndarray, h, b: np.ndarray | None = None):
     """RK4 step maps (Phi, psi) of y' = A y + b.
 
     ``A`` (2m+1, n, n) and ``b`` (2m+1, n) are stage samples on the fine
     mesh: step i starts at index 2i, has its midpoint at 2i+1 and ends at
-    2i+2.  Returns Phi (m, n, n) and psi (m, n), or None when b is None.
+    2i+2.  ``h`` is the step width, or an (m, 1, 1) array of one width per
+    step.  Returns Phi (m, n, n) and psi (m, n), or None when b is None.
     The stages act on the augmented map [Phi | psi], whose last column
     carries the inhomogeneous part, so one set of stage products builds both.
     """

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: ``solve-partial``, ``solve-overall``, ``simulate``, ``figures``,
-``validate``.  Exit codes: 0 success, 1 validation or solver failure (among
-them a residual that misses its tolerance), 2 usage error.  The solve
-commands solve before they write, so a failed solve leaves no output files.
+``validate``.  Exit codes: 0 success, 1 validation, solver or output failure
+(among them a residual that misses its tolerance, or an ``--out`` that cannot
+be made a directory), 2 usage error.  The solve commands solve before they
+write, so a failed solve leaves no output files.
 
 Configuration values can be overridden per run through environment variables
 prefixed with ``HFTMFG_`` (path segments joined by double underscores, e.g.
@@ -318,6 +319,9 @@ def main(argv=None) -> int:
         return 1
     except (SolverError, SimulationError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 1
 
 

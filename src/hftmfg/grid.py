@@ -68,9 +68,8 @@ class PiecewiseCurve:
     """Vector-valued function of time, smooth inside each grid segment.
 
     ``segments[s]`` holds samples of shape (2*steps[s] + 1, dim) on the
-    segment's fine mesh.  Evaluation is right-continuous: at trade time t_k,
-    ``eval`` returns the first sample of segment k, and the left limit is read
-    only through ``left_at(k)``.
+    segment's fine mesh.  At trade time t_k, ``right_at(k)`` reads the first
+    sample of segment k and ``left_at(k)`` the last sample of segment k-1.
     """
 
     grid: TimeGrid
@@ -95,22 +94,6 @@ class PiecewiseCurve:
 
     def right_at(self, k: int) -> np.ndarray:
         return self.segments[k][0]
-
-    def segment_of(self, t: float) -> int:
-        pos = int(np.searchsorted(self.grid.bounds[1:-1], t, side="right"))
-        return min(pos, self.grid.n_segments - 1)
-
-    def eval(self, t: float) -> np.ndarray:
-        """Linear interpolation on the fine mesh; ``t`` must lie in [0, T]."""
-        if not self.grid.bounds[0] <= t <= self.grid.bounds[-1]:
-            raise ValueError(f"t={t!r} lies outside [0, {self.grid.horizon:g}]")
-        s = self.segment_of(t)
-        ft = self.grid.fine_times[s]
-        vals = self.segments[s]
-        # bracket by search, so t on a mesh node returns the stored sample exactly
-        i = min(int(np.searchsorted(ft, t, side="right")) - 1, len(ft) - 2)
-        w = (float(t) - ft[i]) / (ft[i + 1] - ft[i])
-        return (1.0 - w) * vals[i] + w * vals[i + 1]
 
 
 def trade_values(segments) -> np.ndarray:

@@ -15,13 +15,14 @@ Agents do not interact, and between its own switches every agent in state i
 takes the same RK4 step D <- alpha_i D + beta_i.  So a population is
 stepped as per-state counts n_i and sums S_i of D, S_i <- alpha_i S_i +
 n_i beta_i, which give every aggregate the metrics and deviation tests read.
+D, h2, p and E are continuous at a trade, so one pass steps the horizon.
 An agent is touched only at its own switching steps, the r-th of every agent
 in one vectorised round r: its D is carried from its last touch by a
 binary-lifting table of composed step maps (O(log m) per lookup, and no
-ratio of cumulative products, which cancels on stiff, long segments), taken
+ratio of cumulative products, which cancels on stiff, long horizons), taken
 through its events in exact sub-steps, and its net change moves between the
-sums.  Every agent is carried to each segment's end, and to every level-0
-node only when paths are recorded.
+sums.  Agent 0 of each replication, or every agent when paths are recorded,
+is lifted to every level-0 node at the end.
 
 Several seeds of one M run as one population of R*M agents, replication r
 holding agents r*M .. r*M + M - 1 (the replication axis).  The counts and
@@ -60,6 +61,7 @@ _PURPOSE_PRICE = 1
 _FIELD_BITS = 28        # bits of the rep and agent fields of a stream key
 _MAX_EVENTS_PER_AGENT = 100_000
 _CONTROL_CELLS = 20     # control cells per segment of the deviator's quadratic
+_NODE_BATCH = 1 << 19   # agent-nodes per lift of watched agents' node states
 # Philox4x64 multipliers and Weyl key increments (Salmon et al., SC'11)
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
@@ -247,29 +249,30 @@ def _interp_by_state(t: np.ndarray, y: np.ndarray, ft: np.ndarray,
 
 
 def _sub_step(D: np.ndarray, ta: np.ndarray, tb: np.ndarray, y: np.ndarray,
-              ft: np.ndarray, a_seg: np.ndarray, b_seg: np.ndarray) -> np.ndarray:
+              ft: np.ndarray, a_tab: np.ndarray, b_tab: np.ndarray) -> np.ndarray:
     """One RK4 step of each agent's deviation ODE on [ta_j, tb_j] in state y_j.
 
     Coefficients are interpolated off the fine mesh, so the step may start and
     end anywhere; where tb <= ta it is a no-op.
     """
     a, b = (x.reshape(3, -1) for x in _interp_by_state(
-        np.concatenate((ta, 0.5 * (ta + tb), tb)), np.tile(y, 3), ft, a_seg, b_seg))
+        np.concatenate((ta, 0.5 * (ta + tb), tb)), np.tile(y, 3), ft, a_tab, b_tab))
     return np.where(tb <= ta, D, rk_step(lambda c, d: a[c] * d + b[c], D, tb - ta))
 
 
 def _through_switches(D: np.ndarray, Y: np.ndarray, t0: float | np.ndarray,
                       t2: float | np.ndarray, grp: np.ndarray, rank: np.ndarray,
-                      te: np.ndarray, ynew: np.ndarray, ft: np.ndarray, a_seg: np.ndarray,
-                      b_seg: np.ndarray, E_seg: np.ndarray):
+                      te: np.ndarray, ynew: np.ndarray, ft: np.ndarray, a_tab: np.ndarray,
+                      b_tab: np.ndarray, E_tab: np.ndarray):
     """Carry switching agents across level-0 steps [t0, t2] through their events.
 
     D, Y hold the agents' deviations and states at t0; the step bounds t0 and
     t2 are shared or per agent.  Event e moves agent grp[e] to state ynew[e]
     at time te[e] and is that agent's rank[e]-th event in its step.  All
     events of one rank are integrated together, so every agent takes the same
-    sub-steps and jumps as it would alone.  a_seg, b_seg and E_seg are the
-    segment's (len(ft), N) arrays.  Returns the deviations and states at t2.
+    sub-steps and jumps as it would alone.  a_tab, b_tab and E_tab are
+    (len(ft), N) tables at the increasing times ft, such as the horizon's.
+    Returns the deviations and states at t2.
     """
     D = D.copy()
     Y = Y.copy()
@@ -278,14 +281,14 @@ def _through_switches(D: np.ndarray, Y: np.ndarray, t0: float | np.ndarray,
         sel = rank == r
         g = grp[sel]
         t, yn, y = te[sel], ynew[sel], Y[g]
-        d = _sub_step(D[g], ta[g], t, y, ft, a_seg, b_seg)
+        d = _sub_step(D[g], ta[g], t, y, ft, a_tab, b_tab)
         # inventory is continuous, so the deviation moves by E_old - E_new
-        (E_old,) = _interp_by_state(t, y, ft, E_seg)
-        (E_new,) = _interp_by_state(t, yn, ft, E_seg)
+        (E_old,) = _interp_by_state(t, y, ft, E_tab)
+        (E_new,) = _interp_by_state(t, yn, ft, E_tab)
         D[g] = d + (E_old - E_new)
         Y[g] = yn
         ta[g] = t
-    return _sub_step(D, ta, np.full(len(D), t2), Y, ft, a_seg, b_seg), Y
+    return _sub_step(D, ta, np.full(len(D), t2), Y, ft, a_tab, b_tab), Y
 
 
 def _lift_table(alpha: np.ndarray, beta: np.ndarray):
@@ -311,16 +314,13 @@ def _lift_table(alpha: np.ndarray, beta: np.ndarray):
 def _lift(A: np.ndarray, B: np.ndarray, k, n, y, D):
     """Deviations D in states y at nodes k, carried forward to nodes n >= k.
 
-    One table map per set bit of the gap n - k: O(log m) per agent.  A gap
-    shared by every agent (scalar k and n) skips the levels of its clear bits.
+    One table map per set bit of the gap n - k: O(log m) per agent.
     """
     N = A.shape[2]
     gap = n - k
     at = k * N + y                      # flat (node, state) index into a level
     for l, (a, b) in enumerate(zip(A.reshape(len(A), -1), B.reshape(len(B), -1))):
         bit = (gap >> l) & 1
-        if np.ndim(bit) == 0 and not bit:
-            continue
         D = np.where(bit == 1, a[at] * D + b[at], D)
         at = at + (bit << l) * N
     return D
@@ -338,18 +338,19 @@ def _run_positions(first: np.ndarray) -> np.ndarray:
     return np.arange(len(first)) - np.flatnonzero(first)[np.cumsum(first) - 1]
 
 
-def _node_states(touches, n_agents: int, m: int, A: np.ndarray, B: np.ndarray):
-    """(m+1, n_agents) deviations and states of agents 0 .. n_agents-1 at every node.
+def _node_states(touches, n_agents: int, nodes: np.ndarray, A: np.ndarray, B: np.ndarray):
+    """(len(nodes), n_agents) deviations and states of agents 0 .. n_agents-1 at ``nodes``.
 
     ``touches`` lists (agent, node, D, Y) arrays, one entry wherever those
     agents' states were set: node 0 and the end of each switching step.
     Every node is lifted forward from the agent's last touch at or before it.
     """
     ag, nd, d, y = (np.concatenate(x) for x in zip(*touches))
-    key = ag * (m + 1) + nd
+    stride = A.shape[1]
+    key = ag * stride + nd
     order = np.argsort(key)
-    nodes = np.arange(m + 1)[:, None]
-    last = order[key[order].searchsorted(np.arange(n_agents) * (m + 1) + nodes,
+    nodes = nodes[:, None]
+    last = order[key[order].searchsorted(np.arange(n_agents) * stride + nodes,
                                          side="right") - 1]
     return _lift(A, B, nd[last], nodes, y[last], d[last]), y[last]
 
@@ -385,9 +386,11 @@ def _run_agents(cfg: ModelConfig, eq: MeanFieldSolution, X0: np.ndarray, Y0: np.
     agents do not interact: each plays its feedback law against the frozen
     mean field, so an agent stepped alone takes exactly its path in a crowd.
     Agents r*M .. r*M + M - 1 are the population of replication r, and one
-    trajectory is returned per replication.  Each segment steps the
-    per-replication counts and sums and takes the agents' switching steps in
-    rounds, as the module docstring sets out.
+    trajectory is returned per replication.  One pass over the horizon's
+    level-0 nodes steps the per-replication counts and sums and takes the
+    agents' switching steps in rounds, as the module docstring sets out.  The
+    segments only cut the records, each with its own segment's mu, so a
+    trade node keeps both sides of the speed jump.
     """
     grid = eq.grid
     N = cfg.n_states
@@ -396,6 +399,18 @@ def _run_agents(cfg: ModelConfig, eq: MeanFieldSolution, X0: np.ndarray, Y0: np.
     Y = np.array(Y0, dtype=np.int64)
     rep = np.arange(R * M) // M
     a_segs, b_segs = _segment_coeffs(cfg, eq)
+    # fine-mesh tables over the horizon with one sample per time (np.interp
+    # needs increasing times); a trade time keeps its left sample
+    ft, a_h, b_h, E_h = (np.concatenate([seg[:-1] for seg in segs[:-1]] + [segs[-1]])
+                         for segs in (grid.fine_times, a_segs, b_segs, eq.E_by_state.segments))
+    L = ft[::2]
+    # the RK4 scalar step map D -> alpha D + beta per (step, state), each
+    # segment's steps at that segment's width
+    widths = np.repeat([grid.step_width(s) for s in range(grid.n_segments)], grid.steps)
+    Phi, beta = step_maps(a_h[:, :, None] * np.eye(N), widths[:, None, None], b_h)
+    alpha = np.diagonal(Phi, axis1=1, axis2=2)
+    A, B = _lift_table(alpha, beta)
+    m = len(alpha)
 
     D = X0 - eq.E_by_state.initial()[Y]
     # agents rebuilt at every node: agent 0 of every replication for the
@@ -407,108 +422,93 @@ def _run_agents(cfg: ModelConfig, eq: MeanFieldSolution, X0: np.ndarray, Y0: np.
     for t, r, y in zip(ev_t[mine].tolist(), (ev_agent[mine] // M).tolist(),
                        ev_state[mine].tolist()):
         agent0_events[r].append((t, y))
-    # each event's level-0 step, numbered across segments: the first step that
-    # ends at or after it
-    ev_step = np.concatenate([grid.level0_times(s)[1:] for s in range(grid.n_segments)]
-                             ).searchsorted(ev_t, side="left")
 
-    records = [[] for _ in range(R)]
-    paths_X = [[] for _ in range(R)]
-    paths_Y = [[] for _ in range(R)]
-    first_step = 0
-    for s in range(grid.n_segments):
-        ft = grid.fine_times[s]
-        L = grid.level0_times(s)
-        m = grid.steps[s]
-        a_seg, b_seg = a_segs[s], b_segs[s]
-        E_seg = eq.E_by_state.segments[s]
-        # the RK4 scalar step map D -> alpha D + beta, per (step, state)
-        Phi, beta = step_maps(a_seg[:, :, None] * np.eye(N), grid.step_width(s), b_seg)
-        alpha = np.diagonal(Phi, axis1=1, axis2=2)
-        A, B = _lift_table(alpha, beta)
+    # the events by agent, in time order within each agent, each in its
+    # level-0 step (the first that ends at or after it); rank numbers them
+    # within their (agent, step) pair, and an agent's r-th pair is its
+    # switching step in round r
+    order = np.argsort(ev_agent, kind="stable")
+    agent, step = ev_agent[order], L[1:].searchsorted(ev_t[order], side="left")
+    new_pair = _run_starts(agent * m + step)
+    pair = np.cumsum(new_pair) - 1
+    rank = _run_positions(new_pair)
+    p_agent, p_step = agent[new_pair], step[new_pair]
+    p_round = _run_positions(_run_starts(p_agent))
 
-        # the segment's events by agent, in time order within each agent;
-        # rank numbers them within their (agent, step) pair, and an agent's
-        # r-th pair is its switching step in round r
-        lo, hi = ev_step.searchsorted([first_step, first_step + m])
-        order = lo + np.argsort(ev_agent[lo:hi], kind="stable")
-        agent, step = ev_agent[order], ev_step[order] - first_step
-        first_step += m
-        new_pair = _run_starts(agent * m + step)
-        pair = np.cumsum(new_pair) - 1
-        rank = _run_positions(new_pair)
-        p_agent, p_step = agent[new_pair], step[new_pair]
-        p_round = _run_positions(_run_starts(p_agent))
+    # per replication: the counts at node 0, then their changes per node
+    # until the cumsum
+    cell = rep * N + Y
+    counts = np.zeros((R, m + 1, N), dtype=np.int64)
+    counts[:, 0] = np.bincount(cell, minlength=R * N).reshape(R, N)
+    S0 = np.bincount(cell, weights=D, minlength=R * N).reshape(R, N)
+    jumps = np.zeros((R, m + 1, N))
+    k = np.zeros(R * M, dtype=np.int64)    # node of each agent's last touch
+    touches = [(np.arange(len(watched)), np.zeros(len(watched), dtype=np.int64),
+                D[watched], Y[watched])]
+    for r in range(int(p_round.max(initial=-1)) + 1):
+        sel = p_round == r
+        J, i = p_agent[sel], p_step[sel]
+        ev = sel[pair]
+        y, rj = Y[J], rep[J]
+        d = _lift(A, B, k[J], i, y, D[J])
+        dn, yn = _through_switches(d, y, L[i], L[i + 1], (np.cumsum(sel) - 1)[pair[ev]],
+                                   rank[ev], ev_t[order[ev]], ev_state[order[ev]],
+                                   ft, a_h, b_h, E_h)
+        # the sums step d as if it stayed in state y; at node i+1 the
+        # agent's real end in state yn replaces that
+        np.add.at(counts, (rj, i + 1, y), -1)
+        np.add.at(counts, (rj, i + 1, yn), 1)
+        np.add.at(jumps, (rj, i + 1, y), -(alpha[i, y] * d + beta[i, y]))
+        np.add.at(jumps, (rj, i + 1, yn), dn)
+        D[J], Y[J], k[J] = dn, yn, i + 1
+        w = J % M < per
+        touches.append((rj[w] * per + J[w] % M, i[w] + 1, dn[w], yn[w]))
+    counts = np.cumsum(counts, axis=1)
+    # one column of sums per replication, stepped by the same maps
+    S = trajectory(S0.T, alpha[:, :, None] * np.eye(N),
+                   (counts[:, :-1] * beta + jumps[:, 1:]).transpose(1, 2, 0))
+    S = S.transpose(2, 0, 1)
 
-        # per replication: the counts at node 0, then their changes per node
-        # until the cumsum
-        cell = rep * N + Y
-        counts = np.zeros((R, m + 1, N), dtype=np.int64)
-        counts[:, 0] = np.bincount(cell, minlength=R * N).reshape(R, N)
-        S0 = np.bincount(cell, weights=D, minlength=R * N).reshape(R, N)
-        jumps = np.zeros((R, m + 1, N))
-        k = np.zeros(R * M, dtype=np.int64)    # node of each agent's last touch
-        touches = [(np.arange(len(watched)), np.zeros(len(watched), dtype=np.int64),
-                    D[watched], Y[watched])]
-        for r in range(int(p_round.max(initial=-1)) + 1):
-            sel = p_round == r
-            J, i = p_agent[sel], p_step[sel]
-            ev = sel[pair]
-            y, rj = Y[J], rep[J]
-            d = _lift(A, B, k[J], i, y, D[J])
-            dn, yn = _through_switches(d, y, L[i], L[i + 1], (np.cumsum(sel) - 1)[pair[ev]],
-                                       rank[ev], ev_t[order[ev]], ev_state[order[ev]],
-                                       ft, a_seg, b_seg, E_seg)
-            # the sums step d as if it stayed in state y; at node i+1 the
-            # agent's real end in state yn replaces that
-            np.add.at(counts, (rj, i + 1, y), -1)
-            np.add.at(counts, (rj, i + 1, yn), 1)
-            np.add.at(jumps, (rj, i + 1, y), -(alpha[i, y] * d + beta[i, y]))
-            np.add.at(jumps, (rj, i + 1, yn), dn)
-            D[J], Y[J], k[J] = dn, yn, i + 1
-            w = J % M < per
-            touches.append((rj[w] * per + J[w] % M, i[w] + 1, dn[w], yn[w]))
-        counts = np.cumsum(counts, axis=1)
-        # one column of sums per replication, stepped by the same maps
-        S = trajectory(S0.T, alpha[:, :, None] * np.eye(N),
-                       (counts[:, :-1] * beta + jumps[:, 1:]).transpose(1, 2, 0))
-        S = np.ascontiguousarray(S.transpose(2, 0, 1))
+    # every segment's nodes, row by row: a trade node is a row of both its
+    # segments, each row reading its own segment's E, mu and a
+    seg = np.repeat(np.arange(grid.n_segments), np.add(grid.steps, 1))
+    rows = np.arange(len(seg))
+    nodes = rows - seg
+    cuts = np.flatnonzero(np.diff(seg)) + 1
+    Ev, muv, av = (np.concatenate([c[::2] for c in segs])
+                   for segs in (eq.E_by_state.segments, eq.mu_by_state.segments, a_segs))
+    theta = counts[:, nodes] / M
+    S = S[:, nodes]
+    vbar = np.sum(theta * muv, axis=2) + np.sum(av * S, axis=2) / M
+    Xbar = np.sum(theta * Ev, axis=2) + S.sum(axis=2) / M
+    Z = theta * Ev + S / M
+    # the watched agents' node states, lifted in pieces of at most
+    # _NODE_BATCH agent-nodes so that recorded paths bound the temporaries
+    d0 = np.empty((R, len(rows)))
+    Xw = np.empty((len(rows), len(watched)))
+    Yw = np.empty(Xw.shape, dtype=np.int64)
+    piece = max(1, _NODE_BATCH // len(watched))
+    for lo in range(0, len(rows), piece):
+        at = slice(lo, lo + piece)
+        Dp, Yw[at] = _node_states(touches, len(watched), nodes[at], A, B)
+        d0[:, at] = Dp[:, ::per].T
+        Xw[at] = np.take_along_axis(Ev[at], Yw[at], axis=1) + Dp
+    y0 = Yw[:, ::per].T
+    v0 = muv[rows, y0] + av[rows, y0] * d0
 
-        Ev = E_seg[::2]
-        muv = eq.mu_by_state.segments[s][::2]
-        av = a_seg[::2]
-        theta = counts / M
-        vbar = np.sum(theta * muv, axis=2) + np.sum(av * S, axis=2) / M
-        Xbar = np.sum(theta * Ev, axis=2) + S.sum(axis=2) / M
-        Z = theta * Ev + S / M
-        Dw, Yw = _node_states(touches, len(watched), m, A, B)
-        nodes = np.arange(m + 1)
-        d0, y0 = np.ascontiguousarray(Dw[:, ::per].T), Yw[:, ::per].T
-        v0 = muv[nodes, y0] + av[nodes, y0] * d0
-        x0 = Ev[nodes, y0] + d0
-        for r in range(R):
-            records[r].append(SegmentRecord(vbar=vbar[r], Xbar=Xbar[r], theta=theta[r],
-                                            Z=Z[r], v_agent0=v0[r], X_agent0=x0[r]))
-        if record_paths:
-            Xw = np.take_along_axis(Ev, Yw, axis=1) + Dw
-            for r in range(R):
-                paths_X[r].append(Xw[:, r * M:(r + 1) * M])
-                paths_Y[r].append(Yw[:, r * M:(r + 1) * M])
-        # every agent to the segment's end; most were not touched in it and
-        # share the gap m
-        moved = np.flatnonzero(k)
-        D_end = _lift(A, B, 0, m, Y, D)
-        D_end[moved] = _lift(A, B, k[moved], m, Y[moved], D[moved])
-        D = D_end
+    def by_segment(x):
+        return tuple(np.split(x, cuts))
 
     return [PopulationTrajectory(
-        segments=tuple(records[r]),
+        segments=tuple(SegmentRecord(*fields) for fields in zip(
+            *(by_segment(x[r]) for x in (vbar, Xbar, theta, Z, v0, Xw[:, ::per].T)))),
         agent0_events=tuple(agent0_events[r]),
         agent0_initial_state=int(Y0[r * M]),
         agent0_initial_inventory=float(X0[r * M]),
         M=M,
-        paths_X=tuple(paths_X[r]) if record_paths else None,
-        paths_Y=tuple(paths_Y[r]) if record_paths else None) for r in range(R)]
+        paths_X=by_segment(Xw[:, r * M:(r + 1) * M]) if record_paths else None,
+        paths_Y=by_segment(Yw[:, r * M:(r + 1) * M]) if record_paths else None)
+        for r in range(R)]
 
 
 def _metrics(eq: MeanFieldSolution, traj: PopulationTrajectory) -> ConvergenceMetrics:

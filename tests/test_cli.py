@@ -190,6 +190,23 @@ def test_simulate_rejects_degenerate_sample_flags(config_file, raw_config, tmp_p
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve-partial", "simulate", "figures"])
+def test_out_that_is_a_file_is_an_output_error(config_file, raw_config, tmp_path, capsys,
+                                               command):
+    out = tmp_path / "o" / "taken"
+    out.parent.mkdir()
+    out.write_text("not a directory")
+    args = {"solve-partial": ["--config", config_file(raw_config)],
+            "simulate": ["--config", config_file(raw_config), "--M", "20"],
+            "figures": ["--ids", "F1"]}[command]
+    assert run([command, *args, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("output error: ") and err.count("\n") == 1
+    assert os.listdir(out.parent) == ["taken"]
+    assert out.read_text() == "not a directory"
+
+
 def test_simulate_trajectory_dump_guard(config_file, tmp_path):
     raw = base_raw()
     raw["solver"]["grid_steps_per_unit_time"] = 20000

@@ -16,7 +16,7 @@ from conftest import base_raw
 
 def test_assemble_A_single_state_structure(baseline_eq):
     cfg, eq = baseline_eq
-    A = assemble_A_batch(eq.p.eval(0.3)[None], eq.h2.eval(0.3)[None],
+    A = assemble_A_batch(eq.p.right_at(3)[None], eq.h2.right_at(3)[None],
                          cfg.aversion, cfg.market)[0]
     denom = cfg.market.lam_h + 2 * cfg.market.eta
     # derived by substituting one state into the block form: the speed row is
@@ -29,7 +29,7 @@ def test_assemble_A_single_state_structure(baseline_eq):
 
 def test_assemble_A_single_state_with_running_aversion(stiff_eq):
     cfg, eq = stiff_eq
-    A = assemble_A_batch(eq.p.eval(0.0)[None], eq.h2.eval(0.0)[None],
+    A = assemble_A_batch(eq.p.initial()[None], eq.h2.initial()[None],
                          cfg.aversion, cfg.market)[0]
     assert A[0, 1] == pytest.approx(2 * 10.0 / 0.2, abs=1e-10)
 
@@ -38,16 +38,16 @@ def test_assemble_A_zero_sources_block():
     cfg = presets.partial_single_type(grid=200, quantities=np.zeros(9))
     # Gamma = phi = 0 with no switching: the inventory-feedback block vanishes
     eq = solve_partial(cfg)
-    A = assemble_A_batch(eq.p.eval(0.5)[None], eq.h2.eval(0.5)[None],
+    A = assemble_A_batch(eq.p.right_at(5)[None], eq.h2.right_at(5)[None],
                          cfg.aversion, cfg.market)[0]
     assert A[0, 1] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_assemble_A_bottom_blocks_two_state(twostate_eq):
     cfg, eq = twostate_eq
-    A = assemble_A_batch(eq.p.eval(0.4)[None], eq.h2.eval(0.4)[None],
+    A = assemble_A_batch(eq.p.right_at(4)[None], eq.h2.right_at(4)[None],
                          cfg.aversion, cfg.market)[0]
-    p = eq.p.eval(0.4)
+    p = eq.p.right_at(4)
     pq = pq_batch(p[None, :], cfg.aversion.Q)[0]
     assert np.array_equal(A[2:, :2], np.eye(2))
     assert np.max(np.abs(A[2:, 2:] - pq)) < 1e-14
@@ -299,20 +299,6 @@ def test_solution_exposes_fundamental_matrices(baseline_eq):
         assert np.max(np.abs(U[s][0] @ eq.ends[s, 0] - state)) < 1e-12
         assert np.max(np.abs(U[s][-1] @ eq.ends[s, 0] - eq.ends[s, 1])) < 1e-12
     assert np.array_equal(eq.ends[0, 0, 1:], cfg.population.E0)
-
-
-def test_curve_eval_rejects_times_outside_horizon(baseline_eq):
-    _, eq = baseline_eq
-    curve = eq.E_agg
-    T = eq.grid.horizon
-    for t in (-0.5, T + 0.5):
-        with pytest.raises(ValueError):
-            curve.eval(t)
-    assert np.array_equal(curve.eval(0.0), curve.initial())
-    assert np.array_equal(curve.eval(T), curve.terminal())
-    for k in range(1, eq.grid.n_segments):
-        tk = eq.grid.bounds[k]
-        assert np.array_equal(curve.eval(tk), curve.right_at(k))
 
 
 def _two_type(p0=None, **changes):

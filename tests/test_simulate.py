@@ -384,6 +384,15 @@ def _multi_switch():
     return presets.partial_two_type(x=10.0, y=10.0, grid=100)
 
 
+def _many_trades():
+    """The two-type preset with K = 99 unit trades at grid 200: every segment
+    is two level-0 steps, so agents are lifted across many trades."""
+    raw = presets.partial_two_type(grid=200).to_dict()
+    raw["schedule"]["times"] = [k / 100 for k in range(1, 100)]
+    raw["schedule"]["quantities"] = [1.0] * 99
+    return config_from_dict(raw)
+
+
 # (config, M, seeds); None runs the joint equilibrium of overall_two
 STACK_CASES = {
     "multi-switch": (_multi_switch, 40, (3, 9, 4)),      # several switches in one step
@@ -391,6 +400,7 @@ STACK_CASES = {
     "two-agents": (_multi_switch, 2, (0, 7, 8)),
     "single-type": (lambda: presets.partial_single_type(2.0, 10.0, grid=200), 30, (1, 2, 3)),
     "overall-two": (None, 30, (2, 5, 6)),
+    "many-trades": (_many_trades, 40, (1, 4, 7)),
 }
 
 
@@ -433,6 +443,42 @@ def test_stacked_run_equals_separate_runs(case, overall_two):
                         lt_alone.psi_mfg, lt_alone.psi_best, lt_alone.gain)
 
 
+def test_node_states_lifted_in_pieces_equal_one_lift(twostate_eq, monkeypatch):
+    # each node's state is lifted from the agent's own last touch, so the
+    # piece size bounds memory without changing a bit
+    cfg, eq = twostate_eq
+    whole = simulate_population(cfg, eq, 50, [1, 2], record_paths=True)
+    monkeypatch.setattr(simulate, "_NODE_BATCH", 7 * 100)   # 7 nodes per piece
+    pieces = simulate_population(cfg, eq, 50, [1, 2], record_paths=True)
+    for (a, met_a), (b, met_b) in zip(whole, pieces):
+        assert met_a == met_b
+        for x, y in zip(a.segments, b.segments):
+            for f in fields(SegmentRecord):
+                assert np.array_equal(getattr(x, f.name), getattr(y, f.name)), f.name
+        for got, ref in ((a.paths_X, b.paths_X), (a.paths_Y, b.paths_Y)):
+            assert all(np.array_equal(x, y) for x, y in zip(got, ref))
+
+
+def _assert_lone_agents_match_integration(cfg, eq, x_init, schedules):
+    """Each agent (initial state, events), stepped alone and in one crowd,
+    against the scalar one-agent reference."""
+    ev = sorted(((t, j, y) for j, (_, evs) in enumerate(schedules) for t, y in evs),
+                key=lambda e: e[0])
+    (crowd,) = _run_agents(cfg, eq, np.array(x_init), np.array([y for y, _ in schedules]),
+                           np.array([t for t, _, _ in ev]), np.array([j for _, j, _ in ev]),
+                           np.array([y for _, _, y in ev]), replications=1,
+                           record_paths=True)
+    for j, (y_init, events) in enumerate(schedules):
+        ref = _scalar_inventory(cfg, eq, x_init[j], y_init, events)
+        alone = _lone_agent(cfg, eq, x_init[j], y_init, [t for t, _ in events],
+                            [y for _, y in events], record_paths=True)
+        for s in range(eq.grid.n_segments):
+            assert np.max(np.abs(alone.paths_X[s][:, 0] - ref[s])) <= 1e-12, (j, s)
+            assert np.array_equal(alone.segments[s].X_agent0, alone.paths_X[s][:, 0])
+            assert np.array_equal(alone.paths_X[s][:, 0], crowd.paths_X[s][:, j])
+            assert np.array_equal(alone.paths_Y[s][:, 0], crowd.paths_Y[s][:, j])
+
+
 def test_switching_steps_at_edge_times_match_single_agent_integration():
     cfg = presets.partial_two_type(grid=200)
     eq = solve_partial(cfg)
@@ -456,22 +502,26 @@ def test_switching_steps_at_edge_times_match_single_agent_integration():
     ]
     # segment 8 holds no event of any agent
     assert all(not 0.8 <= t <= 0.9 for _, evs in schedules for t, _ in evs)
-    x_init = [0.3 - 0.1 * j for j in range(len(schedules))]
-    ev = sorted(((t, j, y) for j, (_, evs) in enumerate(schedules) for t, y in evs),
-                key=lambda e: e[0])
-    (crowd,) = _run_agents(cfg, eq, np.array(x_init), np.array([y for y, _ in schedules]),
-                           np.array([t for t, _, _ in ev]), np.array([j for _, j, _ in ev]),
-                           np.array([y for _, _, y in ev]), replications=1,
-                           record_paths=True)
-    for j, (y_init, events) in enumerate(schedules):
-        ref = _scalar_inventory(cfg, eq, x_init[j], y_init, events)
-        alone = _lone_agent(cfg, eq, x_init[j], y_init, [t for t, _ in events],
-                            [y for _, y in events], record_paths=True)
-        for s in range(grid.n_segments):
-            assert np.max(np.abs(alone.paths_X[s][:, 0] - ref[s])) <= 1e-12, (j, s)
-            assert np.array_equal(alone.segments[s].X_agent0, alone.paths_X[s][:, 0])
-            assert np.array_equal(alone.paths_X[s][:, 0], crowd.paths_X[s][:, j])
-            assert np.array_equal(alone.paths_Y[s][:, 0], crowd.paths_Y[s][:, j])
+    _assert_lone_agents_match_integration(cfg, eq, [0.3 - 0.1 * j for j in range(8)],
+                                          schedules)
+
+
+def test_switching_steps_across_many_trades_match_single_agent_integration():
+    cfg = _many_trades()
+    eq = solve_partial(cfg)
+    grid = eq.grid
+    h = grid.step_width(0)
+    trades = grid.trade_times
+    schedules = [
+        (0, [(float(trades[10]), 1), (float(trades[80]), 0)]),   # at trades, far apart
+        (1, [(float(grid.level0_times(30)[1]), 0)]),             # a segment's middle node
+        (0, [(trades[40] - 0.3 * h, 1), (trades[40] + 0.3 * h, 0)]),  # either side of a trade
+        (1, [(trades[70] + 0.2 * h, 0), (trades[70] + 0.6 * h, 1)]),  # two in one step
+        (0, [(t + 0.5 * h, y) for t, y in zip(trades[5:95:9], [1, 0] * 5)]),
+        (1, []),
+    ]
+    _assert_lone_agents_match_integration(cfg, eq, [0.3 - 0.1 * j for j in range(6)],
+                                          schedules)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -485,25 +535,34 @@ def test_lifted_step_maps_match_sequential_steps(cfg):
     eq = solve_partial(cfg)
     a_segs, b_segs = _segment_coeffs(cfg, eq)
     N = cfg.n_states
+    tables = []
     for s in range(eq.grid.n_segments):
-        m = eq.grid.steps[s]
         Phi, beta = step_maps(a_segs[s][:, :, None] * np.eye(N), eq.grid.step_width(s),
                               b_segs[s])
-        alpha = np.diagonal(Phi, axis1=1, axis2=2)
+        tables.append((np.diagonal(Phi, axis1=1, axis2=2), beta))
+    # each segment's maps, then the horizon's, whose gaps cross every trade
+    horizon = tuple(np.concatenate(x) for x in zip(*tables))
+    for alpha, beta in tables + [horizon]:
+        m = len(alpha)
         A, B = _lift_table(alpha, beta)
         k, n = np.triu_indices(m + 1)                   # every gap k -> n
         for d0 in (0.0, 1.0, -0.7):
+            # seq[start, node]: d0 at start, stepped one map at a time to node
             seq = np.empty((m + 1, m + 1, N))
-            for start in range(m + 1):
-                d = np.full(N, d0)
-                for node in range(start, m + 1):
-                    seq[start, node] = d
-                    if node < m:
-                        d = alpha[node] * d + beta[node]
+            d = np.full((m + 1, N), d0)
+            for node in range(m + 1):
+                seq[:, node] = d
+                if node < m:
+                    d[:node + 1] = alpha[node] * d[:node + 1] + beta[node]
+            # relative to |ref| within a segment; across trades D can pass
+            # through 0, so there the scale is the largest |D| on the path
+            scale = np.abs(seq)
+            if alpha is horizon[0]:
+                scale = np.maximum.accumulate(scale, axis=1)
             for y in range(N):
                 got = _lift(A, B, k, n, np.full(len(k), y), np.full(len(k), d0))
                 ref = seq[k, n, y]
-                assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref)), (s, d0, y)
+                assert np.all(np.abs(got - ref) <= 1e-12 * scale[k, n, y]), (m, d0, y)
 
 
 def test_deviation_gain_nonnegative_and_shrinks(stiff_eq):
