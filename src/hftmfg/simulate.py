@@ -94,13 +94,26 @@ def _stream_keys(seeds, purpose: int, rep, agent) -> tuple[np.ndarray, np.ndarra
 
 
 def _mulhilo(a: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the products a * x, from 32-bit halves."""
+    """High and low 64-bit words of the products a * x, from 32-bit halves.
+
+    The high word is Warren's ``mulhu`` (*Hacker's Delight*, 8-2): no partial
+    sum can exceed 64 bits, and every operation after the first products
+    works in place.
+    """
     a_lo, a_hi = a & _LO32, a >> 32
     x_lo, x_hi = x & _LO32, x >> 32
-    p01 = x_lo * a_hi
-    p10 = x_hi * a_lo
-    mid = ((x_lo * a_lo) >> 32) + (p01 & _LO32) + (p10 & _LO32)
-    return x_hi * a_hi + (p01 >> 32) + (p10 >> 32) + (mid >> 32), x * a
+    t = x_lo * a_lo
+    t >>= 32
+    t += x_hi * a_lo
+    w = t & _LO32
+    t >>= 32
+    x_lo *= a_hi
+    w += x_lo
+    w >>= 32
+    x_hi *= a_hi
+    x_hi += t
+    x_hi += w
+    return x_hi, x * a
 
 
 def _philox(key0, key1: np.ndarray, block) -> np.ndarray:
@@ -236,59 +249,87 @@ def _segment_coeffs(cfg: ModelConfig, eq: MeanFieldSolution):
     return a_segs, b_segs
 
 
-def _interp_by_state(t: np.ndarray, y: np.ndarray, ft: np.ndarray,
+def _horizon(segments) -> np.ndarray:
+    """Per-segment fine-mesh samples as one table over the horizon.
+
+    It holds one sample per time, so level-0 step i is at rows 2i .. 2i+2;
+    a trade time keeps the later segment's sample.
+    """
+    return np.concatenate([seg[:-1] for seg in segments[:-1]] + [segments[-1]])
+
+
+def _interp_by_state(t: np.ndarray, y: np.ndarray, i: np.ndarray, ft: np.ndarray,
                      *tables: np.ndarray) -> list[np.ndarray]:
-    """For each (len(ft), N) table, column y_j interpolated at t_j for every j."""
-    outs = [np.empty(len(t)) for _ in tables]
-    for k in range(tables[0].shape[1]):
-        sel = y == k
-        tk = t[sel]
-        for out, table in zip(outs, tables):
-            out[sel] = np.interp(tk, ft, table[:, k])
+    """For each (len(ft), N) table, column y_j interpolated at t_j for every j.
+
+    t_j lies in level-0 step i_j, whose fine samples are ft[2i], ft[2i+1] and
+    ft[2i+2], so it lies in fine interval j = 2i + (t > ft[2i+1]) and no
+    search is needed.  Each value is one gather from the flat (node, state)
+    table in ``np.interp``'s own arithmetic, bit for bit: a sample time reads
+    its sample (so -0.0 keeps its sign), and any other time
+    (f1 - f0) / (ft[j+1] - ft[j]) * (t - ft[j]) + f0.
+    """
+    N = tables[0].shape[1]
+    j = 2 * i + (t > ft[2 * i + 1])
+    x0, x1 = ft[j], ft[j + 1]
+    width, into = x1 - x0, t - x0
+    at0 = j * N + y
+    at1 = at0 + N
+    at_x0, at_x1 = t == x0, t == x1
+    outs = []
+    for table in tables:
+        flat = table.reshape(-1)
+        f0, f1 = flat[at0], flat[at1]
+        out = (f1 - f0) / width * into + f0
+        np.copyto(out, f1, where=at_x1)
+        np.copyto(out, f0, where=at_x0)
+        outs.append(out)
     return outs
 
 
-def _sub_step(D: np.ndarray, ta: np.ndarray, tb: np.ndarray, y: np.ndarray,
+def _sub_step(D: np.ndarray, ta: np.ndarray, tb: np.ndarray, y: np.ndarray, i: np.ndarray,
               ft: np.ndarray, a_tab: np.ndarray, b_tab: np.ndarray) -> np.ndarray:
     """One RK4 step of each agent's deviation ODE on [ta_j, tb_j] in state y_j.
 
-    Coefficients are interpolated off the fine mesh, so the step may start and
-    end anywhere; where tb <= ta it is a no-op.
+    Both ends lie in the agent's level-0 step i_j, and the coefficients at the
+    start, midpoint and end are read off the fine mesh there by
+    ``_interp_by_state``, one stage time per call.  Where tb <= ta the step is
+    a no-op.
     """
-    a, b = (x.reshape(3, -1) for x in _interp_by_state(
-        np.concatenate((ta, 0.5 * (ta + tb), tb)), np.tile(y, 3), ft, a_tab, b_tab))
+    a, b = zip(*(_interp_by_state(t, y, i, ft, a_tab, b_tab)
+                 for t in (ta, 0.5 * (ta + tb), tb)))
     return np.where(tb <= ta, D, rk_step(lambda c, d: a[c] * d + b[c], D, tb - ta))
 
 
-def _through_switches(D: np.ndarray, Y: np.ndarray, t0: float | np.ndarray,
-                      t2: float | np.ndarray, grp: np.ndarray, rank: np.ndarray,
-                      te: np.ndarray, ynew: np.ndarray, ft: np.ndarray, a_tab: np.ndarray,
-                      b_tab: np.ndarray, E_tab: np.ndarray):
-    """Carry switching agents across level-0 steps [t0, t2] through their events.
+def _through_switches(D: np.ndarray, Y: np.ndarray, i: np.ndarray, grp: np.ndarray,
+                      rank: np.ndarray, te: np.ndarray, ynew: np.ndarray, ft: np.ndarray,
+                      a_tab: np.ndarray, b_tab: np.ndarray, E_tab: np.ndarray):
+    """Carry switching agents across their level-0 steps i through their events.
 
-    D, Y hold the agents' deviations and states at t0; the step bounds t0 and
-    t2 are shared or per agent.  Event e moves agent grp[e] to state ynew[e]
-    at time te[e] and is that agent's rank[e]-th event in its step.  All
-    events of one rank are integrated together, so every agent takes the same
-    sub-steps and jumps as it would alone.  a_tab, b_tab and E_tab are
-    (len(ft), N) tables at the increasing times ft, such as the horizon's.
-    Returns the deviations and states at t2.
+    a_tab, b_tab and E_tab are (len(ft), N) tables at the increasing fine
+    times ft, such as the horizon's; step i_j spans [ft[2i_j], ft[2i_j + 2]].
+    D, Y hold the agents' deviations and states at the start of their steps.
+    Event e moves agent grp[e] to state ynew[e] at time te[e], inside that
+    agent's step, and is the agent's rank[e]-th event there.  All events of
+    one rank are integrated together, so every agent takes the same sub-steps
+    and jumps as it would alone.  Returns the deviations and states at the
+    steps' ends.
     """
     D = D.copy()
     Y = Y.copy()
-    ta = np.full(len(D), t0)
+    ta = ft[2 * i]
     for r in range(int(rank.max(initial=-1)) + 1):
         sel = rank == r
         g = grp[sel]
-        t, yn, y = te[sel], ynew[sel], Y[g]
-        d = _sub_step(D[g], ta[g], t, y, ft, a_tab, b_tab)
+        t, yn, y, ig = te[sel], ynew[sel], Y[g], i[g]
+        d = _sub_step(D[g], ta[g], t, y, ig, ft, a_tab, b_tab)
         # inventory is continuous, so the deviation moves by E_old - E_new
-        (E_old,) = _interp_by_state(t, y, ft, E_tab)
-        (E_new,) = _interp_by_state(t, yn, ft, E_tab)
+        (E_old,) = _interp_by_state(t, y, ig, ft, E_tab)
+        (E_new,) = _interp_by_state(t, yn, ig, ft, E_tab)
         D[g] = d + (E_old - E_new)
         Y[g] = yn
         ta[g] = t
-    return _sub_step(D, ta, np.full(len(D), t2), Y, ft, a_tab, b_tab), Y
+    return _sub_step(D, ta, ft[2 * i + 2], Y, i, ft, a_tab, b_tab), Y
 
 
 def _lift_table(alpha: np.ndarray, beta: np.ndarray):
@@ -399,10 +440,8 @@ def _run_agents(cfg: ModelConfig, eq: MeanFieldSolution, X0: np.ndarray, Y0: np.
     Y = np.array(Y0, dtype=np.int64)
     rep = np.arange(R * M) // M
     a_segs, b_segs = _segment_coeffs(cfg, eq)
-    # fine-mesh tables over the horizon with one sample per time (np.interp
-    # needs increasing times); a trade time keeps its left sample
-    ft, a_h, b_h, E_h = (np.concatenate([seg[:-1] for seg in segs[:-1]] + [segs[-1]])
-                         for segs in (grid.fine_times, a_segs, b_segs, eq.E_by_state.segments))
+    ft, a_h, b_h, E_h = map(_horizon, (grid.fine_times, a_segs, b_segs,
+                                       eq.E_by_state.segments))
     L = ft[::2]
     # the RK4 scalar step map D -> alpha D + beta per (step, state), each
     # segment's steps at that segment's width
@@ -424,11 +463,11 @@ def _run_agents(cfg: ModelConfig, eq: MeanFieldSolution, X0: np.ndarray, Y0: np.
         agent0_events[r].append((t, y))
 
     # the events by agent, in time order within each agent, each in its
-    # level-0 step (the first that ends at or after it); rank numbers them
-    # within their (agent, step) pair, and an agent's r-th pair is its
-    # switching step in round r
+    # level-0 step (the first that ends at or after it, searched in time
+    # order); rank numbers them within their (agent, step) pair, and an
+    # agent's r-th pair is its switching step in round r
     order = np.argsort(ev_agent, kind="stable")
-    agent, step = ev_agent[order], L[1:].searchsorted(ev_t[order], side="left")
+    agent, step = ev_agent[order], L[1:].searchsorted(ev_t, side="left")[order]
     new_pair = _run_starts(agent * m + step)
     pair = np.cumsum(new_pair) - 1
     rank = _run_positions(new_pair)
@@ -451,7 +490,7 @@ def _run_agents(cfg: ModelConfig, eq: MeanFieldSolution, X0: np.ndarray, Y0: np.
         ev = sel[pair]
         y, rj = Y[J], rep[J]
         d = _lift(A, B, k[J], i, y, D[J])
-        dn, yn = _through_switches(d, y, L[i], L[i + 1], (np.cumsum(sel) - 1)[pair[ev]],
+        dn, yn = _through_switches(d, y, i, (np.cumsum(sel) - 1)[pair[ev]],
                                    rank[ev], ev_t[order[ev]], ev_state[order[ev]],
                                    ft, a_h, b_h, E_h)
         # the sums step d as if it stayed in state y; at node i+1 the
@@ -512,16 +551,29 @@ def _run_agents(cfg: ModelConfig, eq: MeanFieldSolution, X0: np.ndarray, Y0: np.
 
 
 def _metrics(eq: MeanFieldSolution, traj: PopulationTrajectory) -> ConvergenceMetrics:
-    theta_dev = 0.0
-    z_dev = 0.0
+    """The gaps of one trajectory's records to the mean field, in one pass.
+
+    Every segment's node rows are stacked, a trade node once per segment, so
+    the row sums and maxima read all rows at once.  The trapezoid terms of
+    vbar_l2 are formed once over the stack and summed per segment, in
+    segment order, leaving out the term that would span each trade.
+    """
+    grid = eq.grid
+    segs = range(grid.n_segments)
+    theta, Z, vbar = (np.concatenate([getattr(rec, f) for rec in traj.segments])
+                      for f in ("theta", "Z", "vbar"))
+    p, E, mu = (np.concatenate([c.node_values(s) for s in segs])
+                for c in (eq.p, eq.E_by_state, eq.mu_agg))
+    t = np.concatenate([grid.level0_times(s) for s in segs])
+    theta_dev = float(np.max(np.sum((theta - p) ** 2, axis=1)))
+    z_dev = float(np.max(np.sum((Z - p * E) ** 2, axis=1)))
+    sq = (vbar - mu[:, 0]) ** 2
+    terms = np.diff(t) * (sq[1:] + sq[:-1]) / 2.0
     vbar_l2 = 0.0
-    for s, rec in enumerate(traj.segments):
-        p = eq.p.node_values(s)
-        E = eq.E_by_state.node_values(s)
-        mu = eq.mu_agg.node_values(s)[:, 0]
-        theta_dev = max(theta_dev, float(np.max(np.sum((rec.theta - p) ** 2, axis=1))))
-        z_dev = max(z_dev, float(np.max(np.sum((rec.Z - p * E) ** 2, axis=1))))
-        vbar_l2 += float(np.trapezoid((rec.vbar - mu) ** 2, eq.grid.level0_times(s)))
+    lo = 0
+    for m in grid.steps:
+        vbar_l2 += float(terms[lo:lo + m].sum())
+        lo += m + 1
     return ConvergenceMetrics(theta_dev, z_dev, vbar_l2)
 
 

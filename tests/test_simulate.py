@@ -14,8 +14,9 @@ from hftmfg.simulate import (SegmentRecord, default_init_spread, deviation_gain,
                              lt_deviation_gain, sample_price_paths,
                              simulate_population, _deviator_quadratic, _draw_agents,
                              _cell_projected_controls, _control_edges, _lift, _lift_table,
-                             _normals, _philox, _run_agents, _segment_coeffs, _stream_keys,
-                             _through_switches, _uniform)
+                             _horizon, _interp_by_state, _normals, _philox,
+                             _run_agents, _segment_coeffs, _stream_keys, _through_switches,
+                             _uniform)
 from hftmfg.grid import trade_values
 from hftmfg.strategy import best_response_values, lt_profit, solve_overall
 
@@ -250,6 +251,68 @@ def test_exact_switch_times_respected(twostate_eq):
     assert 100 <= len(ev_t) <= 320
 
 
+def _solved(cfg):
+    return solve_overall(cfg).mean_field if cfg.mode == "overall" else solve_partial(cfg)
+
+
+# crowds whose horizon tables the gather reads: the benchmark's joint preset,
+# 99 trades, and one and three states
+INTERP_CASES = {
+    "benchmark": lambda: presets.overall_two_type(grid=400).with_solver(shooting_tolerance=1e-3),
+    "many-trades": lambda: _many_trades(),
+    "one-state": lambda: presets.partial_single_type(2.0, 10.0, grid=200),
+    "three-state": lambda: ROUND_CASES["three-state"],
+}
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _assert_interp_matches_numpy(t, i, ft, *tables):
+    """`_interp_by_state` at times t in level-0 steps i, in every state,
+    bit for bit ``np.interp`` on each table's column."""
+    N = tables[0].shape[1]
+    for y in range(N):
+        got = _interp_by_state(t, np.full(len(t), y), i, ft, *tables)
+        for out, table in zip(got, tables):
+            assert np.array_equal(_bits(out), _bits(np.interp(t, ft, table[:, y]))), y
+
+
+@pytest.mark.parametrize("case", INTERP_CASES)
+def test_step_gather_equals_np_interp_bit_for_bit(case):
+    cfg = INTERP_CASES[case]()
+    eq = _solved(cfg)
+    a_segs, b_segs = _segment_coeffs(cfg, eq)
+    ft, a, b, E = map(_horizon, (eq.grid.fine_times, a_segs, b_segs, eq.E_by_state.segments))
+    m = (len(ft) - 1) // 2
+    assert m == sum(eq.grid.steps) and np.all(np.diff(ft) > 0.0)
+    steps = np.arange(m)
+    # seeded times inside every level-0 step
+    rng = np.random.default_rng(29)
+    i = np.repeat(steps, 5)
+    t = np.clip(ft[2 * i] + rng.random(len(i)) * (ft[2 * i + 2] - ft[2 * i]),
+                ft[2 * i], ft[2 * i + 2])
+    _assert_interp_matches_numpy(t, i, ft, a, b, E)
+    # each step's three fine samples, trade times among them, and t = 0, T
+    for k in range(3):
+        _assert_interp_matches_numpy(ft[2 * steps + k], steps, ft, a, b, E)
+    _assert_interp_matches_numpy(np.array([0.0, ft[-1]]), np.array([0, m - 1]), ft, a, b, E)
+    assert ft[-1] == cfg.schedule.T
+
+
+def test_step_gather_keeps_the_sign_of_a_zero_sample():
+    ft = np.linspace(0.0, 1.0, 9)
+    table = np.linspace(-1.0, 1.0, 18).reshape(9, 2)
+    table[2, 1] = table[5, 0] = table[6, 0] = -0.0
+    t = np.array([ft[2], ft[5], ft[6], 0.5 * (ft[5] + ft[6])])
+    y = np.array([1, 0, 0, 0])
+    (out,) = _interp_by_state(t, y, np.array([1, 2, 2, 2]), ft, table)
+    assert np.all(np.signbit(out[:3])) and not np.signbit(out[3])
+    for k in range(len(t)):
+        assert _bits(out[k]) == _bits(np.interp(t[k], ft, table[:, y[k]]))
+
+
 def _scalar_inventory(cfg, eq, x_init, y_init, events):
     """Reference: one agent, one event at a time, scalar RK4 between events."""
     a_segs, b_segs = _segment_coeffs(cfg, eq)
@@ -303,7 +366,7 @@ def _switch_stepped_inventory(cfg, eq, x_init, y_init, events):
             t2 = ft[2 * i + 2]
             end = int(ev_t.searchsorted(t2, side="right"))
             n = end - ptr
-            D, Y = _through_switches(D, Y, ft[2 * i], t2, np.zeros(n, dtype=np.int64),
+            D, Y = _through_switches(D, Y, np.array([i]), np.zeros(n, dtype=np.int64),
                                      np.arange(n), ev_t[ptr:end], ev_state[ptr:end],
                                      ft, a_segs[s], b_segs[s], E)
             ptr = end
@@ -401,7 +464,31 @@ STACK_CASES = {
     "single-type": (lambda: presets.partial_single_type(2.0, 10.0, grid=200), 30, (1, 2, 3)),
     "overall-two": (None, 30, (2, 5, 6)),
     "many-trades": (_many_trades, 40, (1, 4, 7)),
+    "three-state": (lambda: ROUND_CASES["three-state"], 40, (2, 3, 11)),
 }
+
+
+def _metrics_by_segment(eq, traj):
+    """Reference: the convergence metrics one segment at a time."""
+    theta_dev = z_dev = vbar_l2 = 0.0
+    for s, rec in enumerate(traj.segments):
+        p = eq.p.node_values(s)
+        E = eq.E_by_state.node_values(s)
+        mu = eq.mu_agg.node_values(s)[:, 0]
+        theta_dev = max(theta_dev, float(np.max(np.sum((rec.theta - p) ** 2, axis=1))))
+        z_dev = max(z_dev, float(np.max(np.sum((rec.Z - p * E) ** 2, axis=1))))
+        vbar_l2 += float(np.trapezoid((rec.vbar - mu) ** 2, eq.grid.level0_times(s)))
+    return theta_dev, z_dev, vbar_l2
+
+
+@pytest.mark.parametrize("make", [_multi_switch, _many_trades, lambda: ROUND_CASES["three-state"]],
+                         ids=["multi-switch", "many-trades", "three-state"])
+def test_metrics_equal_the_per_segment_loop(make):
+    # the one-pass metrics add the same terms in the same order as the loop
+    cfg = make()
+    eq = solve_partial(cfg)
+    for traj, met in simulate_population(cfg, eq, 300, [1, 2]):
+        assert (met.theta_dev, met.Z_dev, met.vbar_l2) == _metrics_by_segment(eq, traj)
 
 
 @pytest.mark.parametrize("case", STACK_CASES)
@@ -522,6 +609,19 @@ def test_switching_steps_across_many_trades_match_single_agent_integration():
     ]
     _assert_lone_agents_match_integration(cfg, eq, [0.3 - 0.1 * j for j in range(6)],
                                           schedules)
+
+
+def test_three_state_steps_match_single_agent_integration():
+    # every switch draws its target, so agents move between all three states
+    # and the gather reads every column of the tables
+    cfg = ROUND_CASES["three-state"]
+    eq = solve_partial(cfg)
+    X0, Y0, ev_t, ev_agent, ev_state = _draw_agents(cfg, 40, [2], default_init_spread(cfg))
+    assert set(ev_state.tolist()) == {0, 1, 2}
+    schedules = [(int(Y0[j]), list(zip(ev_t[ev_agent == j].tolist(),
+                                       ev_state[ev_agent == j].tolist())))
+                 for j in range(len(X0))]
+    _assert_lone_agents_match_integration(cfg, eq, X0.tolist(), schedules)
 
 
 @pytest.mark.parametrize("cfg", [
