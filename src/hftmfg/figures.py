@@ -23,15 +23,18 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import presets
 from .config import ModelConfig
-from .meanfield import engine_key, solve_partial
+from .meanfield import _reuse, engine_key, solve_partial
 from .reporting import plot_columns_from_csv, write_csv, write_equilibrium_csv, xi_star_rows
 from .strategy import lt_profit, solve_overall
 
 XY_GRID = ((0.0, 0.0), (0.2, 0.8), (0.5, 0.5), (0.8, 0.2))
 SCAN_GAMMA, SCAN_PHI = 2.0, 10.0     # the crowd of the lambdaH scans
 SCAN_GRID = 1000
+OVERALL_KINDS = ("overall_E", "overall_xi")    # the panels of one joint equilibrium each
 
 
 @dataclass(frozen=True)
@@ -166,14 +169,25 @@ def panel_groups(panels) -> list[tuple[list[PanelSpec], set]]:
     return groups
 
 
+def _equilibrium_key(cfg: ModelConfig) -> tuple:
+    """The engine key and what ``solve_overall`` reads besides: xi0 and E0."""
+    return ("overall", engine_key(cfg), np.append(cfg.schedule.xi0, cfg.population.E0).tobytes())
+
+
+def _joint_equilibrium(cfg: ModelConfig, cache: dict | None):
+    """``solve_overall(cfg, cache)``, kept in ``cache`` for the group's other panels."""
+    return _reuse(cache, _equilibrium_key(cfg), lambda: solve_overall(cfg, cache))
+
+
 def render_group(panels: list[PanelSpec], keys: set, out_dir: str,
                  cache: dict) -> list[list[str]]:
     """``render_panel`` for each of ``panels``, then drop the engines under
-    ``keys`` from ``cache``; the chains and h2 stay for other groups."""
+    ``keys`` and the panels' joint equilibria from ``cache``; the chains and
+    h2 stay for other groups."""
     try:
         return [render_panel(panel, out_dir, cache) for panel in panels]
     finally:
-        for key in keys:
+        for key in keys | {_equilibrium_key(p.cfg) for p in panels if p.kind in OVERALL_KINDS}:
             cache.pop(key, None)
 
 
@@ -188,12 +202,12 @@ def render_panel(panel: PanelSpec, out_dir: str, cache: dict | None = None) -> l
         plot_columns_from_csv(csv_path, svg_path, "time", ["E_agg"],
                               title=f"{panel.name} {panel.label}")
     elif panel.kind == "overall_E":
-        eq = solve_overall(panel.cfg, cache)
+        eq = _joint_equilibrium(panel.cfg, cache)
         write_equilibrium_csv(csv_path, eq.mean_field, panel.cfg)
         plot_columns_from_csv(csv_path, svg_path, "time", ["E_agg"],
                               title=f"{panel.name} {panel.label}")
     elif panel.kind == "overall_xi":
-        eq = solve_overall(panel.cfg, cache)
+        eq = _joint_equilibrium(panel.cfg, cache)
         write_csv(csv_path, *xi_star_rows(panel.cfg.schedule.times, eq.xi_star), panel.cfg)
         plot_columns_from_csv(csv_path, svg_path, "t_k", ["xi_star_k"],
                               title=f"{panel.name} {panel.label}", kind="bar")

@@ -16,11 +16,17 @@ is B mu(T) + 2 diag(Gamma) E(T) = 0, and E(0) = E0.
 The solver builds the fundamental matrices of dU = A U dt on each segment
 from the RK4 step maps, composed by a prefix scan (see ``affine``),
 each re-anchored to the identity at its segment start, so the propagator V_s
-spans one inter-trade interval only.  The unknowns are the states
-z_s = [mu; E] at the segment starts (multiple shooting anchored at the trade
-times).  With E(z_0) = E0 substituted, the speed jumps z_{s+1} - V_s z_s =
--jump_s [1; 0] and the terminal coupling form one square block-bidiagonal
-linear system: the problem is linear, so the shooting needs no iteration.
+spans one inter-trade interval only.  For a crowd that never switches
+(Q = 0), p stays at p0 and every term of A that reads h2 carries a factor
+from Q, so A is one constant matrix: every step of a segment is one map,
+whose powers ``affine.compose_powers`` forms bit for bit as the scan would,
+and segments of one step width share their fundamental matrices.
+
+The unknowns are the states z_s = [mu; E] at the segment starts (multiple
+shooting anchored at the trade times).  With E(z_0) = E0 substituted, the
+speed jumps z_{s+1} - V_s z_s = -jump_s [1; 0] and the terminal coupling
+form one square block-bidiagonal linear system: the problem is linear, so
+the shooting needs no iteration.
 The initial, jump and terminal residuals of every solution are checked
 against ``solver.shooting_tolerance``, and one that misses it (or is NaN)
 raises ``SolverError``.  They, and the aggregates at the trade times, are read
@@ -44,7 +50,7 @@ from functools import partial
 
 import numpy as np
 
-from .affine import rk_step, step_maps, trajectory
+from .affine import compose_powers, rk_step, step_maps, trajectory
 from .chain import pq_batch, solve_chain
 from .config import AversionSpec, MarketParams, ModelConfig
 from .errors import ConfigError, SolverError
@@ -297,6 +303,12 @@ class MeanFieldEngine:
     (N (2S - 1))-square system and one product per segment end.  The curves
     are reconstructed only when a caller reads them.
 
+    When Q = 0, A is assembled once and each distinct (step width, step
+    count) gets one step map, its powers and the midpoint states, which
+    every segment of that width shares read-only; the result is bit for bit
+    the general path's.  h2 is still integrated there, though A does not
+    read it: its box check is the gate that refuses stiff Q = 0 crowds.
+
     The engine reads only the config values in ``engine_key``.  The chain
     depends only on (Q, p0) and the grid, h2 only on (Gamma, phi, Q, eta) and
     the grid.  Engines built with one ``cache`` dict, which a caller creates
@@ -317,14 +329,24 @@ class MeanFieldEngine:
                          lambda: solve_h2(av, cfg.market, self.grid))
         N = cfg.n_states
         self._N = N
+        switching = np.any(av.Q)
+        if not switching:
+            # p stays at p0 and h2 drops out of A (see closed_form_q0)
+            A = assemble_A_batch(av.p0[None], np.zeros((1, N)), av, cfg.market)[0]
+            shared = {}
         U_nodes, U_mid = [], []
         for s in range(self.grid.n_segments):
-            A = assemble_A_batch(self.p.segments[s], self.h2.segments[s],
-                                 cfg.aversion, cfg.market)
-            h = self.grid.step_width(s)
-            Un = trajectory(np.eye(2 * N), step_maps(A, h)[0])
+            h, m = self.grid.step_width(s), self.grid.steps[s]
+            if switching:
+                A = assemble_A_batch(self.p.segments[s], self.h2.segments[s], av, cfg.market)
+                Un = trajectory(np.eye(2 * N), step_maps(A, h)[0])
+                Um = self._midpoint_states(Un, A, h)
+            else:
+                if (h, m) not in shared:
+                    shared[h, m] = self._constant_propagators(A, h, m)
+                Un, Um = shared[h, m]
             U_nodes.append(Un)
-            U_mid.append(self._midpoint_states(Un, A, h))
+            U_mid.append(Um)
         self._U_nodes, self._U_mid = tuple(U_nodes), tuple(U_mid)
         self._U_ends = np.stack([Un[[0, -1]] for Un in U_nodes])    # I and V_s per segment
         self._p_ends = _segment_ends(self.p.segments)
@@ -358,6 +380,19 @@ class MeanFieldEngine:
         A0, Am = A[0:-1:2], A[1::2]
         stages = (A0, 0.5 * (A0 + Am), Am)
         return rk_step(lambda c, U: stages[c] @ U, Un[:-1], h / 2.0)
+
+    @classmethod
+    def _constant_propagators(cls, A, h, m):
+        """Read-only node and midpoint propagators of m steps of width h with the
+        constant system matrix A: one step map and its powers, bit for bit what
+        the prefix scan and ``_midpoint_states`` give with A at every sample."""
+        A = np.broadcast_to(A, (2 * m + 1,) + A.shape)
+        Un = np.empty((m + 1,) + A.shape[1:])
+        Un[0] = np.eye(A.shape[-1])
+        Un[1:] = compose_powers(step_maps(A[:3], h)[0][0], m) @ Un[0]
+        Um = cls._midpoint_states(Un, A, h)
+        Un.flags.writeable = Um.flags.writeable = False
+        return Un, Um
 
     def solve(self, E0, xi) -> MeanFieldSolution:
         cfg = self.cfg

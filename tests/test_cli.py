@@ -319,6 +319,20 @@ def test_figures_build_each_engine_once_per_request(tmp_path, monkeypatch):
         assert len(builds) == 4 * n
 
 
+def test_figures_solve_each_joint_equilibrium_once_per_request(tmp_path, monkeypatch):
+    solves = []
+
+    def counted(cfg, cache=None):
+        solves.append(cfg)
+        return solve_overall(cfg, cache)
+
+    monkeypatch.setattr(figures, "solve_overall", counted)
+    # F6 plots the joint schedule of three crowds and F8 their inventories
+    for n in (1, 2):
+        assert run(["figures", "--ids", "F6", "F8", "--out", str(tmp_path / f"f{n}")]) == 0
+        assert len(solves) == 3 * n
+
+
 def test_figure_groups_share_engines_and_drop_them(tmp_path):
     specs = figures.figure_specs(grid=400)
     groups = figures.panel_groups([p for fid in ("F3", "F5", "F9", "F11", "F12")

@@ -3,13 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hftmfg import presets
-from hftmfg.chain import pq_batch
+from hftmfg import figures, meanfield, presets
+from hftmfg.affine import step_maps, trajectory
+from hftmfg.chain import pq_batch, solve_chain
 from hftmfg.config import config_from_dict
 from hftmfg.errors import ConfigError, SolverError
-from hftmfg.grid import sup_diff
+from hftmfg.grid import PiecewiseCurve, sup_diff, weighted_aggregate
 from hftmfg.meanfield import (MeanFieldEngine, assemble_A_batch, closed_form_n1,
                               closed_form_q0, engine_key, solve_partial, speed_jump_size)
+from hftmfg.riccati import solve_h2
 from hftmfg.validate import SWEEP
 from conftest import base_raw
 
@@ -424,3 +426,86 @@ def test_given_schedule_entry_points_require_quantities():
     for solve in (solve_partial, closed_form_q0, closed_form_n1):
         with pytest.raises(ConfigError, match="schedule.quantities"):
             solve(cfg)
+
+
+def _general_path(cfg):
+    """Propagators, boundary system and curves of ``cfg``'s solution as the
+    switching path builds them: A at every sample, every step map, the prefix scan."""
+    av, N, n = cfg.aversion, cfg.n_states, 2 * cfg.n_states
+    grid = meanfield.default_grid(cfg)
+    p, h2 = solve_chain(av, grid), solve_h2(av, cfg.market, grid)
+    U_nodes, U_mid = [], []
+    for s in range(grid.n_segments):
+        A = assemble_A_batch(p.segments[s], h2.segments[s], av, cfg.market)
+        h = grid.step_width(s)
+        Un = trajectory(np.eye(n), step_maps(A, h)[0])
+        U_nodes.append(Un)
+        U_mid.append(MeanFieldEngine._midpoint_states(Un, A, h))
+    S = grid.n_segments
+    G = np.zeros((n * S - N, n * S))
+    for s in range(S - 1):
+        G[n * s:n * (s + 1), n * s:n * (s + 1)] = -U_nodes[s][-1]
+        G[n * s:n * (s + 1), n * (s + 1):n * (s + 2)] = np.eye(n)
+    B_T = 2.0 * cfg.market.eta * np.eye(N) + cfg.market.lam_h * np.outer(np.ones(N), p.terminal())
+    G[n * (S - 1):, n * (S - 1):] = np.hstack([B_T, 2.0 * np.diag(av.Gamma)]) @ U_nodes[-1][-1]
+    system = np.delete(G, np.s_[N:n], axis=1)
+
+    E0 = cfg.population.E0
+    jumps = speed_jump_size(cfg.market, np.asarray(cfg.schedule.quantities))
+    rhs = -G[:, N:n] @ E0
+    rhs[:-N].reshape(S - 1, n)[:, :N] -= jumps[:, None]
+    w = np.linalg.solve(system, rhs)
+    starts = np.concatenate([w[:N], E0, w[N:]]).reshape(S, n)
+    fine = meanfield._fine_states(U_nodes, U_mid, starts)
+    mu = PiecewiseCurve(grid, tuple(f[:, :N] for f in fine))
+    E = PiecewiseCurve(grid, tuple(f[:, N:] for f in fine))
+    curves = (E, mu, weighted_aggregate(E, p), weighted_aggregate(mu, p))
+    return U_nodes, U_mid, system, curves
+
+
+def _with_times(cfg, times):
+    return replace(cfg, schedule=replace(cfg.schedule, times=np.array(times),
+                                         quantities=np.ones(len(times))))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: presets.partial_single_type(2.0, 0.0),
+    lambda: presets.partial_single_type(0.0, 0.0),
+    lambda: presets.partial_two_type(x=0.0, y=0.0),
+    lambda: figures._scan_cfg("partial", presets.lamH_scan_values()[0], figures.SCAN_GRID),
+    lambda: figures._scan_cfg("partial", presets.lamH_scan_values()[-1], figures.SCAN_GRID),
+    lambda: _with_times(presets.partial_two_type(x=0.0, y=0.0), [k / 8 for k in range(1, 8)]),
+    lambda: _with_times(presets.partial_two_type(x=0.0, y=0.0), [0.1, 0.25, 0.4, 0.55, 0.9]),
+], ids=["Gamma-2", "zero-aversion", "two-type", "scan-first", "scan-last", "eighths",
+        "uneven"])
+def test_unswitched_engine_equals_the_general_path_bit_for_bit(make):
+    cfg = make()
+    U_nodes, U_mid, system, curves = _general_path(cfg)
+    engine = MeanFieldEngine(cfg)
+    sol = engine.solve(cfg.population.E0, cfg.schedule.quantities)
+
+    def bits(arrays):
+        return [a.tobytes() for a in arrays]
+
+    assert bits(engine._U_nodes) == bits(U_nodes)
+    assert bits(engine._U_mid) == bits(U_mid)
+    assert engine._system.tobytes() == system.tobytes()
+    assert engine.condition_number == float(np.linalg.cond(system))
+    for got, ref in zip((sol.E_by_state, sol.mu_by_state, sol.E_agg, sol.mu_agg), curves):
+        assert bits(got.segments) == bits(ref.segments)
+    # segments of one width share one read-only array
+    first = {}
+    for s, (Un, Um) in enumerate(zip(engine._U_nodes, engine._U_mid)):
+        assert not Un.flags.writeable and not Um.flags.writeable
+        Un0, Um0 = first.setdefault((engine.grid.step_width(s), engine.grid.steps[s]), (Un, Um))
+        assert Un is Un0 and Um is Um0
+
+
+def test_unswitched_stiff_crowd_stops_at_the_h2_box_gate():
+    # A never reads h2 when Q = 0, but h2's box gate is what refuses this crowd:
+    # without it the solve passes every other gate and is off by 3.5 from
+    # closed_form_q0, with a condition number of 2e3
+    cfg = presets.partial_single_type(1.5, 2.5, grid=100,
+                                      market_overrides={"eta": 2e-4, "lambdaH": 2.5e-3})
+    with pytest.raises(SolverError, match=r"quadratic coefficient left \[-1\.5, 0\] at t=0\.995"):
+        solve_partial(cfg)
